@@ -4,6 +4,7 @@ from .expr import ConstScalar, Poly, RatExpr, register_differential_param, tower
 from .operator import LPDO, FirstOrderFactor
 from .charpoly import CharPoly, Root, RootSearch, char_poly, find_roots
 from .factorize import (
+    CertificateError,
     FactorizationOutcome,
     FactorizationTree,
     OutcomeStatus,
@@ -42,6 +43,7 @@ __all__ = [
     "RootSearch",
     "char_poly",
     "find_roots",
+    "CertificateError",
     "FactorizationOutcome",
     "FactorizationTree",
     "OutcomeStatus",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .expr import RatExpr, tower
 from .operator import LPDO
@@ -233,9 +234,7 @@ def _root_candidates(coeffs: list[RatExpr]):
         yield from emit(RatExpr.from_int(s))
     if all(c.is_rational() for c in coeffs):
         nums = [c.rational_value() for c in coeffs]
-        common = 1
-        for q in nums:
-            common = common * q.denominator // _gcd(common, q.denominator)
+        common = lcm(*(q.denominator for q in nums))
         ints = [int(q * common) for q in nums]
         for pdiv in _int_divisors(ints[-1]):
             for qdiv in _int_divisors(ints[0]):
@@ -246,12 +245,6 @@ def _root_candidates(coeffs: list[RatExpr]):
         for v in (ratio, -ratio, ratio.inverse() if not ratio.is_zero() else None):
             if v is not None:
                 yield from emit(v)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
 
 
 def _int_divisors(n: int) -> list[int]:

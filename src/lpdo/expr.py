@@ -14,6 +14,21 @@ Three layers:
                  fixed graded-lexicographic term order.
   RatExpr     -- a reduced fraction of two Polys with a monic denominator.
 
+Every RatExpr operation is kept reduced through poly_gcd, which returns
+the monic gcd (leading coefficient 1 under the graded-lex order) along one
+of two lanes, after splitting off the common monomial part:
+
+  integer lane -- when every coefficient of both inputs is rational.  The
+                  denominators are cleared and GCDHEU (Char, Geddes and
+                  Gonnet 1989) runs on sparse integer polynomials, accepting
+                  a candidate only when it divides both inputs exactly.
+  PRS lane     -- when a coefficient carries a radical, or in the rare case
+                  that GCDHEU gives up: content/primitive-part recursion
+                  with a subresultant remainder sequence over ConstScalar.
+
+Both lanes give the same monic gcd, so canonical forms do not depend on
+which one ran.
+
 Parameters commute with x and y and normally differentiate to zero.  A
 parameter may instead be registered as *differential*, in which case its
 x/y-derivatives are fresh formal symbols (name suffixed with ``_x...y...``);
@@ -25,6 +40,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 # --------------------------------------------------------------------------
@@ -300,9 +317,16 @@ class ConstScalar:
         return self + (-other)
 
     def __mul__(self, other: "ConstScalar") -> "ConstScalar":
+        a, b = self._coords, other._coords
+        if len(a) == 1 == len(b) and 1 in a and 1 in b:
+            # both rational and nonzero: the product is too
+            prod = ConstScalar.__new__(ConstScalar)
+            prod._coords = {1: a[1] * b[1]}
+            prod._hash = None
+            return prod
         out: dict[int, Fraction] = {}
-        for d1, q1 in self._coords.items():
-            for d2, q2 in other._coords.items():
+        for d1, q1 in a.items():
+            for d2, q2 in b.items():
                 f, key = _mul_radicals(d1, d2)
                 s = out.get(key, Fraction(0)) + q1 * q2 * f
                 if s:
@@ -587,9 +611,6 @@ class Poly:
             out.update(s for s, _ in m)
         return out
 
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     def leading_term(self) -> tuple[Monomial, ConstScalar]:
         if not self.terms:
             raise ValueError("leading term of zero polynomial")
@@ -793,68 +814,6 @@ def _prem(f: list[Poly], g: list[Poly]) -> list[Poly]:
     return r
 
 
-_EVAL_POINTS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _poly_eval_const(p: Poly, point: dict[str, Fraction]) -> ConstScalar:
-    out = ConstScalar.ZERO
-    for m, c in p.terms.items():
-        q = Fraction(1)
-        for s, e in m:
-            q *= point[s] ** e
-        out = out + c.scale(q)
-    return out
-
-
-def _univar_gcd_degree(f: list[ConstScalar], g: list[ConstScalar]) -> int:
-    """Degree of the gcd of two univariate polynomials over the tower
-    (ascending coefficient lists, nonzero leads)."""
-    a, b = list(f), list(g)
-    while b:
-        if len(b) == 1:
-            return 0
-        # monic remainder step
-        binv = b[-1].inverse()
-        bm = [c * binv for c in b]
-        r = list(a)
-        while len(r) >= len(bm):
-            lead = r[-1]
-            shift = len(r) - len(bm)
-            if not lead.is_zero():
-                for i in range(len(bm) - 1):
-                    r[shift + i] = r[shift + i] - lead * bm[i]
-            r.pop()
-            while r and r[-1].is_zero():
-                r.pop()
-        a, b = bm, r
-    return len(a) - 1
-
-
-def _pp_gcd_trivial(fa: list[Poly], fb: list[Poly], v: str) -> bool:
-    """Sound fast test: evaluate all symbols but v at a point keeping both
-    leading coefficients nonzero; coprime univariate images mean the
-    primitive parts are coprime.  False means 'unknown', not 'nontrivial'."""
-    syms = set()
-    for c in fa:
-        syms |= c.symbols()
-    for c in fb:
-        syms |= c.symbols()
-    names = sorted(syms, key=_srank)
-    for attempt in range(3):
-        point = {
-            s: Fraction(_EVAL_POINTS[(i + 5 * attempt) % len(_EVAL_POINTS)])
-            for i, s in enumerate(names)
-        }
-        la = _poly_eval_const(fa[-1], point)
-        lb = _poly_eval_const(fb[-1], point)
-        if la.is_zero() or lb.is_zero():
-            continue
-        ia = [_poly_eval_const(c, point) for c in fa]
-        ib = [_poly_eval_const(c, point) for c in fb]
-        return _univar_gcd_degree(ia, ib) == 0
-    return False
-
-
 def _content_pp(p: Poly, v: str) -> tuple[Poly, list[Poly]]:
     """Content (gcd of v-coefficients) and primitive part of p in v."""
     coeffs = _univar(p, v)
@@ -908,8 +867,9 @@ def _mono_gcd(a: Monomial, b: Monomial) -> Monomial:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via content/primitive-part recursion with a subresultant
-    remainder sequence in one variable at a time."""
+    """Monic gcd.  After the common monomial part is split off, rational
+    inputs go through the integer heuristic gcd and everything else (or a
+    case the heuristic gives up on) through the subresultant PRS."""
     if a.is_zero():
         return b.monic()
     if b.is_zero():
@@ -928,7 +888,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a = _div_mono(a, ma)
     if mb:
         b = _div_mono(b, mb)
-    common = Poly({mg: ConstScalar.ONE}) if mg else None
+    g = _int_gcd(a, b)
+    if g is None:
+        g = _prs_gcd(a, b)
+    return g * Poly({mg: ConstScalar.ONE}) if mg else g
+
+
+def _prs_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd of non-constant a and b via content/primitive-part
+    recursion with a subresultant remainder sequence in one variable."""
     # quick mutual-divisibility test catches powers of a shared factor
     small, large = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
     try:
@@ -936,21 +904,16 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     except ValueError:
         pass
     else:
-        g = small.monic()
-        return g * common if common is not None else g
+        return small.monic()
     syms = sorted(a.symbols() | b.symbols(), key=_srank)
     v = syms[0]
     ca, fa = _content_pp(a, v)
     cb, fb = _content_pp(b, v)
     cont = poly_gcd(ca, cb)
-    if common is not None:
-        cont = cont * common
     if len(fa) - 1 == 0 or len(fb) - 1 == 0:
         return cont.monic()
     if len(fa) < len(fb):
         fa, fb = fb, fa
-    if _pp_gcd_trivial(fa, fb, v):
-        return cont.monic()
     # subresultant PRS
     g = Poly.ONE
     h = Poly.ONE
@@ -977,6 +940,160 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     gp = _from_univar(G, v)
     _, gpp = _content_pp(gp, v)
     return (cont * _from_univar(gpp, v)).monic()
+
+
+# -- integer heuristic gcd ----------------------------------------------------
+#
+# An integer polynomial is a dict from exponent tuples (one place per symbol
+# of a fixed list in _srank order) to nonzero ints.
+
+ZPoly = dict[tuple[int, ...], int]
+
+# evaluation points tried per level before the heuristic gives up
+_HEU_TRIES = 6
+
+
+def _int_gcd(a: Poly, b: Poly) -> Poly | None:
+    """Monic gcd of rational a and b by GCDHEU over Z; None when a
+    coefficient carries a radical or the heuristic gives up."""
+    syms = sorted(a.symbols() | b.symbols(), key=_srank)
+    index = {s: i for i, s in enumerate(syms)}
+    f, g = _to_zpoly(a, index), _to_zpoly(b, index)
+    if f is None or g is None:
+        return None
+    h = _heu_gcd(f, g, len(syms))
+    if h is None:
+        return None
+    # graded-lex order on exponent tuples in symbol rank order
+    lead = h[max(h, key=lambda e: (sum(e), e))]
+    return Poly({tuple((s, k) for s, k in zip(syms, e) if k):
+                 ConstScalar({1: Fraction(c, lead)}) for e, c in h.items()})
+
+
+def _to_zpoly(p: Poly, index: dict[str, int]) -> ZPoly | None:
+    """p times the lcm of its coefficient denominators, or None when a
+    coefficient is not rational."""
+    rats = []
+    for m, c in p.terms.items():
+        q = c._coords.get(1)
+        if q is None or len(c._coords) != 1:
+            return None
+        rats.append((m, q))
+    den = lcm(*(q.denominator for _, q in rats))
+    zero = [0] * len(index)
+    out = {}
+    for m, q in rats:
+        e = list(zero)
+        for s, k in m:
+            e[index[s]] = k
+        out[tuple(e)] = q.numerator * (den // q.denominator)
+    return out
+
+
+def _heu_gcd(f: ZPoly, g: ZPoly, n: int) -> ZPoly | None:
+    """gcd over Z of nonzero f and g in n variables (Char, Geddes and
+    Gonnet 1989), or None when no evaluation point succeeds.
+
+    The last variable is evaluated at an integer xi, the gcd of the images
+    is found recursively, and the candidate is rebuilt xi-adically from it.
+    With xi >= 2*min(|f|, |g|) + 2 for primitive f and g, a primitive
+    candidate that divides both is their gcd (Geddes, Czapor and Labahn,
+    Algorithms for Computer Algebra, 1992, section 7.7), so a candidate is
+    accepted only after exact division."""
+    if n == 0:
+        return {(): gcd(f[()], g[()])}
+    cf, cg = gcd(*f.values()), gcd(*g.values())
+    if cf != 1:
+        f = {e: c // cf for e, c in f.items()}
+    if cg != 1:
+        g = {e: c // cg for e, c in g.items()}
+    content = gcd(cf, cg)
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        ff, gg = _zp_eval_last(f, xi), _zp_eval_last(g, xi)
+        if ff and gg:
+            hh = _heu_gcd(ff, gg, n - 1)
+            if hh is None:
+                return None
+            h = _zp_interpolate(hh, xi)
+            ch = gcd(*h.values())
+            if ch != 1:
+                h = {e: c // ch for e, c in h.items()}
+            if _zp_divides(h, f) and _zp_divides(h, g):
+                if content != 1:
+                    h = {e: c * content for e, c in h.items()}
+                return h
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _zp_eval_last(f: ZPoly, xi: int) -> ZPoly:
+    """f with its last variable set to xi."""
+    powers = [1]
+    out: ZPoly = {}
+    for e, c in f.items():
+        k = e[-1]
+        while len(powers) <= k:
+            powers.append(powers[-1] * xi)
+        rest = e[:-1]
+        out[rest] = out.get(rest, 0) + c * powers[k]
+    return {e: c for e, c in out.items() if c}
+
+
+def _zp_interpolate(h: ZPoly, xi: int) -> ZPoly:
+    """The polynomial in one more (last) variable whose coefficients are the
+    symmetric base-xi digits of h's coefficients."""
+    half = xi // 2
+    out: ZPoly = {}
+    k = 0
+    while h:
+        rest: ZPoly = {}
+        for e, c in h.items():
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[e + (k,)] = r
+            c = (c - r) // xi
+            if c:
+                rest[e] = c
+        h = rest
+        k += 1
+    return out
+
+
+def _zp_divides(h: ZPoly, f: ZPoly) -> bool:
+    """True when h divides f exactly over Z (lexicographic division)."""
+    lh = max(h)
+    lc = h[lh]
+    if not any(lh):
+        return all(c % lc == 0 for c in f.values())
+    rest = [(e, c) for e, c in h.items() if e != lh]
+    rem = dict(f)
+    # min-heap on negated exponents: pops the lexicographically largest
+    heap = [tuple(-k for k in e) for e in rem]
+    heapify(heap)
+    while heap:
+        e = tuple(-k for k in heappop(heap))
+        c = rem.pop(e, 0)
+        if not c:
+            continue
+        q = tuple(a - b for a, b in zip(e, lh))
+        if min(q) < 0:
+            return False
+        qc, r = divmod(c, lc)
+        if r:
+            return False
+        for he, hc in rest:
+            m = tuple(a + b for a, b in zip(q, he))
+            v = rem.get(m, 0) - qc * hc
+            if v:
+                if m not in rem:
+                    heappush(heap, tuple(-k for k in m))
+                rem[m] = v
+            else:
+                rem.pop(m, None)
+    return True
 
 
 # -- polynomial square root -------------------------------------------------

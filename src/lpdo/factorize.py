@@ -94,6 +94,11 @@ class DegenerateRoot(Exception):
     """Raised when p3 cannot be isolated because P'(w) vanishes."""
 
 
+class CertificateError(ArithmeticError):
+    """Raised when a FACTORED result fails its exact check: an engine
+    fault, never a property of the input."""
+
+
 # --------------------------------------------------------------------------
 # the level solves
 # --------------------------------------------------------------------------
@@ -195,7 +200,8 @@ def _attempt_simple(op: LPDO, omega: RatExpr) -> tuple[FirstOrderFactor, LPDO, l
     top = solve_top(op, omega)
     p3 = solve_p3(op, omega, top)
     cof, residuals = _run_descent(op, omega, p3, top)
-    assert residuals[0].is_zero(), "p3 level must close exactly for a simple root"
+    if not residuals[0].is_zero():
+        raise CertificateError("p3 level must close exactly for a simple root")
     return FirstOrderFactor.from_root(omega, p3), LPDO(cof), residuals[1:]
 
 
@@ -370,8 +376,7 @@ def _attempt_for_root(op: LPDO, root: Root, matrix, p3_candidate):
     extensions = tuple(root.extensions) + tuple(
         d for d in new_radicals if d not in root.extensions)
     if status is OutcomeStatus.FACTORED:
-        check = verify(factor, cof, op, side="left")
-        assert check.is_zero(), "factorization failed independent verification"
+        _certify(factor, cof, op, "left")
     return FactorizationOutcome(
         status=status, side="left", root=root, factor=factor, cofactor=cof,
         residuals=residuals, riccati=riccati, normalization=matrix,
@@ -407,7 +412,8 @@ def factor_left(op: LPDO, root_choice=None, p3: RatExpr | None = None,
         raise ValueError("factorization needs an operator of order >= 2")
     matrix = choose_normalization(op, max_shear)
     if root_choice is not None:
-        search = find_roots(char_poly(op))
+        # only an index needs the root search
+        search = find_roots(char_poly(op)) if isinstance(root_choice, int) else None
         root = _as_root(op, root_choice, search)
         return _attempt_for_root(op, root, matrix, p3)
     search = find_roots(char_poly(op))
@@ -442,7 +448,7 @@ def factor_right(op: LPDO, root_choice=None, p3: RatExpr | None = None,
         cofactor = -(out.cofactor.transpose())
         factor = FirstOrderFactor.from_operator(factor_op)
         if out.status is OutcomeStatus.FACTORED:
-            assert verify(factor, cofactor, op, side="right").is_zero()
+            _certify(factor, cofactor, op, "right")
     return FactorizationOutcome(
         status=out.status, side="right", root=out.root, factor=factor,
         cofactor=cofactor, residuals=out.residuals, riccati=out.riccati,
@@ -466,6 +472,11 @@ def verify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO,
     f = factor.as_operator()
     prod = f.compose(cofactor) if side == "left" else cofactor.compose(f)
     return prod - op
+
+
+def _certify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO, side: str) -> None:
+    if not verify(factor, cofactor, op, side=side).is_zero():
+        raise CertificateError(f"{side} factorization failed independent verification")
 
 
 # --------------------------------------------------------------------------
@@ -577,9 +588,6 @@ class FactorizationTree:
             for tail in subtree.chains():
                 out.append([head] + tail)
         return out
-
-    def is_leaf(self) -> bool:
-        return not self.branches
 
 
 def factor_fully(op: LPDO, max_shear: int | None = None) -> FactorizationTree:

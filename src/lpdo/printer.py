@@ -9,6 +9,8 @@ denominators are cleared so fractions print as (poly)/integer.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .expr import Poly, RatExpr, poly_str
 from .operator import LPDO
 from .charpoly import CharPoly, Root
@@ -20,17 +22,7 @@ from .factorize import FactorizationOutcome, FactorizationTree, OutcomeStatus
 # --------------------------------------------------------------------------
 
 def _common_denominator(p: Poly) -> int:
-    den = 1
-    for c in p.terms.values():
-        for q in c.coords.values():
-            den = den * q.denominator // _gcd(den, q.denominator)
-    return den
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
+    return lcm(*(q.denominator for c in p.terms.values() for q in c.coords.values()))
 
 
 def ratexpr_display(r: RatExpr) -> str:

@@ -1,13 +1,19 @@
 """The order-reduction engine: level solves, outcomes, degenerate path."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lpdo
+from lpdo import factorize
 from lpdo.expr import RatExpr
 from lpdo.operator import LPDO, FirstOrderFactor
 from lpdo.charpoly import char_poly
 from lpdo.factorize import (
+    CertificateError,
     DegenerateRoot,
     OutcomeStatus,
     choose_normalization,
@@ -214,6 +220,17 @@ class TestFactorLeft:
         with pytest.raises(ValueError):
             factor_left(hyperbolic_family(ONE), root_choice=R.from_int(7))
 
+    def test_explicit_root_skips_root_search(self, monkeypatch):
+        searched = []
+        search = factorize.find_roots
+        monkeypatch.setattr(factorize, "find_roots",
+                            lambda p: searched.append(p) or search(p))
+        by_index = factor_left(hyperbolic_family(ONE), root_choice=0)
+        assert len(searched) == 1
+        by_value = factor_left(hyperbolic_family(ONE), root_choice=by_index.root.value)
+        assert len(searched) == 1
+        assert by_value == by_index
+
 
 class TestDegeneratePath:
     def test_riccati_for_second_order_lodo(self):
@@ -331,6 +348,31 @@ class TestVerify:
         diff = verify(f, cof, hyperbolic_family(ONE))
         assert not diff.is_zero()
         assert diff.order == 1
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(factorize, "verify",
+                            lambda *args, **kwargs: LPDO({(0, 0): ONE}))
+        with pytest.raises(CertificateError):
+            factor_left(hyperbolic_family(ONE))
+        with pytest.raises(CertificateError):
+            factor_right(hyperbolic_family(ONE))
+
+    def test_certificate_checked_under_optimize_flag(self):
+        code = (
+            "import lpdo.factorize as fz\n"
+            "from lpdo import LPDO, RatExpr, parse\n"
+            "fz.verify = lambda *args, **kwargs: LPDO({(0, 0): RatExpr.ONE})\n"
+            "try:\n"
+            "    fz.factor_left(parse('(Dx + 1)*(Dx + Dy)'))\n"
+            "except fz.CertificateError:\n"
+            "    print('raised', __debug__)\n"
+        )
+        src = os.path.dirname(os.path.dirname(lpdo.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["raised", "False"]
 
 
 class TestNormalization:
