@@ -29,6 +29,13 @@ of two lanes, after splitting off the common monomial part:
 Both lanes give the same monic gcd, so canonical forms do not depend on
 which one ran.
 
+Poly.exact_div has the same split.  With rational coefficients on both
+sides it clears denominators, divides over Z by the primitive part of the
+divisor (a divisor with integer content above 1 need not divide over Z even
+when the quotient over Q exists, by Gauss's lemma) and scales back; the
+division is the one GCDHEU uses to accept a candidate.  Radical coefficients
+take term-by-term division over ConstScalar.
+
 Parameters commute with x and y and normally differentiate to zero.  A
 parameter may instead be registered as *differential*, in which case its
 x/y-derivatives are fresh formal symbols (name suffixed with ``_x...y...``);
@@ -301,8 +308,11 @@ class ConstScalar:
     # -- ring operations
 
     def __add__(self, other: "ConstScalar") -> "ConstScalar":
-        out = dict(self._coords)
-        for d, q in other._coords.items():
+        a, b = self._coords, other._coords
+        if len(a) == 1 == len(b) and 1 in a and 1 in b:
+            return _rational(a[1] + b[1])
+        out = dict(a)
+        for d, q in b.items():
             s = out.get(d, Fraction(0)) + q
             if s:
                 out[d] = s
@@ -311,19 +321,22 @@ class ConstScalar:
         return ConstScalar(out)
 
     def __neg__(self) -> "ConstScalar":
-        return ConstScalar({d: -q for d, q in self._coords.items()})
+        neg = ConstScalar.__new__(ConstScalar)
+        neg._coords = {d: -q for d, q in self._coords.items()}
+        neg._hash = None
+        return neg
 
     def __sub__(self, other: "ConstScalar") -> "ConstScalar":
+        a, b = self._coords, other._coords
+        if len(a) == 1 == len(b) and 1 in a and 1 in b:
+            return _rational(a[1] - b[1])
         return self + (-other)
 
     def __mul__(self, other: "ConstScalar") -> "ConstScalar":
         a, b = self._coords, other._coords
         if len(a) == 1 == len(b) and 1 in a and 1 in b:
             # both rational and nonzero: the product is too
-            prod = ConstScalar.__new__(ConstScalar)
-            prod._coords = {1: a[1] * b[1]}
-            prod._hash = None
-            return prod
+            return _rational(a[1] * b[1])
         out: dict[int, Fraction] = {}
         for d1, q1 in a.items():
             for d2, q2 in b.items():
@@ -341,10 +354,11 @@ class ConstScalar:
 
     def inverse(self) -> "ConstScalar":
         """Field inverse by conjugation over one generator at a time."""
+        a = self._coords
+        if len(a) == 1 and 1 in a:
+            return _rational(1 / a[1])
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero constant")
-        if self.is_rational():
-            return ConstScalar.from_rational(1 / self.rational_value())
         g = self._split_generator()
         u, v = self._split_by(g)
         # self = u + sqrt(g)*v with u, v free of the generator g
@@ -448,6 +462,14 @@ class ConstScalar:
         return "".join(parts)
 
     __repr__ = __str__
+
+
+def _rational(q: Fraction) -> ConstScalar:
+    """The rational constant q, built without the zero filter."""
+    c = ConstScalar.__new__(ConstScalar)
+    c._coords = {1: q} if q else {}
+    c._hash = None
+    return c
 
 
 def _radical_term(d: int) -> ConstScalar:
@@ -650,7 +672,17 @@ class Poly:
         return p
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m)
+            s = -c if s is None else s - c
+            if s.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = s
+        p = Poly.__new__(Poly)
+        p.terms = out
+        return p
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
@@ -725,6 +757,24 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_const():
             return self.scale(other.const_value().inverse())
+        syms = sorted(self.symbols() | other.symbols(), key=_srank)
+        index = {s: i for i, s in enumerate(syms)}
+        f, g = _to_zpoly(self, index), _to_zpoly(other, index)
+        if f is not None and g is not None:
+            (f, df), (g, dg) = f, g
+            # divide by the primitive part: over Z a divisor with content
+            # c > 1 need not divide even when the rational quotient exists
+            cg = gcd(*g.values())
+            if cg != 1:
+                g = {e: c // cg for e, c in g.items()}
+            q = _zp_quo(f, g)
+            if q is None:
+                raise ValueError("inexact polynomial division")
+            unit = Fraction(dg, df * cg)
+            out = Poly.__new__(Poly)
+            out.terms = {tuple((s, k) for s, k in zip(syms, e) if k):
+                         _rational(c * unit) for e, c in q.items()}
+            return out
         rem = self
         dm, dc = other.leading_term()
         dci = dc.inverse()
@@ -961,7 +1011,7 @@ def _int_gcd(a: Poly, b: Poly) -> Poly | None:
     f, g = _to_zpoly(a, index), _to_zpoly(b, index)
     if f is None or g is None:
         return None
-    h = _heu_gcd(f, g, len(syms))
+    h = _heu_gcd(f[0], g[0], len(syms))
     if h is None:
         return None
     # graded-lex order on exponent tuples in symbol rank order
@@ -970,9 +1020,9 @@ def _int_gcd(a: Poly, b: Poly) -> Poly | None:
                  ConstScalar({1: Fraction(c, lead)}) for e, c in h.items()})
 
 
-def _to_zpoly(p: Poly, index: dict[str, int]) -> ZPoly | None:
-    """p times the lcm of its coefficient denominators, or None when a
-    coefficient is not rational."""
+def _to_zpoly(p: Poly, index: dict[str, int]) -> tuple[ZPoly, int] | None:
+    """p times the lcm of its coefficient denominators, and that lcm; None
+    when a coefficient is not rational."""
     rats = []
     for m, c in p.terms.items():
         q = c._coords.get(1)
@@ -987,7 +1037,7 @@ def _to_zpoly(p: Poly, index: dict[str, int]) -> ZPoly | None:
         for s, k in m:
             e[index[s]] = k
         out[tuple(e)] = q.numerator * (den // q.denominator)
-    return out
+    return out, den
 
 
 def _heu_gcd(f: ZPoly, g: ZPoly, n: int) -> ZPoly | None:
@@ -1019,7 +1069,7 @@ def _heu_gcd(f: ZPoly, g: ZPoly, n: int) -> ZPoly | None:
             ch = gcd(*h.values())
             if ch != 1:
                 h = {e: c // ch for e, c in h.items()}
-            if _zp_divides(h, f) and _zp_divides(h, g):
+            if _zp_quo(f, h) is not None and _zp_quo(g, h) is not None:
                 if content != 1:
                     h = {e: c * content for e, c in h.items()}
                 return h
@@ -1062,12 +1112,19 @@ def _zp_interpolate(h: ZPoly, xi: int) -> ZPoly:
     return out
 
 
-def _zp_divides(h: ZPoly, f: ZPoly) -> bool:
-    """True when h divides f exactly over Z (lexicographic division)."""
+def _zp_quo(f: ZPoly, h: ZPoly) -> ZPoly | None:
+    """f / h when h divides f exactly over Z (lexicographic division),
+    else None."""
     lh = max(h)
     lc = h[lh]
+    quo: ZPoly = {}
     if not any(lh):
-        return all(c % lc == 0 for c in f.values())
+        for e, c in f.items():
+            qc, r = divmod(c, lc)
+            if r:
+                return None
+            quo[e] = qc
+        return quo
     rest = [(e, c) for e, c in h.items() if e != lh]
     rem = dict(f)
     # min-heap on negated exponents: pops the lexicographically largest
@@ -1080,10 +1137,11 @@ def _zp_divides(h: ZPoly, f: ZPoly) -> bool:
             continue
         q = tuple(a - b for a, b in zip(e, lh))
         if min(q) < 0:
-            return False
+            return None
         qc, r = divmod(c, lc)
         if r:
-            return False
+            return None
+        quo[q] = qc
         for he, hc in rest:
             m = tuple(a + b for a, b in zip(q, he))
             v = rem.get(m, 0) - qc * hc
@@ -1093,7 +1151,7 @@ def _zp_divides(h: ZPoly, f: ZPoly) -> bool:
                 rem[m] = v
             else:
                 rem.pop(m, None)
-    return True
+    return quo
 
 
 # -- polynomial square root -------------------------------------------------

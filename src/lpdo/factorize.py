@@ -17,19 +17,31 @@ constraints on p3 -- generalized Riccati equations.  This module emits that
 problem and can verify or complete a supplied candidate, but does not
 solve differential equations beyond a small candidate search (zero,
 constants, linear forms) used by the recursive factorizer.
+
+The descent below the top level runs over one common denominator, after
+Bareiss's fraction-free elimination.  Every denominator it creates comes
+from those of w, p3, the operator's coefficients and the top-level solution,
+and from L-derivatives of them, so each value is kept as a polynomial N over
+Q^k, with Q the squarefree part of the lcm of those denominators.  Sums,
+products and L then need no gcd.  RatExpr's canonical form is taken once per
+output: each residual, and each cofactor coefficient once every residual
+vanishes.  The outputs are the same as with a reduction after every step.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .expr import (
+    Poly,
     RatExpr,
     jet_assignments,
     mono_degree,
     mono_gt,
+    mono_make,
+    poly_gcd,
     register_differential_param,
     tower,
 )
@@ -146,49 +158,178 @@ def solve_p3(op: LPDO, omega: RatExpr,
     return acc / dP
 
 
-@dataclass
-class LevelState:
-    """Mutable scratch for the descending elimination."""
+def _partial(p: Poly, v: str) -> Poly:
+    """The algebraic partial derivative dp/dv (no jets for differential
+    parameters)."""
+    out = {}
+    for m, c in p.terms.items():
+        e = dict(m).get(v, 0)
+        if e:
+            out[mono_make((s, k - (s == v)) for s, k in m)] = c.scale(e)
+    return Poly(out)
 
-    omega: RatExpr
-    p3: RatExpr | None = None
-    solved: dict[tuple[int, int], RatExpr] = field(default_factory=dict)
+
+def _squarefree_part(p: Poly) -> Poly:
+    """p over gcd(p, dp/dv for every symbol v): each irreducible factor of p
+    once."""
+    g = p
+    for v in sorted(p.symbols()):
+        g = poly_gcd(g, _partial(p, v))
+        if g.is_const():
+            return p
+    return p.exact_div(g)
+
+
+_ZERO = (Poly.ZERO, 0)
+
+
+class LevelState:
+    """The descent's values over one common denominator Q.
+
+    A value is a pair (N, k) of a Poly and an exponent, standing for
+    N / Q^k.  Q is the squarefree part of the lcm of the denominators of
+    omega, p3, the operator's coefficients and the top-level solution, so
+    every denominator the descent creates divides a power of Q: sums,
+    products and the derivation L stay polynomial in the numerators, and
+    only the outputs are reduced.
+    """
+
+    def __init__(self, op: LPDO, omega: RatExpr, p3: RatExpr,
+                 top: dict[tuple[int, int], RatExpr]):
+        dens = dict.fromkeys(r.den for r in (omega, p3, *op.coeffs.values(),
+                                             *top.values())
+                             if not r.den.is_const())
+        q = Poly.ONE
+        for d in dens:
+            q = d if q.is_const() else q * d.exact_div(poly_gcd(q, d))
+        self.q = _squarefree_part(q)
+        self._powers = [Poly.ONE, self.q]
+        self._a = omega.num
+        self._b = omega.den
+        self._b_inv = self._lift_den(omega.den)  # 1/b as (Q^j / b, j)
+        self._dq = self._d(self.q)
+        self.omega = self.lift(omega)
+        self.p3 = self.lift(p3)
+        self.solved = {jk: self.lift(v) for jk, v in top.items()}
+
+    def power(self, k: int) -> Poly:
+        while len(self._powers) <= k:
+            self._powers.append(self._powers[-1] * self.q)
+        return self._powers[k]
+
+    def _lift_den(self, d: Poly) -> tuple[Poly, int]:
+        """(Q^k / d, k) for the least k with d | Q^k.
+
+        Each pass divides d by its gcd with the squarefree Q, which takes
+        one copy of every irreducible factor the two share, so k is the
+        largest multiplicity in d, never more than deg d."""
+        if d.is_const():  # canonical: the denominator is 1
+            return Poly.ONE, 0
+        if d == self.q:
+            return Poly.ONE, 1
+        k, rest = 0, d
+        while not rest.is_const():
+            g = poly_gcd(rest, self.q)
+            if g.is_const():
+                raise ValueError(f"denominator {d} does not divide a power of {self.q}")
+            rest = rest.exact_div(g)
+            k += 1
+        return self.power(k).exact_div(d), k
+
+    def lift(self, r: RatExpr) -> tuple[Poly, int]:
+        co, k = self._lift_den(r.den)
+        if co == Poly.ONE:
+            return r.num, k
+        return r.num * co, k
+
+    def reduce(self, u: tuple[Poly, int]) -> RatExpr:
+        return RatExpr._reduce(u[0], self.power(u[1]))
+
+    def add(self, u, v):
+        (n1, k1), (n2, k2) = u, v
+        if n1.is_zero():
+            return v
+        if n2.is_zero():
+            return u
+        if k1 < k2:
+            return n1 * self.power(k2 - k1) + n2, k2
+        if k2 < k1:
+            return n1 + n2 * self.power(k1 - k2), k1
+        return n1 + n2, k1
+
+    def neg(self, u):
+        return -u[0], u[1]
+
+    def mul(self, u, v):
+        if u[0].is_zero() or v[0].is_zero():
+            return _ZERO
+        return u[0] * v[0], u[1] + v[1]
+
+    def _d(self, n: Poly) -> Poly:
+        """D = b*Dx - a*Dy for omega = a/b, so that L = D/b."""
+        dx = n.diff("x")
+        if self._b != Poly.ONE:
+            dx = self._b * dx
+        return dx - self._a * n.diff("y")
+
+    def L(self, u):
+        """The derivation f -> f_x - omega*f_y:
+        L(N/Q^k) = (D(N)*Q - k*N*D(Q)) / (b * Q^(k+1)), and D(N)/b for k = 0."""
+        n, k = u
+        if n.is_zero():
+            return _ZERO
+        if k == 0:
+            num = self._d(n)
+        else:
+            num = self._d(n) * self.q - n.scale_rational(k) * self._dq
+            k += 1
+        b_inv, j = self._b_inv
+        if b_inv != Poly.ONE:
+            num = num * b_inv
+        return num, k + j
 
 
 def solve_level(state: LevelState, op: LPDO, m: int) -> RatExpr:
     """Process the m-th level equations a_{m-k,k} = L(p) + p3*p + (shift terms).
 
     Solves the level-(m-1) cofactor coefficients triangularly and returns
-    the residual (left side minus right side) of the surplus equation; the
-    residual of the lowest level (m = 0) is the whole equation.
+    the residual (left side minus right side) of the surplus equation,
+    reduced; the residual of the lowest level (m = 0) is the whole equation.
     """
-    L = _derivation(state.omega)
+    s = state
     cs = []
     for k in range(m + 1):
-        p = state.solved.get((m - k, k), RatExpr.ZERO)
-        cs.append(op.coeff(m - k, k) - L(p) - state.p3 * p)
-    u_prev = RatExpr.ZERO
+        p = s.solved.get((m - k, k), _ZERO)
+        rhs = s.add(s.L(p), s.mul(s.p3, p))
+        cs.append(s.add(s.lift(op.coeff(m - k, k)), s.neg(rhs)))
+    u_prev = _ZERO
     for k in range(m):
-        u = cs[k] + state.omega * u_prev
-        if not u.is_zero():
-            state.solved[(m - 1 - k, k)] = u
+        u = s.add(cs[k], s.mul(s.omega, u_prev))
+        if not u[0].is_zero():
+            s.solved[(m - 1 - k, k)] = u
         u_prev = u
-    return cs[m] + state.omega * u_prev
+    return s.reduce(s.add(cs[m], s.mul(s.omega, u_prev)))
 
 
 def _run_descent(op: LPDO, omega: RatExpr, p3: RatExpr,
-                 top: dict[tuple[int, int], RatExpr]) -> tuple[dict, list[RatExpr]]:
+                 top: dict[tuple[int, int], RatExpr]) -> tuple[dict | None, list[RatExpr]]:
     """Run all equation levels from n-1 down to 0.
 
     Returns the full cofactor coefficient map and the list of residuals
     [level n-1, level n-2, ..., level 0].  The level-(n-1) entry vanishes
     identically when p3 came from the simple-root division; in the
-    degenerate path it equals the necessary precondition.
+    degenerate path it equals the necessary precondition.  The cofactor is
+    None unless every residual vanishes, the only case that uses it.
     """
     n = op.order
-    state = LevelState(omega=omega, p3=p3, solved=dict(top))
+    state = LevelState(op, omega, p3, top)
     residuals = [solve_level(state, op, m) for m in range(n - 1, -1, -1)]
-    cofactor = {jk: v for jk, v in state.solved.items()}
+    if not all(r.is_zero() for r in residuals):
+        return None, residuals
+    cofactor = dict(top)
+    for jk, v in state.solved.items():
+        if jk not in top:
+            cofactor[jk] = state.reduce(v)
     return cofactor, residuals
 
 
@@ -196,13 +337,14 @@ def _run_descent(op: LPDO, omega: RatExpr, p3: RatExpr,
 # single-root attempts on a normalized operator
 # --------------------------------------------------------------------------
 
-def _attempt_simple(op: LPDO, omega: RatExpr) -> tuple[FirstOrderFactor, LPDO, list[RatExpr]]:
+def _attempt_simple(op: LPDO, omega: RatExpr) -> tuple[FirstOrderFactor, LPDO | None, list[RatExpr]]:
     top = solve_top(op, omega)
     p3 = solve_p3(op, omega, top)
     cof, residuals = _run_descent(op, omega, p3, top)
     if not residuals[0].is_zero():
         raise CertificateError("p3 level must close exactly for a simple root")
-    return FirstOrderFactor.from_root(omega, p3), LPDO(cof), residuals[1:]
+    return (FirstOrderFactor.from_root(omega, p3),
+            None if cof is None else LPDO(cof), residuals[1:])
 
 
 def _fresh_unknown(op: LPDO) -> str:

@@ -1,0 +1,47 @@
+"""The benchmark's per-layer trace still finds the entry points it rebinds.
+
+perfbench/layers.py is loaded from its path and used as it is, so renaming
+or reshaping a traced entry point fails here rather than in a traced
+benchmark run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import lpdo
+from lpdo import parse
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _layers():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", ROOT / "perfbench" / "layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_every_descent_level():
+    layers = _layers()
+    op = parse("(Dx - 2*Dy + x)*(Dx^2 + y*Dy + 1)")
+    n = op.order
+    original = lpdo.factorize.solve_level
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        out = lpdo.factor_left(op, root_choice=lpdo.RatExpr.from_int(2))
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert lpdo.factorize.solve_level is original
+    assert out.status is lpdo.OutcomeStatus.FACTORED
+    for m in range(n):
+        assert tracer.calls[f"factorize.level{m}"] == 1
+    assert f"factorize.level{n}" not in tracer.calls
+
+    metrics = tracer.metrics([1.0], 0.0)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(metrics) == {m["name"] for m in declared}
+    assert all(metrics[f"factorize.level{m}.s"] > 0 for m in range(n))
