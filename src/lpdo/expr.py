@@ -36,6 +36,13 @@ when the quotient over Q exists, by Gauss's lemma) and scales back; the
 division is the one GCDHEU uses to accept a candidate.  Radical coefficients
 take term-by-term division over ConstScalar.
 
+The third integer lane is IntPoly, the numerator type of the factorization
+engine's rational descent: an integer polynomial on exponent tuples over one
+positive integer denominator, with +, -, * and the x/y-derivatives done on
+ints.  It is built from a Poly through the same conversion the gcd uses and
+turned back into one before any reduction, so canonical forms are still taken
+only by RatExpr.
+
 Parameters commute with x and y and normally differentiate to zero.  A
 parameter may instead be registered as *differential*, in which case its
 x/y-derivatives are fresh formal symbols (name suffixed with ``_x...y...``);
@@ -49,6 +56,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import add as _add
 
 
 # --------------------------------------------------------------------------
@@ -1152,6 +1160,87 @@ def _zp_quo(f: ZPoly, h: ZPoly) -> ZPoly | None:
             else:
                 rem.pop(m, None)
     return quo
+
+
+class IntPoly:
+    """A rational polynomial as an integer polynomial over one positive
+    integer denominator: terms / den.
+
+    Exponent tuples follow a symbol list fixed by the caller, in _srank
+    order with x and y always present, so x and y are the first two places.
+    Only the ring operations and the x/y-derivatives are provided; the
+    value is neither reduced nor canonical, and to_poly gives it back as a
+    Poly."""
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms: ZPoly, den: int = 1):
+        self.terms = terms
+        self.den = den
+
+    @classmethod
+    def from_poly(cls, p: Poly, index: dict[str, int]) -> "IntPoly":
+        terms, den = _to_zpoly(p, index)
+        return cls(terms, den)
+
+    def to_poly(self, syms: list[str]) -> Poly:
+        out = Poly.__new__(Poly)
+        den = self.den
+        out.terms = {tuple((s, k) for s, k in zip(syms, e) if k):
+                     _rational(Fraction(c, den)) for e, c in self.terms.items()}
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _plus(self, other: "IntPoly", sign: int) -> "IntPoly":
+        """self + sign * other, over the lcm of the two denominators."""
+        d1, d2 = self.den, other.den
+        d = d1 if d1 == d2 else lcm(d1, d2)
+        f1, f2 = d // d1, sign * (d // d2)
+        out = dict(self.terms) if f1 == 1 else \
+            {e: c * f1 for e, c in self.terms.items()}
+        for e, c in other.terms.items():
+            s = out.get(e, 0) + c * f2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return IntPoly(out, d)
+
+    def __add__(self, other: "IntPoly") -> "IntPoly":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "IntPoly") -> "IntPoly":
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "IntPoly":
+        return IntPoly({e: -c for e, c in self.terms.items()}, self.den)
+
+    def __mul__(self, other: "IntPoly") -> "IntPoly":
+        out: ZPoly = {}
+        get = out.get
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(_add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return IntPoly({e: c for e, c in out.items() if c}, self.den * other.den)
+
+    def scale_rational(self, k: int) -> "IntPoly":
+        """The value times the integer k."""
+        if not k:
+            return IntPoly({}, 1)
+        return IntPoly({e: c * k for e, c in self.terms.items()}, self.den)
+
+    def diff(self, var: str) -> "IntPoly":
+        """d/dx or d/dy: an index shift in the first or second place."""
+        i = 0 if var == "x" else 1
+        out: ZPoly = {}
+        for e, c in self.terms.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return IntPoly(out, self.den)
 
 
 # -- polynomial square root -------------------------------------------------

@@ -26,6 +26,14 @@ Q^k, with Q the squarefree part of the lcm of those denominators.  Sums,
 products and L then need no gcd.  RatExpr's canonical form is taken once per
 output: each residual, and each cofactor coefficient once every residual
 vanishes.  The outputs are the same as with a reduction after every step.
+
+When every coefficient of w, p3, the operator and the top-level solution is
+rational and no symbol is a differential parameter or one of its jets, the
+numerators N are IntPolys: integer polynomials over one integer denominator,
+so a term product is an int product and a monomial product adds exponent
+tuples.  Radical coefficients, the degenerate path's free p3 and formal
+unknown functions keep Poly numerators over ConstScalar.  Either way each
+output converts back to a Poly once and is reduced by RatExpr.
 """
 
 from __future__ import annotations
@@ -35,8 +43,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .expr import (
+    IntPoly,
     Poly,
     RatExpr,
+    _srank,
+    differential_base,
     jet_assignments,
     mono_degree,
     mono_gt,
@@ -97,6 +108,7 @@ class FactorizationOutcome:
     normalization: tuple | None = None  # change of variables applied, if any
     extensions: tuple[int, ...] = ()
     unresolved: tuple[RatExpr, ...] = ()
+    certified: bool = False  # set once verify has found the product exact
 
     def nonzero_residuals(self) -> tuple[RatExpr, ...]:
         return tuple(r for r in self.residuals if not r.is_zero())
@@ -180,53 +192,85 @@ def _squarefree_part(p: Poly) -> Poly:
     return p.exact_div(g)
 
 
+# zero on either numerator lane: every operation tests is_zero first
 _ZERO = (Poly.ZERO, 0)
+
+
+def _rational_lane(values: list[RatExpr], syms: set[str]) -> bool:
+    """True when the descent may run on IntPoly numerators: every
+    coefficient is rational and no symbol is a differential parameter or
+    one of its jets (their derivatives are new symbols, not index shifts)."""
+    return (all(differential_base(s) is None for s in syms)
+            and all(c.is_rational() for r in values for p in (r.num, r.den)
+                    for c in p.terms.values()))
 
 
 class LevelState:
     """The descent's values over one common denominator Q.
 
-    A value is a pair (N, k) of a Poly and an exponent, standing for
+    A value is a pair (N, k) of a numerator and an exponent, standing for
     N / Q^k.  Q is the squarefree part of the lcm of the denominators of
     omega, p3, the operator's coefficients and the top-level solution, so
     every denominator the descent creates divides a power of Q: sums,
     products and the derivation L stay polynomial in the numerators, and
     only the outputs are reduced.
+
+    The numerators are IntPolys when every input is rational and free of
+    differential parameters, and Polys otherwise.  Lifts onto Q^k are
+    computed on Polys and converted once; Q^k is built as a numerator and
+    converted to a Poly once, for the lifts and the reductions.
     """
 
     def __init__(self, op: LPDO, omega: RatExpr, p3: RatExpr,
                  top: dict[tuple[int, int], RatExpr]):
-        dens = dict.fromkeys(r.den for r in (omega, p3, *op.coeffs.values(),
-                                             *top.values())
-                             if not r.den.is_const())
+        values = [omega, p3, *op.coeffs.values(), *top.values()]
+        dens = dict.fromkeys(r.den for r in values if not r.den.is_const())
         q = Poly.ONE
         for d in dens:
             q = d if q.is_const() else q * d.exact_div(poly_gcd(q, d))
         self.q = _squarefree_part(q)
-        self._powers = [Poly.ONE, self.q]
-        self._a = omega.num
-        self._b = omega.den
+        self._qpowers: dict[int, Poly] = {}
+        syms = set().union(*(r.symbols() for r in values))
+        if _rational_lane(values, syms):
+            order = sorted(syms | {"x", "y"}, key=_srank)
+            index = {s: i for i, s in enumerate(order)}
+            self._num = lambda p: IntPoly.from_poly(p, index)
+            self._poly = lambda n: n.to_poly(order)
+        else:
+            self._num = self._poly = lambda p: p
+        self._powers = [self._num(Poly.ONE), self._num(self.q)]
+        self._a = self._num(omega.num)
+        self._b = None if omega.den.is_const() else self._num(omega.den)
         self._b_inv = self._lift_den(omega.den)  # 1/b as (Q^j / b, j)
-        self._dq = self._d(self.q)
+        self._dq = self._d(self._powers[1])
         self.omega = self.lift(omega)
         self.p3 = self.lift(p3)
         self.solved = {jk: self.lift(v) for jk, v in top.items()}
 
-    def power(self, k: int) -> Poly:
+    def power(self, k: int):
+        """Q^k as a numerator."""
         while len(self._powers) <= k:
-            self._powers.append(self._powers[-1] * self.q)
+            self._powers.append(self._powers[-1] * self._powers[1])
         return self._powers[k]
 
-    def _lift_den(self, d: Poly) -> tuple[Poly, int]:
-        """(Q^k / d, k) for the least k with d | Q^k.
+    def _qpower(self, k: int) -> Poly:
+        """Q^k as a Poly, converted once from the numerator form."""
+        p = self._qpowers.get(k)
+        if p is None:
+            p = self._qpowers[k] = self._poly(self.power(k))
+        return p
+
+    def _lift_den(self, d: Poly) -> tuple[object | None, int]:
+        """(Q^k / d, k) for the least k with d | Q^k, the cofactor as a
+        numerator, or None when it is 1.
 
         Each pass divides d by its gcd with the squarefree Q, which takes
         one copy of every irreducible factor the two share, so k is the
         largest multiplicity in d, never more than deg d."""
         if d.is_const():  # canonical: the denominator is 1
-            return Poly.ONE, 0
+            return None, 0
         if d == self.q:
-            return Poly.ONE, 1
+            return None, 1
         k, rest = 0, d
         while not rest.is_const():
             g = poly_gcd(rest, self.q)
@@ -234,16 +278,17 @@ class LevelState:
                 raise ValueError(f"denominator {d} does not divide a power of {self.q}")
             rest = rest.exact_div(g)
             k += 1
-        return self.power(k).exact_div(d), k
+        return self._num(self._qpower(k).exact_div(d)), k
 
-    def lift(self, r: RatExpr) -> tuple[Poly, int]:
+    def lift(self, r: RatExpr) -> tuple[object, int]:
         co, k = self._lift_den(r.den)
-        if co == Poly.ONE:
-            return r.num, k
-        return r.num * co, k
+        n = self._num(r.num)
+        return (n if co is None else n * co), k
 
-    def reduce(self, u: tuple[Poly, int]) -> RatExpr:
-        return RatExpr._reduce(u[0], self.power(u[1]))
+    def reduce(self, u: tuple[object, int]) -> RatExpr:
+        if u[0].is_zero():
+            return RatExpr.ZERO
+        return RatExpr._reduce(self._poly(u[0]), self._qpower(u[1]))
 
     def add(self, u, v):
         (n1, k1), (n2, k2) = u, v
@@ -265,10 +310,10 @@ class LevelState:
             return _ZERO
         return u[0] * v[0], u[1] + v[1]
 
-    def _d(self, n: Poly) -> Poly:
+    def _d(self, n):
         """D = b*Dx - a*Dy for omega = a/b, so that L = D/b."""
         dx = n.diff("x")
-        if self._b != Poly.ONE:
+        if self._b is not None:
             dx = self._b * dx
         return dx - self._a * n.diff("y")
 
@@ -281,10 +326,10 @@ class LevelState:
         if k == 0:
             num = self._d(n)
         else:
-            num = self._d(n) * self.q - n.scale_rational(k) * self._dq
+            num = self._d(n) * self.power(1) - n.scale_rational(k) * self._dq
             k += 1
         b_inv, j = self._b_inv
-        if b_inv != Poly.ONE:
+        if b_inv is not None:
             num = num * b_inv
         return num, k + j
 
@@ -491,10 +536,10 @@ def _as_root(op: LPDO, root_choice, search) -> Root:
             raise ValueError(f"root index {root_choice} out of range")
         return search.roots[root_choice]
     value = root_choice
-    P = char_poly(op)
-    if not P.eval_at(value).is_zero():
+    multiplicity = char_poly(op).multiplicity_of(value)
+    if multiplicity == 0:
         raise ValueError(f"{value} is not a root of the characteristic polynomial")
-    return Root(value, P.multiplicity_of(value))
+    return Root(value, multiplicity)
 
 
 def _attempt_for_root(op: LPDO, root: Root, matrix, p3_candidate):
@@ -517,12 +562,14 @@ def _attempt_for_root(op: LPDO, root: Root, matrix, p3_candidate):
     new_radicals = tuple(d for d in tower().radicals if d not in tower_before)
     extensions = tuple(root.extensions) + tuple(
         d for d in new_radicals if d not in root.extensions)
+    certified = False
     if status is OutcomeStatus.FACTORED:
         _certify(factor, cof, op, "left")
+        certified = True
     return FactorizationOutcome(
         status=status, side="left", root=root, factor=factor, cofactor=cof,
         residuals=residuals, riccati=riccati, normalization=matrix,
-        extensions=extensions)
+        extensions=extensions, certified=certified)
 
 
 def factor_all_roots(op: LPDO, max_shear: int | None = None) -> list[FactorizationOutcome]:
@@ -585,17 +632,19 @@ def factor_right(op: LPDO, root_choice=None, p3: RatExpr | None = None,
     out = factor_left(op.transpose(), root_choice=root_choice, p3=p3,
                       max_shear=max_shear)
     factor = cofactor = None
+    certified = False
     if out.factor is not None:
         factor_op = -(out.factor.as_operator().transpose())
         cofactor = -(out.cofactor.transpose())
         factor = FirstOrderFactor.from_operator(factor_op)
         if out.status is OutcomeStatus.FACTORED:
             _certify(factor, cofactor, op, "right")
+            certified = True
     return FactorizationOutcome(
         status=out.status, side="right", root=out.root, factor=factor,
         cofactor=cofactor, residuals=out.residuals, riccati=out.riccati,
         normalization=out.normalization, extensions=out.extensions,
-        unresolved=out.unresolved)
+        unresolved=out.unresolved, certified=certified)
 
 
 def complete_with_p3(op: LPDO, omega: RatExpr, candidate: RatExpr,

@@ -208,6 +208,7 @@ def outcome_structured(outcome: FactorizationOutcome) -> dict:
         "normalization": _matrix_structured(outcome.normalization),
         "residuals": [_ratexpr_structured(r) for r in outcome.residuals],
         "extensions": list(outcome.extensions),
+        "certified": outcome.certified,
     }
     if outcome.factor is not None:
         doc["factor"] = {

@@ -1,5 +1,6 @@
 """The common-denominator descent against a reference level loop that keeps
-every value a reduced RatExpr, and the integer lane of Poly.exact_div."""
+every value a reduced RatExpr, on both numerator lanes (IntPoly for rational
+inputs, Poly otherwise), and the integer lane of Poly.exact_div."""
 
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpdo import expr, parse, parse_function, register_differential_param
-from lpdo.expr import ConstScalar, Poly, RatExpr as R
+from lpdo.expr import ConstScalar, IntPoly, Poly, RatExpr as R
 from lpdo.factorize import LevelState, OutcomeStatus, factor_left, solve_level
 from lpdo.operator import LPDO, FirstOrderFactor
 
@@ -52,18 +53,21 @@ def _oracle_descent(op, omega, p3, top):
     return solved, residuals
 
 
-def _descent(op, omega, p3, top):
+def _descent(op, omega, p3, top, lane=None):
     """The common-denominator descent with the whole cofactor map read back,
-    zero residuals or not."""
+    zero residuals or not; lane, when given, is the numerator type the state
+    must hold."""
     state = LevelState(op, omega, p3, top)
+    if lane is not None:
+        assert type(state.power(0)) is lane
     residuals = [solve_level(state, op, m) for m in range(op.order - 1, -1, -1)]
     return {jk: state.reduce(v) for jk, v in state.solved.items()}, residuals
 
 
-def _assert_same(op, omega, p3):
+def _assert_same(op, omega, p3, lane=None):
     top = _oracle_top(op, omega)
     want_cof, want_res = _oracle_descent(op, omega, p3, top)
-    got_cof, got_res = _descent(op, omega, p3, top)
+    got_cof, got_res = _descent(op, omega, p3, top, lane)
     assert got_res == want_res
     assert [str(r) for r in got_res] == [str(r) for r in want_res]
     assert got_cof == want_cof
@@ -89,7 +93,7 @@ def coefficients(draw):
 
 
 @st.composite
-def operators(draw):
+def operators(draw, coefficients=coefficients):
     n = draw(st.integers(2, 4))
     coeffs = {}
     for j in range(n + 1):
@@ -104,13 +108,70 @@ def operators(draw):
 @PROPERTY
 @given(operators(), st.sampled_from(ROOTS), st.sampled_from(P3S))
 def test_descent_matches_the_ratexpr_loop(op, omega, p3):
-    _assert_same(op, omega, p3)
+    _assert_same(op, omega, p3, IntPoly)
+
+
+# non-integer rational coefficients and a plain parameter a beside x and y
+A = R.symbol("a")
+FRACTIONS = tuple(map(Fraction, (1, -2, "1/2", "-3/4", "5/3")))
+Q_DENOMINATORS = (R.ONE, X + Y, Y + R.ONE, X + A, X * A)
+Q_ROOTS = (R.from_fraction(Fraction(-3, 4)), -Y / (Y + R.ONE),
+           R.from_fraction(Fraction(1, 2)) * X + A, A / (X + R.ONE))
+Q_P3S = (R.ZERO, R.from_fraction(Fraction(-3, 4)) * A,
+         X / (R.from_int(2) * Y + R.ONE))
+
+
+@st.composite
+def rational_coefficients(draw):
+    num = R.ZERO
+    for t in (R.ONE, X, Y, A):
+        if draw(st.booleans()):
+            num = num + R.from_fraction(draw(st.sampled_from(FRACTIONS))) * t
+    return num / draw(st.sampled_from(Q_DENOMINATORS))
+
+
+@settings(PROPERTY, max_examples=25)
+@given(operators(rational_coefficients), st.sampled_from(Q_ROOTS),
+       st.sampled_from(Q_P3S))
+def test_rational_coefficients_and_a_parameter_take_the_integer_lane(op, omega, p3):
+    _assert_same(op, omega, p3, IntPoly)
+
+
+def test_rational_operator_state_holds_integer_numerators():
+    op = parse("Dx^3 + x/2*Dx^2*Dy - 3/4*y*Dy^2 + a*Dx + 1/(x + y)", {"a"})
+    omega = parse_function("-y/(y + 1)")
+    state = LevelState(op, omega, A, _oracle_top(op, omega))
+    solve_level(state, op, op.order - 1)
+    values = [state.omega, state.p3, *state.solved.values()]
+    assert all(type(n) is IntPoly and type(k) is int for n, k in values)
+    assert type(state.power(3)) is IntPoly
+
+
+def test_sqrt2_coefficient_takes_the_poly_lane():
+    s2 = R.sqrt_int(2)
+    op = LPDO({(2, 0): R.ONE, (1, 1): s2 * X, (0, 2): -R.ONE / (X + Y),
+               (1, 0): Y, (0, 0): s2 / (Y + R.ONE)})
+    _assert_same(op, X - Y, R.ONE / (X + Y), Poly)
+    _assert_same(op, s2, Y, Poly)
+
+
+def test_differential_parameters_take_the_poly_lane():
+    register_differential_param("a10")
+    register_differential_param("a01")
+    a10, a01 = R.symbol("a10"), R.symbol("a01")
+    half = R.from_fraction(Fraction(1, 2))
+    grad = lambda f: f.diff("x") + f.diff("y")
+    a00 = (R.from_int(2) * grad(a10 + a01) + a10 * a10 - a01 * a01) * half * half
+    op = LPDO({(2, 0): R.ONE, (0, 2): -R.ONE, (1, 0): a10, (0, 1): a01,
+               (0, 0): a00})
+    _assert_same(op, -R.ONE, (a10 - a01) * half, Poly)
+    _assert_same(op, -R.ONE, a10 / (X + Y), Poly)
 
 
 def test_degenerate_psi_path_matches_and_keeps_its_jets():
     register_differential_param("psi")
     op = parse("Dx^2 + x*Dx")
-    _assert_same(op, R.ZERO, R.symbol("psi"))
+    _assert_same(op, R.ZERO, R.symbol("psi"), Poly)
     _, residuals = _descent(op, R.ZERO, R.symbol("psi"), _oracle_top(op, R.ZERO))
     assert "psi_x" in residuals[-1].symbols()
 
@@ -147,6 +208,31 @@ def polys(coeffs, min_terms=1, max_terms=4):
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 nonconstant = polys(rationals, 2, 4).filter(lambda p: not p.is_const())
+
+
+# --------------------------------------------------------------------------
+# IntPoly against Poly
+# --------------------------------------------------------------------------
+
+INDEX = {s: i for i, s in enumerate(SYMS)}
+
+
+def _int(p):
+    return IntPoly.from_poly(p, INDEX)
+
+
+@PROPERTY
+@given(polys(rationals, 0), polys(rationals, 0), st.integers(-3, 3))
+def test_intpoly_arithmetic_matches_poly(p, q, k):
+    f, g = _int(p), _int(q)
+    assert (f + g).to_poly(SYMS) == p + q
+    assert (f - g).to_poly(SYMS) == p - q
+    assert (-f).to_poly(SYMS) == -p
+    assert (f * g).to_poly(SYMS) == p * q
+    assert f.scale_rational(k).to_poly(SYMS) == p.scale_rational(k)
+    assert f.diff("x").to_poly(SYMS) == p.diff("x")
+    assert f.diff("y").to_poly(SYMS) == p.diff("y")
+    assert (f - f).is_zero() and f.is_zero() == p.is_zero()
 
 
 @PROPERTY

@@ -220,6 +220,16 @@ class TestFactorLeft:
         with pytest.raises(ValueError):
             factor_left(hyperbolic_family(ONE), root_choice=R.from_int(7))
 
+    def test_explicit_non_root_expression_message(self):
+        with pytest.raises(ValueError,
+                           match="x is not a root of the characteristic polynomial"):
+            factor_left(hyperbolic_family(ONE), root_choice=X)
+
+    def test_explicit_double_root_reports_multiplicity_two(self):
+        out = factor_left(LPDO({(2, 0): ONE}), root_choice=R.ZERO)
+        assert out.root.multiplicity == 2
+        assert out.status is OutcomeStatus.DEGENERATE
+
     def test_explicit_root_skips_root_search(self, monkeypatch):
         searched = []
         search = factorize.find_roots
@@ -373,6 +383,38 @@ class TestVerify:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["raised", "False"]
+
+
+class TestCertifiedFlag:
+    def test_left_factorization_is_certified(self):
+        out = factor_left(hyperbolic_family(ONE))
+        assert out.status is OutcomeStatus.FACTORED
+        assert out.certified
+
+    def test_right_factorization_is_certified(self):
+        out = factor_right(hyperbolic_family(ONE))
+        assert out.status is OutcomeStatus.FACTORED
+        assert out.certified
+
+    def test_conditions_fail_is_not_certified(self):
+        out = factor_left(hyperbolic_family(ONE), root_choice=ONE)
+        assert out.status is OutcomeStatus.CONDITIONS_FAIL
+        assert not out.certified
+        right = factor_right(hyperbolic_family(R.from_int(5)))
+        assert right.status is OutcomeStatus.CONDITIONS_FAIL
+        assert not right.certified
+
+    def test_degenerate_is_not_certified(self):
+        out = factor_left(LPDO({(2, 0): ONE}))
+        assert out.status is OutcomeStatus.DEGENERATE
+        assert not out.certified
+
+    def test_structured_output_carries_the_flag(self):
+        from lpdo.printer import outcome_structured
+
+        assert outcome_structured(factor_left(hyperbolic_family(ONE)))["certified"] is True
+        failed = factor_left(hyperbolic_family(ONE), root_choice=ONE)
+        assert outcome_structured(failed)["certified"] is False
 
 
 class TestNormalization:
