@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .expr import RatExpr, tower
-from .operator import LPDO
+from .operator import LPDO, _matrix_entries
 
 
 @dataclass(frozen=True)
@@ -39,37 +39,23 @@ class CharPoly:
         return -1
 
     def eval_at(self, omega: RatExpr) -> RatExpr:
-        out = RatExpr.ZERO
-        for c in self.coeffs:
-            out = out * omega + c
-        return out
+        return _eval_list(self.coeffs, omega)
 
     def derivative_coeffs(self) -> tuple[RatExpr, ...]:
-        d = self.n
-        out = []
-        for i, c in enumerate(self.coeffs[:-1]):
-            out.append(c * RatExpr.from_int(d - i))
-        return tuple(out)
+        return tuple(_derivative_list(self.coeffs))
 
     def derivative_at(self, omega: RatExpr) -> RatExpr:
-        out = RatExpr.ZERO
-        for c in self.derivative_coeffs():
-            out = out * omega + c
-        return out
+        return _eval_list(self.derivative_coeffs(), omega)
 
     def multiplicity_of(self, omega: RatExpr) -> int:
         """Largest m with P(omega) = P'(omega) = ... = P^(m-1)(omega) = 0."""
         coeffs = list(self.coeffs)
         m = 0
         while len(coeffs) > 1 or (coeffs and not coeffs[0].is_zero()):
-            val = RatExpr.ZERO
-            for c in coeffs:
-                val = val * omega + c
-            if not val.is_zero():
+            if not _eval_list(coeffs, omega).is_zero():
                 break
             m += 1
-            deg = len(coeffs) - 1
-            coeffs = [c * RatExpr.from_int(deg - i) for i, c in enumerate(coeffs[:-1])]
+            coeffs = _derivative_list(coeffs)
         return m
 
 
@@ -186,11 +172,18 @@ def find_roots(p: CharPoly) -> RootSearch:
     return RootSearch(tuple(roots), unresolved)
 
 
-def _eval_list(coeffs: list[RatExpr], omega: RatExpr) -> RatExpr:
+def _eval_list(coeffs, omega: RatExpr) -> RatExpr:
+    """Horner evaluation of descending coefficients at omega."""
     out = RatExpr.ZERO
     for c in coeffs:
         out = out * omega + c
     return out
+
+
+def _derivative_list(coeffs) -> list[RatExpr]:
+    """Descending coefficients of the derivative."""
+    deg = len(coeffs) - 1
+    return [c * RatExpr.from_int(deg - i) for i, c in enumerate(coeffs[:-1])]
 
 
 def _deflate(coeffs: list[RatExpr], root: RatExpr) -> list[RatExpr]:
@@ -267,8 +260,6 @@ def root_transform(root: Root, matrix) -> Root:
     The symbol direction [w : 1] maps by the Moebius action
     w' = (M22 w - M21) / (M11 - M12 w), with infinity handled projectively.
     """
-    from .operator import _matrix_entries
-
     m11, m12, m21, m22 = _matrix_entries(matrix)
     if root.at_infinity:
         if m12.is_zero():

@@ -18,15 +18,16 @@ import sys
 from .charpoly import char_poly, find_roots
 from .factorize import (
     OutcomeStatus,
-    factor_all_roots,
+    _preferred,
+    _walk,
     factor_fully,
-    factor_left,
     factor_right,
     verify,
 )
 from .operator import FirstOrderFactor, LPDO
 from .parser import ParseError, parse, parse_function
 from .printer import (
+    _root_structured,
     charpoly_str,
     operator_latex,
     operator_str,
@@ -121,7 +122,6 @@ def _cmd_factor(args) -> int:
         else:
             root_choice = parse_function(args.root, params)
     p3 = parse_function(args.p3, params) if args.p3 is not None else None
-    run = factor_right if args.side == "right" else factor_left
 
     if args.recursive:
         tree = factor_fully(op, args.max_shear)
@@ -131,19 +131,19 @@ def _cmd_factor(args) -> int:
                    default=OutcomeStatus.UNSUPPORTED_ROOT)
         return _EXIT_BY_STATUS[best]
 
-    best = run(op, root_choice=root_choice, p3=p3, max_shear=args.max_shear)
-    if root_choice is None and args.side == "left" and \
-            best.status is not OutcomeStatus.FACTORED and \
-            best.status is not OutcomeStatus.UNSUPPORTED_ROOT:
-        # report every root branch when nothing factored outright
-        outcomes = factor_all_roots(op, args.max_shear)
+    if args.side == "right":
+        outcomes = [factor_right(op, root_choice=root_choice, p3=p3,
+                                 max_shear=args.max_shear)]
+    else:
+        outcomes = list(_walk(op, root_choice, p3, args.max_shear))
+    best = _preferred(outcomes)
+    if root_choice is None and args.side == "left" and best.status not in (
+            OutcomeStatus.FACTORED, OutcomeStatus.UNSUPPORTED_ROOT):
+        # nothing factored outright: report every root branch walked
         if args.format == "structured":
             print(json.dumps([outcome_structured(o) for o in outcomes], indent=2))
         else:
-            for i, o in enumerate(outcomes):
-                if i:
-                    print()
-                print(outcome_str(o, args.format))
+            print("\n\n".join(outcome_str(o, args.format) for o in outcomes))
     else:
         print(outcome_str(best, args.format))
     return _EXIT_BY_STATUS[best.status]
@@ -190,15 +190,7 @@ def _cmd_charpoly(args) -> int:
         doc = {
             "n": p.n,
             "coeffs": [str(c) for c in p.coeffs],
-            "roots": [
-                {
-                    "value": None if r.at_infinity else str(r.value),
-                    "multiplicity": r.multiplicity,
-                    "at_infinity": r.at_infinity,
-                    "extensions": list(r.extensions),
-                }
-                for r in search.roots
-            ],
+            "roots": [_root_structured(r) for r in search.roots],
             "unresolved": [str(c) for c in search.unresolved],
         }
         print(json.dumps(doc, indent=2))

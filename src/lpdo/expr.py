@@ -1554,7 +1554,7 @@ class RatExpr:
         return self._hash
 
     def __str__(self) -> str:
-        return ratexpr_str(self)
+        return fraction_str(self.num, self.den)
 
     __repr__ = __str__
 
@@ -1632,13 +1632,16 @@ def poly_str(p: Poly) -> str:
     return "".join(chunks)
 
 
-def ratexpr_str(r: RatExpr) -> str:
-    num = poly_str(r.num)
-    if r.den is Poly.ONE or r.den == Poly.ONE:
-        return num
-    den = poly_str(r.den)
-    if len(r.num.terms) > 1:
-        num = f"({num})"
-    if len(r.den.terms) > 1:
-        den = f"({den})"
-    return f"{num}/{den}"
+def fraction_str(num: Poly, den: Poly) -> str:
+    """num/den in plain form.  A sum is parenthesized, and so is a
+    denominator holding a product, so that the text parses back to num/den."""
+    num_s = poly_str(num)
+    if den == Poly.ONE:
+        return num_s
+    den_s = poly_str(den)
+    if len(num.terms) > 1:
+        num_s = f"({num_s})"
+    if len(den.terms) > 1 or "*" in den_s:
+        den_s = f"({den_s})"
+    return f"{num_s}/{den_s}"
+

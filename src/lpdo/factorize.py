@@ -18,6 +18,17 @@ problem and can verify or complete a supplied candidate, but does not
 solve differential equations beyond a small candidate search (zero,
 constants, linear forms) used by the recursive factorizer.
 
+Each root goes through one pipeline, `_attempt`: change variables when the
+pure-Dx coefficient vanishes (moving the root and any given p3 into the new
+coordinates), solve the top level, take p3 as given, from the division by
+P'(w), or leave it free on the Riccati path, run the descent, map the result
+back and certify it.  The characteristic polynomial is never rebuilt there:
+the top level's Horner sums are the coefficients of P(W) / (W - w), one
+more Horner step is the remainder P(w), and the quotient at w is P'(w).
+`factor_left`, `factor_all_roots` and the command line share one walk over
+the roots, which reads P_n at most once, for the root search or a root's
+multiplicity.
+
 The descent below the top level runs over one common denominator, after
 Bareiss's fraction-free elimination.  Every denominator it creates comes
 from those of w, p3, the operator's coefficients and the top-level solution,
@@ -39,7 +50,7 @@ output converts back to a Poly once and is reduced by RatExpr.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .expr import (
@@ -60,6 +71,7 @@ from .operator import (
     LPDO,
     FirstOrderFactor,
     SWAP_XY,
+    _matrix_entries,
     matrix_inverse,
     shear_matrix,
 )
@@ -127,45 +139,51 @@ class CertificateError(ArithmeticError):
 # the level solves
 # --------------------------------------------------------------------------
 
-def _derivation(omega: RatExpr):
-    """The directional derivation along the factor: f -> f_x - w * f_y."""
-
-    def L(f: RatExpr) -> RatExpr:
-        return f.diff("x") - omega * f.diff("y")
-
-    return L
-
-
 def solve_top(op: LPDO, omega: RatExpr) -> dict[tuple[int, int], RatExpr]:
     """Top-level forward substitution: the order-(n-1) cofactor coefficients
-    p_{n-1-k,k} = a_{n,0} w^k + a_{n-1,1} w^(k-1) + ... + a_{n-k,k}."""
+    p_{n-1-k,k} = a_{n,0} w^k + a_{n-1,1} w^(k-1) + ... + a_{n-k,k}.
+
+    These Horner sums are the coefficients of the quotient of P(W) by
+    (W - w); one more Horner step gives the remainder P(w), the root check."""
     n = op.order
     if op.coeff(n, 0).is_zero():
         raise ValueError("leading pure-Dx coefficient must be nonzero")
-    if not char_poly(op).eval_at(omega).is_zero():
-        raise ValueError("omega is not a root of the characteristic polynomial")
     out: dict[tuple[int, int], RatExpr] = {}
     acc = RatExpr.ZERO
     for k in range(n):
         acc = acc * omega + op.coeff(n - k, k)
         if not acc.is_zero():
             out[(n - 1 - k, k)] = acc
+    if not (acc * omega + op.coeff(0, n)).is_zero():
+        raise ValueError("omega is not a root of the characteristic polynomial")
     return out
+
+
+def _derivative_at_root(n: int, omega: RatExpr,
+                        top: dict[tuple[int, int], RatExpr]) -> RatExpr:
+    """P'(w) at a root w: P(W) = (W - w) q(W) gives P'(w) = q(w), and the
+    coefficients of q are solve_top's."""
+    acc = RatExpr.ZERO
+    for k in range(n):
+        acc = acc * omega + top.get((n - 1 - k, k), RatExpr.ZERO)
+    return acc
 
 
 def solve_p3(op: LPDO, omega: RatExpr,
              top: dict[tuple[int, int], RatExpr]) -> RatExpr:
     """p3 = (b_{n-1,0} w^(n-1) + ... + b_{0,n-1}) / P'(w) for a simple root,
-    where b_{n-1-k,k} = a_{n-1-k,k} - L(p_{n-1-k,k})."""
+    where b_{n-1-k,k} = a_{n-1-k,k} - L(p_{n-1-k,k}) and top is
+    solve_top(op, omega)."""
     n = op.order
-    dP = char_poly(op).derivative_at(omega)
+    dP = _derivative_at_root(n, omega, top)
     if dP.is_zero():
         raise DegenerateRoot(
             "multiple root: p3 is not determined, switch to the Riccati path")
-    L = _derivation(omega)
     acc = RatExpr.ZERO
     for k in range(n):
-        b = op.coeff(n - 1 - k, k) - L(top.get((n - 1 - k, k), RatExpr.ZERO))
+        p = top.get((n - 1 - k, k), RatExpr.ZERO)
+        # b = a - L(p), with L(f) = f_x - w * f_y the derivation along the factor
+        b = op.coeff(n - 1 - k, k) - (p.diff("x") - omega * p.diff("y"))
         acc = acc * omega + b
     return acc / dP
 
@@ -379,18 +397,8 @@ def _run_descent(op: LPDO, omega: RatExpr, p3: RatExpr,
 
 
 # --------------------------------------------------------------------------
-# single-root attempts on a normalized operator
+# the degenerate path: p3 left free
 # --------------------------------------------------------------------------
-
-def _attempt_simple(op: LPDO, omega: RatExpr) -> tuple[FirstOrderFactor, LPDO | None, list[RatExpr]]:
-    top = solve_top(op, omega)
-    p3 = solve_p3(op, omega, top)
-    cof, residuals = _run_descent(op, omega, p3, top)
-    if not residuals[0].is_zero():
-        raise CertificateError("p3 level must close exactly for a simple root")
-    return (FirstOrderFactor.from_root(omega, p3),
-            None if cof is None else LPDO(cof), residuals[1:])
-
 
 def _fresh_unknown(op: LPDO) -> str:
     used = set()
@@ -409,19 +417,21 @@ def degenerate_constraints(op: LPDO, omega: RatExpr) -> RiccatiProblem:
     residuals, normalized monic in their leading jet monomial, are the
     generalized Riccati constraints on p3.
     """
-    P = char_poly(op)
-    if not P.derivative_at(omega).is_zero():
+    top = solve_top(op, omega)
+    if not _derivative_at_root(op.order, omega, top).is_zero():
         raise ValueError("root is simple: the algebraic path applies")
+    return _riccati_problem(op, omega, top)
+
+
+def _riccati_problem(op: LPDO, omega: RatExpr,
+                     top: dict[tuple[int, int], RatExpr]) -> RiccatiProblem:
     name = _fresh_unknown(op)
     register_differential_param(name)
-    psi = RatExpr.symbol(name)
-    top = solve_top(op, omega)
-    _, residuals = _run_descent(op, omega, psi, top)
-    precondition = residuals[0]
+    _, residuals = _run_descent(op, omega, RatExpr.symbol(name), top)
     constraints = tuple(
         _normalize_constraint(r, name) for r in residuals[1:] if not r.is_zero()
     )
-    return RiccatiProblem(name, constraints, precondition)
+    return RiccatiProblem(name, constraints, residuals[0])
 
 
 def _normalize_constraint(residual: RatExpr, unknown: str) -> RatExpr:
@@ -437,32 +447,6 @@ def _normalize_constraint(residual: RatExpr, unknown: str) -> RatExpr:
     if lead is None:
         return residual
     return residual / groups[lead]
-
-
-def _attempt(op: LPDO, omega: RatExpr, p3_candidate: RatExpr | None):
-    """One factorization attempt on a normalized operator at a finite root.
-
-    Returns (status, factor, cofactor, residuals, riccati).
-    """
-    if p3_candidate is not None:
-        top = solve_top(op, omega)
-        cof, residuals = _run_descent(op, omega, p3_candidate, top)
-        if all(r.is_zero() for r in residuals):
-            return (OutcomeStatus.FACTORED,
-                    FirstOrderFactor.from_root(omega, p3_candidate),
-                    LPDO(cof), tuple(residuals), None)
-        return (OutcomeStatus.CONDITIONS_FAIL, None, None, tuple(residuals), None)
-    try:
-        factor, cof, residuals = _attempt_simple(op, omega)
-    except DegenerateRoot:
-        problem = degenerate_constraints(op, omega)
-        if not problem.necessary_precondition.is_zero():
-            return (OutcomeStatus.CONDITIONS_FAIL, None, None,
-                    (problem.necessary_precondition,), None)
-        return (OutcomeStatus.DEGENERATE, None, None, (), problem)
-    if all(r.is_zero() for r in residuals):
-        return (OutcomeStatus.FACTORED, factor, cof, tuple(residuals), None)
-    return (OutcomeStatus.CONDITIONS_FAIL, None, None, tuple(residuals), None)
 
 
 # --------------------------------------------------------------------------
@@ -494,32 +478,9 @@ def choose_normalization(op: LPDO, max_shear: int | None = None):
     raise ValueError("no admissible shear found within the bound")
 
 
-# --------------------------------------------------------------------------
-# the public engine
-# --------------------------------------------------------------------------
-
-def _map_back(matrix, factor: FirstOrderFactor | None, cofactor: LPDO | None,
-              residuals: tuple[RatExpr, ...]):
-    """Undo a normalization change of variables on an attempt's results."""
-    if matrix is None:
-        return factor, cofactor, residuals
-    inv = matrix_inverse(matrix)
-    subs_back = _coordinate_substitution(matrix)
-    residuals = tuple(r.substitute(subs_back) for r in residuals)
-    if factor is None:
-        return factor, cofactor, residuals
-    f_op = factor.as_operator().change_vars(inv)
-    b_op = cofactor.change_vars(inv)
-    f = FirstOrderFactor.from_operator(f_op)
-    f_norm, unit = f.normalized()
-    return f_norm, b_op.scale(unit), residuals
-
-
 def _coordinate_substitution(matrix) -> dict[str, RatExpr]:
     """Substitution expressing a function of the new coordinates in the old
     ones: (u, v) = M (x, y)."""
-    from .operator import _matrix_entries
-
     m11, m12, m21, m22 = _matrix_entries(matrix)
     return {
         "x": m11 * RatExpr.X + m12 * RatExpr.Y,
@@ -527,64 +488,122 @@ def _coordinate_substitution(matrix) -> dict[str, RatExpr]:
     }
 
 
-def _as_root(op: LPDO, root_choice, search) -> Root:
-    """Resolve a user root choice (index, Root, or expression) to a Root."""
-    if isinstance(root_choice, Root):
-        return root_choice
-    if isinstance(root_choice, int):
-        if not 0 <= root_choice < len(search.roots):
-            raise ValueError(f"root index {root_choice} out of range")
-        return search.roots[root_choice]
-    value = root_choice
-    multiplicity = char_poly(op).multiplicity_of(value)
-    if multiplicity == 0:
-        raise ValueError(f"{value} is not a root of the characteristic polynomial")
-    return Root(value, multiplicity)
+# --------------------------------------------------------------------------
+# the public engine
+# --------------------------------------------------------------------------
 
+def _attempt(op: LPDO, root: Root, matrix, p3: RatExpr | None) -> FactorizationOutcome:
+    """The factorization of op at one root: a left factor Dx - w*Dy + p3
+    with the given p3, the p3 of a simple root, or the Riccati problem of a
+    multiple one.
 
-def _attempt_for_root(op: LPDO, root: Root, matrix, p3_candidate):
-    """Attempt a root of the original operator, normalizing when needed."""
+    Under a normalization M the work runs on op in the coordinates
+    (u, v) = M (x, y): the root and p3 move there and the results move back.
+    """
     tower_before = set(tower().radicals)
-    if matrix is None and root.at_infinity:
-        matrix = choose_normalization(op) or SWAP_XY
+    if matrix is None and root.at_infinity:  # P_n has full degree: a Root given by the caller
+        matrix = SWAP_XY
+    work, omega = op, root.value
     if matrix is not None:
+        to_new = _coordinate_substitution(matrix_inverse(matrix))
         work = op.change_vars(matrix)
-        w_root = root_transform(root, matrix)
-        if p3_candidate is not None:
-            p3_candidate = p3_candidate.substitute(
-                _coordinate_substitution(matrix_inverse(matrix)))
+        omega = root_transform(root, matrix).value.substitute(to_new)
+        if p3 is not None:
+            p3 = p3.substitute(to_new)
+    top = solve_top(work, omega)
+    riccati = None
+    if p3 is not None:
+        cof, residuals = _run_descent(work, omega, p3, top)
     else:
-        work = op
-        w_root = root
-    status, factor, cof, residuals, riccati = _attempt(
-        work, w_root.value, p3_candidate)
-    factor, cof, residuals = _map_back(matrix, factor, cof, residuals)
-    new_radicals = tuple(d for d in tower().radicals if d not in tower_before)
-    extensions = tuple(root.extensions) + tuple(
+        try:
+            p3 = solve_p3(work, omega, top)
+        except DegenerateRoot:
+            riccati = _riccati_problem(work, omega, top)
+            cof, residuals = None, [riccati.necessary_precondition]
+        else:
+            cof, residuals = _run_descent(work, omega, p3, top)
+            if not residuals.pop(0).is_zero():
+                raise CertificateError("p3 level must close exactly for a simple root")
+    if riccati is None:
+        status = OutcomeStatus.CONDITIONS_FAIL if cof is None else OutcomeStatus.FACTORED
+    elif residuals[0].is_zero():
+        status, residuals = OutcomeStatus.DEGENERATE, []
+    else:
+        status, riccati = OutcomeStatus.CONDITIONS_FAIL, None
+    factor = cofactor = None
+    if cof is not None:
+        factor, cofactor = FirstOrderFactor.from_root(omega, p3), LPDO(cof)
+    if matrix is not None:
+        back = _coordinate_substitution(matrix)
+        residuals = [r.substitute(back) for r in residuals]
+        if factor is not None:
+            inv = matrix_inverse(matrix)
+            f, u = FirstOrderFactor.from_operator(
+                factor.as_operator().change_vars(inv)).normalized()
+            # u*f o B = (u*f*u^-1) o (u*B), and u*f*u^-1 = f - (p1*u_x + p2*u_y)/u
+            shift = (f.p1 * u.diff("x") + f.p2 * u.diff("y")) / u
+            factor = FirstOrderFactor(f.p1, f.p2, f.p3 - shift)
+            cofactor = cofactor.change_vars(inv).scale(u)
+    if factor is not None:
+        _certify(factor, cofactor, op, "left")
+    new_radicals = [d for d in tower().radicals if d not in tower_before]
+    extensions = root.extensions + tuple(
         d for d in new_radicals if d not in root.extensions)
-    certified = False
-    if status is OutcomeStatus.FACTORED:
-        _certify(factor, cof, op, "left")
-        certified = True
     return FactorizationOutcome(
-        status=status, side="left", root=root, factor=factor, cofactor=cof,
-        residuals=residuals, riccati=riccati, normalization=matrix,
-        extensions=extensions, certified=certified)
+        status=status, root=root, factor=factor, cofactor=cofactor,
+        residuals=tuple(residuals), riccati=riccati, normalization=matrix,
+        extensions=extensions, certified=factor is not None)
+
+
+def _outcomes(op: LPDO, root_choice, p3: RatExpr | None, max_shear: int | None):
+    """One outcome per root tried: every root of P_n in the search's order,
+    or the one chosen by index, Root or value; a lone UNSUPPORTED_ROOT
+    outcome when the search finds none."""
+    if op.order < 2:
+        raise ValueError("factorization needs an operator of order >= 2")
+    matrix = choose_normalization(op, max_shear)
+    if isinstance(root_choice, Root):
+        roots = [root_choice]
+    elif root_choice is None or isinstance(root_choice, int):
+        search = find_roots(char_poly(op))
+        roots = list(search.roots)
+        if root_choice is not None:
+            if not 0 <= root_choice < len(roots):
+                raise ValueError(f"root index {root_choice} out of range")
+            roots = [roots[root_choice]]
+        elif not roots:
+            yield FactorizationOutcome(
+                status=OutcomeStatus.UNSUPPORTED_ROOT, unresolved=search.unresolved)
+    else:
+        multiplicity = char_poly(op).multiplicity_of(root_choice)
+        if multiplicity == 0:
+            raise ValueError(f"{root_choice} is not a root of the characteristic polynomial")
+        roots = [Root(root_choice, multiplicity)]
+    for root in roots:
+        yield _attempt(op, root, matrix, p3)
+
+
+def _walk(op: LPDO, root_choice, p3: RatExpr | None, max_shear: int | None):
+    """factor_left's search: the outcomes up to the first FACTORED one."""
+    for out in _outcomes(op, root_choice, p3, max_shear):
+        yield out
+        if out.status is OutcomeStatus.FACTORED:
+            return
+
+
+def _preferred(outcomes: list[FactorizationOutcome]) -> FactorizationOutcome:
+    """The first FACTORED outcome, else the first DEGENERATE one, else the
+    one with the fewest nonzero residuals."""
+    for status in (OutcomeStatus.FACTORED, OutcomeStatus.DEGENERATE):
+        for out in outcomes:
+            if out.status is status:
+                return out
+    return min(outcomes, key=lambda o: len(o.nonzero_residuals()))
 
 
 def factor_all_roots(op: LPDO, max_shear: int | None = None) -> list[FactorizationOutcome]:
     """One factorization outcome per root of the characteristic polynomial."""
-    if op.order < 2:
-        raise ValueError("factorization needs an operator of order >= 2")
-    matrix = choose_normalization(op, max_shear)
-    search = find_roots(char_poly(op))
-    outcomes = []
-    for root in search.roots:
-        outcomes.append(_attempt_for_root(op, root, matrix, None))
-    if not outcomes:
-        outcomes.append(FactorizationOutcome(
-            status=OutcomeStatus.UNSUPPORTED_ROOT, unresolved=search.unresolved))
-    return outcomes
+    return list(_outcomes(op, None, None, max_shear))
 
 
 def factor_left(op: LPDO, root_choice=None, p3: RatExpr | None = None,
@@ -594,31 +613,11 @@ def factor_left(op: LPDO, root_choice=None, p3: RatExpr | None = None,
     With no root choice every root is tried in deterministic order and the
     first Factored outcome wins; otherwise the preferred outcome is the
     first Degenerate one, then the attempt with the fewest nonzero
-    residuals.  An explicit root (index or expression) restricts the search
-    to that root; an explicit p3 candidate completes the degenerate path.
+    residuals.  An explicit root (index, Root or expression) restricts the
+    search to that root; an explicit p3 candidate completes the degenerate
+    path.
     """
-    if op.order < 2:
-        raise ValueError("factorization needs an operator of order >= 2")
-    matrix = choose_normalization(op, max_shear)
-    if root_choice is not None:
-        # only an index needs the root search
-        search = find_roots(char_poly(op)) if isinstance(root_choice, int) else None
-        root = _as_root(op, root_choice, search)
-        return _attempt_for_root(op, root, matrix, p3)
-    search = find_roots(char_poly(op))
-    if not search.roots:
-        return FactorizationOutcome(
-            status=OutcomeStatus.UNSUPPORTED_ROOT, unresolved=search.unresolved)
-    outcomes = []
-    for root in search.roots:
-        out = _attempt_for_root(op, root, matrix, p3)
-        if out.status is OutcomeStatus.FACTORED:
-            return out
-        outcomes.append(out)
-    for out in outcomes:
-        if out.status is OutcomeStatus.DEGENERATE:
-            return out
-    return min(outcomes, key=lambda o: len(o.nonzero_residuals()))
+    return _preferred(list(_walk(op, root_choice, p3, max_shear)))
 
 
 def factor_right(op: LPDO, root_choice=None, p3: RatExpr | None = None,
@@ -629,31 +628,20 @@ def factor_right(op: LPDO, root_choice=None, p3: RatExpr | None = None,
     on the transpose and both returned operators are transposed back (with
     a sign normalization keeping the factor's leading part monic).
     """
-    out = factor_left(op.transpose(), root_choice=root_choice, p3=p3,
-                      max_shear=max_shear)
-    factor = cofactor = None
-    certified = False
-    if out.factor is not None:
-        factor_op = -(out.factor.as_operator().transpose())
-        cofactor = -(out.cofactor.transpose())
-        factor = FirstOrderFactor.from_operator(factor_op)
-        if out.status is OutcomeStatus.FACTORED:
-            _certify(factor, cofactor, op, "right")
-            certified = True
-    return FactorizationOutcome(
-        status=out.status, side="right", root=out.root, factor=factor,
-        cofactor=cofactor, residuals=out.residuals, riccati=out.riccati,
-        normalization=out.normalization, extensions=out.extensions,
-        unresolved=out.unresolved, certified=certified)
+    out = replace(factor_left(op.transpose(), root_choice=root_choice, p3=p3,
+                              max_shear=max_shear), side="right")
+    if out.factor is None:
+        return out
+    factor = FirstOrderFactor.from_operator(-(out.factor.as_operator().transpose()))
+    cofactor = -(out.cofactor.transpose())
+    _certify(factor, cofactor, op, "right")
+    return replace(out, factor=factor, cofactor=cofactor)
 
 
 def complete_with_p3(op: LPDO, omega: RatExpr, candidate: RatExpr,
                      max_shear: int | None = None) -> FactorizationOutcome:
     """Finish a degenerate factorization with a user-supplied p3."""
-    matrix = choose_normalization(op, max_shear)
-    P = char_poly(op)
-    root = Root(omega, P.multiplicity_of(omega))
-    return _attempt_for_root(op, root, matrix, candidate)
+    return factor_left(op, omega, candidate, max_shear)
 
 
 def verify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO,
@@ -793,7 +781,7 @@ def factor_fully(op: LPDO, max_shear: int | None = None) -> FactorizationTree:
     for outcome in factor_all_roots(op, max_shear):
         if outcome.status is OutcomeStatus.DEGENERATE:
             for cand in riccati_candidates(outcome.riccati):
-                done = complete_with_p3(op, outcome.root.value, cand, max_shear)
+                done = factor_left(op, outcome.root, cand, max_shear)
                 if done.status is OutcomeStatus.FACTORED:
                     outcome = done
                     break

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .expr import Poly, RatExpr, poly_str
+from .expr import Poly, RatExpr, fraction_str, poly_str
 from .operator import LPDO
 from .charpoly import CharPoly, Root
 from .factorize import FactorizationOutcome, FactorizationTree, OutcomeStatus
@@ -21,24 +21,18 @@ from .factorize import FactorizationOutcome, FactorizationTree, OutcomeStatus
 # plain text
 # --------------------------------------------------------------------------
 
-def _common_denominator(p: Poly) -> int:
-    return lcm(*(q.denominator for c in p.terms.values() for q in c.coords.values()))
+def _cleared(r: RatExpr) -> tuple[Poly, Poly]:
+    """num and den scaled by the lcm of the numerator's coefficient
+    denominators, so that the numerator has integer coefficients."""
+    scale = lcm(*(q.denominator for c in r.num.terms.values() for q in c.coords.values()))
+    if scale == 1:
+        return r.num, r.den
+    return r.num.scale_rational(scale), r.den.scale_rational(scale)
 
 
 def ratexpr_display(r: RatExpr) -> str:
     """Plain form with integer-cleared numerator: (y^2 - x^2)/4 style."""
-    scale = _common_denominator(r.num)
-    num = r.num if scale == 1 else r.num.scale_rational(scale)
-    den = r.den if scale == 1 else r.den.scale_rational(scale)
-    num_s = poly_str(num)
-    if den == Poly.ONE:
-        return num_s
-    den_s = poly_str(den)
-    if len(num.terms) > 1:
-        num_s = f"({num_s})"
-    if len(den.terms) > 1:
-        den_s = f"({den_s})"
-    return f"{num_s}/{den_s}"
+    return fraction_str(*_cleared(r))
 
 
 def _is_plain_sum(s: str) -> bool:
@@ -65,46 +59,44 @@ def _derivative_word(j: int, k: int, latex: bool = False) -> str:
     return sep.join(parts)
 
 
+def _term(txt: str, word: str, latex: bool = False) -> tuple[bool, str]:
+    """(negated, body) of the term txt*word, the sign of a lone product
+    taken out and a sum put in parentheses."""
+    neg = txt.startswith("-") and not _is_plain_sum(txt)
+    if neg:
+        txt = txt[1:]
+    if not word or txt == "1":
+        return neg, word or txt
+    if _is_plain_sum(txt):
+        txt = r"\left(%s\right)" % txt if latex else f"({txt})"
+    return neg, f"{txt}{word}" if latex else f"{txt}*{word}"
+
+
+def _signed_sum(terms) -> str:
+    """Join (negated, body) terms with + and -."""
+    out = []
+    for neg, body in terms:
+        if not out:
+            out.append(f"-{body}" if neg else body)
+        else:
+            out.append(f" - {body}" if neg else f" + {body}")
+    return "".join(out)
+
+
 def operator_str(op: LPDO) -> str:
     """Plain text normal form; parses back to the same operator."""
     if op.is_zero():
         return "0"
-    pieces = []
-    for (j, k), coeff in op.sorted_coeffs():
-        txt = ratexpr_display(coeff)
-        deriv = _derivative_word(j, k)
-        neg = txt.startswith("-") and not _is_plain_sum(txt)
-        if neg:
-            txt = txt[1:]
-        if deriv:
-            if txt == "1":
-                body = deriv
-            else:
-                if _is_plain_sum(txt):
-                    txt = f"({txt})"
-                body = f"{txt}*{deriv}"
-        else:
-            body = txt
-        if not pieces:
-            pieces.append(f"-{body}" if neg else body)
-        else:
-            pieces.append(f" - {body}" if neg else f" + {body}")
-    return "".join(pieces)
+    return _signed_sum(_term(ratexpr_display(c), _derivative_word(j, k))
+                       for (j, k), c in op.sorted_coeffs())
 
 
 # --------------------------------------------------------------------------
 # latex
 # --------------------------------------------------------------------------
 
-def _latex_scalar_body(txt: str) -> str:
-    return (txt.replace("sqrt(", r"\sqrt{").replace(")", "}")
-            if "sqrt(" in txt else txt)
-
-
 def ratexpr_latex(r: RatExpr) -> str:
-    scale = _common_denominator(r.num)
-    num = r.num if scale == 1 else r.num.scale_rational(scale)
-    den = r.den if scale == 1 else r.den.scale_rational(scale)
+    num, den = _cleared(r)
     num_s = _poly_latex(num)
     if den == Poly.ONE:
         return num_s
@@ -124,33 +116,15 @@ def _poly_latex(p: Poly) -> str:
         else:
             out.append(s[i])
             i += 1
-    return "".join(out).replace("^", "^")
+    return "".join(out)
 
 
 def operator_latex(op: LPDO) -> str:
     if op.is_zero():
         return "0"
-    pieces = []
-    for (j, k), coeff in op.sorted_coeffs():
-        txt = ratexpr_latex(coeff)
-        deriv = _derivative_word(j, k, latex=True)
-        neg = txt.startswith("-") and not _is_plain_sum(txt)
-        if neg:
-            txt = txt[1:]
-        if deriv:
-            if txt == "1":
-                body = deriv
-            else:
-                if _is_plain_sum(txt):
-                    txt = r"\left(%s\right)" % txt
-                body = f"{txt}{deriv}"
-        else:
-            body = txt
-        if not pieces:
-            pieces.append(f"-{body}" if neg else body)
-        else:
-            pieces.append(f" - {body}" if neg else f" + {body}")
-    return "".join(pieces)
+    return _signed_sum(
+        _term(ratexpr_latex(c), _derivative_word(j, k, latex=True), latex=True)
+        for (j, k), c in op.sorted_coeffs())
 
 
 # --------------------------------------------------------------------------
@@ -268,32 +242,20 @@ def outcome_str(outcome: FactorizationOutcome, fmt: str = "plain") -> str:
 
 def charpoly_str(p: CharPoly, fmt: str = "plain") -> str:
     var = r"\omega" if fmt == "latex" else "w"
-    pieces = []
+    terms = []
     for i, c in enumerate(p.coeffs):
         if c.is_zero():
             continue
         power = p.n - i
         if power == 0:
-            body = None
+            word = ""
         elif power == 1:
-            body = var
+            word = var
         else:
-            body = f"{var}^{power}" if fmt != "latex" else f"{var}^{{{power}}}"
+            word = f"{var}^{power}" if fmt != "latex" else f"{var}^{{{power}}}"
         txt = ratexpr_display(c) if fmt != "latex" else ratexpr_latex(c)
-        neg = txt.startswith("-") and not _is_plain_sum(txt)
-        if neg:
-            txt = txt[1:]
-        if body:
-            if _is_plain_sum(txt):
-                txt = f"({txt})"
-            chunk = body if txt == "1" else f"{txt}*{body}"
-        else:
-            chunk = txt
-        if not pieces:
-            pieces.append(f"-{chunk}" if neg else chunk)
-        else:
-            pieces.append(f" - {chunk}" if neg else f" + {chunk}")
-    return "".join(pieces) if pieces else "0"
+        terms.append(_term(txt, word))
+    return _signed_sum(terms) or "0"
 
 
 def tree_str(tree: FactorizationTree, fmt: str = "plain", depth: int = 0) -> str:

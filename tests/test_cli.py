@@ -2,8 +2,8 @@
 
 import json
 
-
-
+import lpdo.cli
+from lpdo import factorize
 from lpdo.cli import main
 
 
@@ -86,6 +86,30 @@ class TestFactor:
         monkeypatch.setattr("sys.stdin", io.StringIO(A1))
         code, out, _ = run(capsys, ["factor"])
         assert code == 0
+
+    def test_p3_without_root_reports_the_run_with_p3(self, capsys):
+        code, out, _ = run(capsys, ["factor", "Dx^2 + x*Dx", "--p3", "y"])
+        assert code == 2
+        assert "status: conditions_fail" in out
+        assert "status: degenerate" not in out
+
+    def test_every_root_reported_without_a_second_run(self, capsys, monkeypatch):
+        calls = []
+        for owner in (factorize, lpdo.cli):
+            monkeypatch.setattr(owner, "factor_all_roots",
+                                lambda *args, **kwargs: calls.append(args),
+                                raising=False)
+        code, out, _ = run(capsys, ["factor", "--params", "a", A_PARAM])
+        assert code == 2
+        assert "residuals: a - 1" in out
+        assert "residuals: a + 1" in out
+        assert calls == []
+
+    def test_nonconstant_root_after_swap(self, capsys):
+        code, out, err = run(capsys, ["factor", "Dx*Dy + x*Dy^2"])
+        assert code == 0, err
+        assert "factor: Dx + x*Dy" in out
+        assert "cofactor: Dy" in out
 
 
 class TestOtherCommands:

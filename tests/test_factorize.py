@@ -444,6 +444,69 @@ class TestNormalization:
         assert back_c.scale(unit) == direct.cofactor
 
 
+class TestNonConstantRootNormalized:
+    """A root w(x, y) worked in swapped coordinates: the root moves with the
+    coordinates, and mapping back conjugates the factor by its leading
+    coefficient u, since u*f o B = (u*f*u^-1) o (u*B)."""
+
+    @pytest.mark.parametrize("factor, cofactor", [("Dx + x*Dy", "Dy"),
+                                                  ("Dx + x*Dy + y", "Dy + x")])
+    def test_dx_dy_led_operator_factors(self, factor, cofactor):
+        op = parse(factor).compose(parse(cofactor))
+        out = factor_left(op)
+        assert out.status is OutcomeStatus.FACTORED
+        assert out.certified
+        assert out.normalization is not None
+        assert out.factor.as_operator() == parse(factor)
+        assert out.cofactor == parse(cofactor)
+
+    def test_factor_fully_finds_the_planted_chain(self):
+        tree = factor_fully(parse("(Dx+x)*(Dx+y*Dy)*(Dy+1)"))
+        chains = {" o ".join(str(c) for c in ch) for ch in tree.chains()}
+        assert "Dx + x o Dx + y*Dy o Dy + 1" in chains
+
+
+class TestCharPolyReadOnce:
+    def _count(self, monkeypatch):
+        calls = []
+        real = factorize.char_poly
+        monkeypatch.setattr(factorize, "char_poly",
+                            lambda op: calls.append(op) or real(op))
+        return calls
+
+    def test_factor_left_at_an_explicit_root(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        op = parse("(Dx - 2*Dy + x)*(Dx^2 + y*Dy + 1)")
+        out = factor_left(op, root_choice=R.from_int(2))
+        assert out.status is OutcomeStatus.FACTORED
+        assert len(calls) == 1
+
+    def test_level_solves_do_not_read_it(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        op = hyperbolic_family(ONE)
+        assert solve_p3(op, -ONE, solve_top(op, -ONE)) == (Y - X) * HALF
+        with pytest.raises(ValueError, match="not a root"):
+            solve_top(op, R.from_int(5))
+        lodo = LPDO({(2, 0): ONE, (1, 0): X})
+        with pytest.raises(DegenerateRoot):
+            solve_p3(lodo, R.ZERO, solve_top(lodo, R.ZERO))
+        assert calls == []
+
+    def test_top_level_gives_the_derivative_at_the_root(self, rng):
+        # P(W) = (W - w) q(W) with q's coefficients from solve_top, so q(w) = P'(w)
+        checked = 0
+        while checked < 10:
+            n = rng.randint(2, 4)
+            w = rand_poly(rng, 1)
+            b = rand_operator(rng, n - 1)
+            a = FirstOrderFactor.from_root(w, rand_poly(rng, 1)).as_operator().compose(b)
+            if a.order != n or a.coeff(n, 0).is_zero():
+                continue
+            got = factorize._derivative_at_root(n, w, solve_top(a, w))
+            assert got == char_poly(a).derivative_at(w)
+            checked += 1
+
+
 class TestFactorFully:
     def test_triple_product_both_groupings(self):
         triple = parse("(Dx+1)*(Dx+1)*(Dx+x*Dy)")

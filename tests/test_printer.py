@@ -2,10 +2,14 @@
 
 import json
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from lpdo.expr import RatExpr
 from lpdo.operator import LPDO
 from lpdo.factorize import factor_all_roots, factor_left
-from lpdo.parser import parse
+from lpdo.parser import parse, parse_function
 from lpdo.printer import (
     operator_from_structured,
     operator_latex,
@@ -13,6 +17,7 @@ from lpdo.printer import (
     operator_structured,
     outcome_str,
     outcome_structured,
+    ratexpr_display,
 )
 
 from conftest import rand_operator
@@ -99,3 +104,45 @@ class TestOutcomeReport:
         texts = [outcome_str(o) for o in outs]
         assert "residuals: a - 1" in texts[0]
         assert "residuals: a + 1" in texts[1]
+
+
+# terms ((i, j, k), c, r) of c * sqrt(2)^r * x^i * y^j * a^k: polynomials, and
+# monomial denominators such as x*y, 2*x and x^2*y
+_TERM = st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool),
+                  st.booleans())
+_POLY = st.lists(_TERM, min_size=1, max_size=4)
+_DENOMINATOR = st.one_of(_TERM.map(lambda t: [t]), _POLY)
+
+
+def _build(terms) -> RatExpr:
+    sqrt2 = parse_function("sqrt(2)")
+    out = R.ZERO
+    for (i, j, k), c, radical in terms:
+        coeff = R.from_fraction(c) * (sqrt2 if radical else ONE)
+        out = out + coeff * X ** i * Y ** j * R.symbol("a") ** k
+    return out
+
+
+class TestPlainFractionsReparse:
+    @pytest.mark.parametrize("text", ["1/(x*y)", "-1/(2*x)", "3/(x^2*y)",
+                                      "(x + y)/(2*x*y)", "x/(sqrt(2)*y)"])
+    def test_monomial_denominators(self, text):
+        r = parse_function(text)
+        assert parse_function(ratexpr_display(r)) == r
+        assert parse_function(str(r)) == r
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(_POLY, _DENOMINATOR)
+    def test_display_and_str_parse_back(self, num, den):
+        den = _build(den)
+        assume(not den.is_zero())
+        r = _build(num) / den
+        assert parse_function(ratexpr_display(r), {"a"}) == r
+        assert parse_function(str(r), {"a"}) == r
+
+    def test_operator_with_monomial_denominator(self):
+        op = parse("(Dx + 1/(x*y))*(Dx + Dy)")
+        out = factor_left(op)
+        assert parse(operator_str(out.factor.as_operator())) == out.factor.as_operator()
+        assert parse(operator_str(out.cofactor)) == out.cofactor
