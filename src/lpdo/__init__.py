@@ -1,6 +1,6 @@
 """Exact first-order factorization of linear partial differential operators."""
 
-from .expr import ConstScalar, Poly, RatExpr, register_differential_param, tower
+from .expr import ConstScalar, Poly, RatExpr, register_differential_param
 from .operator import LPDO, FirstOrderFactor
 from .charpoly import CharPoly, Root, RootSearch, char_poly, find_roots
 from .factorize import (
@@ -35,7 +35,6 @@ __all__ = [
     "Poly",
     "RatExpr",
     "register_differential_param",
-    "tower",
     "LPDO",
     "FirstOrderFactor",
     "CharPoly",

@@ -5,10 +5,9 @@ operator define P_n(w) = a_{n,0} w^n + ... + a_{0,n}.  Each root w selects
 a candidate first-order factor Dx - w*Dy + p3; a degree drop of P below n
 corresponds to a root at infinity (a factor led by Dy).  Root finding is
 exact over the supported field: linear solves, the quadratic formula when
-the discriminant has a square root in (an extension of) the constant
-tower, and candidate rational-function roots for higher degrees.  Roots
-that cannot be expressed are returned as an unresolved residual factor,
-never dropped.
+the discriminant has a square root (which may adjoin a radical), and
+candidate rational-function roots for higher degrees.  Roots that cannot
+be expressed are returned as an unresolved residual factor, never dropped.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .expr import RatExpr, tower
+from .expr import RatExpr
 from .operator import LPDO, _matrix_entries
 
 
@@ -64,7 +63,7 @@ class Root:
     """A root of the characteristic polynomial.
 
     value is None exactly when at_infinity is set; extensions lists the
-    radicals newly adjoined to the constant tower while expressing the root.
+    radicals in the value that no coefficient of P has, sorted by |d|.
     """
 
     value: RatExpr | None
@@ -107,8 +106,8 @@ def find_roots(p: CharPoly) -> RootSearch:
 
     Strategy: strip the degree drop (root at infinity) and trailing zeros
     (roots at 0), then peel linear factors; quadratics go through the
-    quadratic formula, extending the tower when the discriminant is a
-    constant whose square root needs a new radical; higher degrees try
+    quadratic formula, whose square root may adjoin radicals that P's
+    coefficients lack (a root's extensions); higher degrees try
     candidate rational-function roots built from the trailing/leading
     coefficients.  Multiplicities are certified by derivative tests on the
     full polynomial.  Whatever does not split is reported unresolved.
@@ -122,7 +121,6 @@ def find_roots(p: CharPoly) -> RootSearch:
 
     values: list[RatExpr] = []
     unresolved: tuple[RatExpr, ...] = ()
-    extensions: dict[int, tuple[int, ...]] = {}
 
     zero_mult = 0
     while len(work) > 1 and work[-1].is_zero():
@@ -137,15 +135,11 @@ def find_roots(p: CharPoly) -> RootSearch:
             values.append(-(work[1] / work[0]))
             break
         if deg == 2:
-            roots, ext = _quadratic_roots(work[0], work[1], work[2])
+            roots = _quadratic_roots(work[0], work[1], work[2])
             if roots is None:
                 unresolved = tuple(work)
                 break
-            for r in roots:
-                if r not in values:
-                    values.append(r)
-                    if ext:
-                        extensions[len(values) - 1] = ext
+            values.extend(roots)
             break
         found = None
         for cand in _root_candidates(work):
@@ -158,14 +152,15 @@ def find_roots(p: CharPoly) -> RootSearch:
         values.append(found)
         work = _deflate(work, found)
 
+    known = set().union(*(c.radicals() for c in p.coeffs))
     roots = []
     seen: set[RatExpr] = set()
-    for i, v in enumerate(values):
+    for v in values:
         if v in seen:
             continue
         seen.add(v)
-        m = p.multiplicity_of(v)
-        roots.append(Root(v, m, extensions=extensions.get(i, ())))
+        ext = tuple(sorted(v.radicals() - known, key=abs))
+        roots.append(Root(v, p.multiplicity_of(v), extensions=ext))
     roots.sort(key=Root.sort_key)
     if degree_drop > 0:
         roots.append(Root(None, degree_drop, at_infinity=True))
@@ -198,14 +193,12 @@ def _quadratic_roots(a, b, c):
     disc = b * b - RatExpr.from_int(4) * a * c
     if disc.is_zero():
         half = -(b / (a + a))
-        return (half, half), ()
-    before = set(tower().radicals)
+        return (half, half)
     r = disc.perfect_square_root()
     if r is None:
-        return None, ()
-    ext = tuple(d for d in tower().radicals if d not in before)
+        return None
     twice_a = a + a
-    return ((-b + r) / twice_a, (-b - r) / twice_a), ext
+    return ((-b + r) / twice_a, (-b - r) / twice_a)
 
 
 def _root_candidates(coeffs: list[RatExpr]):

@@ -1,15 +1,17 @@
-"""Exact rational-function arithmetic over a multiquadratic constant tower.
+"""Exact rational-function arithmetic over multiquadratic constants.
 
 Values live in Q(sqrt(d1), ..., sqrt(dk))(x, y, parameters): rational
 functions of the variables x, y and any number of named parameters, with
 constants drawn from Q extended by square roots of square-free integers
 (including i = sqrt(-1)).  Every value is kept in a unique canonical form,
-so equality and zero-testing are plain structural comparisons.
+so equality and zero-testing are plain structural comparisons.  There is
+no registry of adjoined radicals: a value carries its own, and a square
+root adjoins whatever radical it needs.
 
 Three layers:
 
-  ConstScalar -- an element of the constant tower, stored as a map from
-                 square-free radical index to rational coordinate.
+  ConstScalar -- an element of Q(sqrt(d1), ..., sqrt(dk)), stored as a map
+                 from square-free radical index to rational coordinate.
   Poly        -- a sparse multivariate polynomial over ConstScalar with a
                  fixed graded-lexicographic term order.
   RatExpr     -- a reduced fraction of two Polys with a monic denominator.
@@ -122,80 +124,8 @@ def _mul_radicals(a: int, b: int) -> tuple[int, int]:
     return factor, (-key if neg else key)
 
 
-# --------------------------------------------------------------------------
-# the radical tower registry
-# --------------------------------------------------------------------------
-
-class RadicalTower:
-    """Append-only record of the square roots adjoined to the constant field.
-
-    Arithmetic on ConstScalar works for arbitrary radical indices; the tower
-    only tracks which radicals the computation has committed to, so that
-    square-root extraction can distinguish "already available" from "needs a
-    new extension".  Guarded by a single-writer contract: values themselves
-    are immutable and freely shareable.
-    """
-
-    def __init__(self) -> None:
-        self._radicals: list[int] = []
-
-    @property
-    def radicals(self) -> tuple[int, ...]:
-        return tuple(self._radicals)
-
-    def adjoin(self, d: int) -> bool:
-        """Record sqrt(d); returns True when d is a genuinely new extension."""
-        if d in (0, 1):
-            return False
-        _, d = squarefree_decompose(d)
-        if self.contains(d):
-            # already spanned by products of existing radicals
-            return False
-        self._radicals.append(d)
-        return True
-
-    def contains(self, d: int) -> bool:
-        """True when sqrt(d) lies in the field generated by the tower."""
-        if d == 0:
-            raise ValueError("no square root of 0 in the tower sense")
-        _, d = squarefree_decompose(d)
-        if d == 1:
-            return True
-        # membership of the square class of d in the GF(2)-span of the
-        # square classes of the adjoined radicals, by Gaussian elimination
-        # with generator sets as sparse vectors
-        pivots: dict[int, frozenset[int]] = {}
-        for r in self._radicals:
-            v = self._reduce(_radical_generators(r), pivots)
-            if v:
-                pivots[max_gen(v)] = v
-        return not self._reduce(_radical_generators(d), pivots)
-
-    @staticmethod
-    def _reduce(v: frozenset[int], pivots: dict[int, frozenset[int]]) -> frozenset[int]:
-        while v:
-            g = max_gen(v)
-            row = pivots.get(g)
-            if row is None:
-                return v
-            v = v ^ row
-        return v
-
-    def reset(self) -> None:
-        """Forget all extensions (test isolation only)."""
-        self._radicals.clear()
-
-
 def max_gen(v: frozenset[int]) -> int:
     return max(v, key=abs)
-
-
-_TOWER = RadicalTower()
-
-
-def tower() -> RadicalTower:
-    """The process-wide radical tower."""
-    return _TOWER
 
 
 # --------------------------------------------------------------------------
@@ -248,8 +178,7 @@ def _diff_symbol(symbol: str, var: str):
 
 
 def reset_state() -> None:
-    """Reset the tower and the differential-parameter registry (tests)."""
-    _TOWER.reset()
+    """Forget the registered differential parameters (tests)."""
     _DIFFERENTIAL_PARAMS.clear()
 
 
@@ -263,7 +192,8 @@ class ConstScalar:
     Stored as {square-free index d: Fraction coordinate}; the index 1 holds
     the rational part.  Distinct square-free radicals are linearly
     independent over Q, so the representation (with zero coordinates
-    dropped) is unique and zero-testing is `not coords`.
+    dropped) is unique and zero-testing is `not coords`.  No field is fixed
+    in advance: the radicals a value uses are the keys of its map.
     """
 
     __slots__ = ("_coords", "_hash")
@@ -281,13 +211,10 @@ class ConstScalar:
 
     @classmethod
     def radical(cls, d: int) -> "ConstScalar":
-        """sqrt(d) for an integer d; adjoins the square-free part to the tower."""
+        """sqrt(d) for an integer d, as c*sqrt(d') with d' square-free."""
         if d == 0:
             return cls()
         c, d = squarefree_decompose(d)
-        if d == 1:
-            return cls.from_rational(c)
-        _TOWER.adjoin(d)
         return cls({d: Fraction(c)})
 
     ZERO: "ConstScalar"
@@ -409,13 +336,22 @@ class ConstScalar:
 
     # -- square roots
 
-    def sqrt(self, allow_extend: bool) -> "ConstScalar | None":
-        """A square root in the tower, or None.
+    def sqrt(self) -> "ConstScalar | None":
+        """A square root, or None when no multiquadratic field holds one.
 
-        With allow_extend the rational case may adjoin one new radical
-        (sqrt(q) = c*sqrt(d) for q = c^2 d); otherwise the result must lie
-        in the current tower.  Non-rational inputs are denested recursively
-        and never extend the tower.
+        A rational q = c^2 d gives c*sqrt(d), adjoining sqrt(d) if it is
+        new; other values are denested by _sqrt_avoiding.
+        """
+        return self._sqrt_avoiding(frozenset())
+
+    def _sqrt_avoiding(self, excluded: frozenset[int]) -> "ConstScalar | None":
+        """A square root whose radicals involve no generator in excluded.
+
+        Write self = u + sqrt(g)*v on its largest generator g.  A root
+        s + sqrt(g)*t with s, t free of g has s^2 = (u + w)/2 and
+        t = v/(2s), where w = s^2 - g*t^2 squares to u^2 - g*v^2.  Both
+        square roots taken here avoid g as well, so each nested call
+        excludes one more generator of its input.
         """
         if self.is_zero():
             return ConstScalar.ZERO
@@ -424,24 +360,18 @@ class ConstScalar:
             cn, dn = squarefree_decompose(q.numerator)
             cd, dd = squarefree_decompose(q.denominator)
             f, key = _mul_radicals(dn, dd)
-            c = Fraction(cn * f, cd * dd)
-            if key == 1:
-                return ConstScalar.from_rational(c)
-            if allow_extend:
-                _TOWER.adjoin(key)
-                return ConstScalar({key: c})
-            if _TOWER.contains(key):
-                return ConstScalar({key: c})
-            return None
+            if _radical_generators(key) & excluded:
+                return None
+            return ConstScalar({key: Fraction(cn * f, cd * dd)})
         g = self._split_generator()
         u, v = self._split_by(g)
-        w = (u * u - v * v.scale(g)).sqrt(False)
+        excluded = excluded | {g}
+        w = (u * u - v * v.scale(g))._sqrt_avoiding(excluded)
         if w is None:
             return None
         half = ConstScalar.from_rational(Fraction(1, 2))
         for wc in (w, -w):
-            s2 = (u + wc) * half
-            s = s2.sqrt(False)
+            s = ((u + wc) * half)._sqrt_avoiding(excluded)
             if s is None or s.is_zero():
                 continue
             t = v * (s + s).inverse()
@@ -1245,22 +1175,18 @@ class IntPoly:
 
 # -- polynomial square root -------------------------------------------------
 
-def poly_sqrt(p: Poly, allow_extend_const: bool) -> Poly | None:
+def poly_sqrt(p: Poly) -> Poly | None:
     """Exact square root of a polynomial, or None when p is not a square.
 
-    Constant polynomials may extend the tower when allow_extend_const is
-    set; otherwise all constants must already have square roots available.
+    The leading coefficient's square root may adjoin a radical.
     """
     if p.is_zero():
         return Poly.ZERO
-    if p.is_const():
-        c = p.const_value().sqrt(allow_extend_const)
-        return None if c is None else Poly.const(c)
     lm, lc = p.leading_term()
     if any(e % 2 for _, e in lm):
         return None
     half = mono_make([(s, e // 2) for s, e in lm])
-    c = lc.sqrt(False)
+    c = lc.sqrt()
     if c is None:
         return None
     root = Poly({half: c})
@@ -1502,17 +1428,15 @@ class RatExpr:
     def perfect_square_root(self) -> "RatExpr | None":
         """r with r*r == self when num and den are perfect squares.
 
-        A constant argument may adjoin one new radical to the tower; for
-        non-constant arguments the square root must exist over the current
-        tower.  Returns None when no such root is found (not an error).
+        The root may carry radicals that self does not, such as sqrt(2)*x
+        for 2*x^2.  Returns None when no such root is found (not an error).
         """
         if self.is_zero():
             return RatExpr.ZERO
-        allow = self.is_const()
-        rn = poly_sqrt(self.num, allow)
+        rn = poly_sqrt(self.num)
         if rn is None:
             return None
-        rd = poly_sqrt(self.den, allow)
+        rd = poly_sqrt(self.den)
         if rd is None:
             return None
         r = RatExpr._reduce(rn, rd)

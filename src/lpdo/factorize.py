@@ -65,7 +65,6 @@ from .expr import (
     mono_make,
     poly_gcd,
     register_differential_param,
-    tower,
 )
 from .operator import (
     LPDO,
@@ -500,7 +499,6 @@ def _attempt(op: LPDO, root: Root, matrix, p3: RatExpr | None) -> FactorizationO
     Under a normalization M the work runs on op in the coordinates
     (u, v) = M (x, y): the root and p3 move there and the results move back.
     """
-    tower_before = set(tower().radicals)
     if matrix is None and root.at_infinity:  # P_n has full degree: a Root given by the caller
         matrix = SWAP_XY
     work, omega = op, root.value
@@ -546,13 +544,10 @@ def _attempt(op: LPDO, root: Root, matrix, p3: RatExpr | None) -> FactorizationO
             cofactor = cofactor.change_vars(inv).scale(u)
     if factor is not None:
         _certify(factor, cofactor, op, "left")
-    new_radicals = [d for d in tower().radicals if d not in tower_before]
-    extensions = root.extensions + tuple(
-        d for d in new_radicals if d not in root.extensions)
     return FactorizationOutcome(
         status=status, root=root, factor=factor, cofactor=cofactor,
         residuals=tuple(residuals), riccati=riccati, normalization=matrix,
-        extensions=extensions, certified=factor is not None)
+        extensions=root.extensions, certified=factor is not None)
 
 
 def _outcomes(op: LPDO, root_choice, p3: RatExpr | None, max_shear: int | None):

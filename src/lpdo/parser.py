@@ -12,6 +12,8 @@ order-zero operand (a function).  Juxtaposition is not multiplication.
 Parameters must be declared up front; unknown names are reported with
 their position.  The input-only aliases (unicode minus, and the symbols
 for the two derivations written with the partial sign) are tolerated.
+Parentheses and unary minus signs together nest at most MAX_NESTING
+deep, so deeply nested input is a ParseError, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -91,11 +93,15 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], params: set[str]):
         self.tokens = tokens
         self.pos = 0
         self.params = params
+        self.depth = 0
 
     @property
     def token(self) -> _Token:
@@ -116,6 +122,15 @@ class _Parser:
     def fail(self, message: str):
         t = self.token
         raise ParseError(message, t.line, t.column)
+
+    def nested(self, parse):
+        """parse() one level deeper, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING}")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     # grammar
 
@@ -154,8 +169,8 @@ class _Parser:
 
     def factor(self) -> LPDO:
         if self.token.text == "-":
-            t = self.advance()
-            return -self.factor()
+            self.advance()
+            return -self.nested(self.factor)
         value = self.atom()
         if self.token.text == "^":
             self.advance()
@@ -179,7 +194,7 @@ class _Parser:
             return LPDO.function(RatExpr.from_int(int(t.text)))
         if t.text == "(":
             self.advance()
-            value = self.expression()
+            value = self.nested(self.expression)
             self.expect(")")
             return value
         if t.kind == "name":

@@ -7,8 +7,7 @@ from lpdo.expr import RatExpr, reset_state
 
 @pytest.fixture(autouse=True)
 def clean_state():
-    """Each test starts with an empty radical tower and no registered
-    differential parameters."""
+    """Each test starts with no registered differential parameters."""
     reset_state()
     yield
     reset_state()

@@ -53,6 +53,18 @@ class TestFactor:
         assert code == 1
         assert "parse error" in err
 
+    def test_deep_nesting_exit_one(self, capsys):
+        code, _, err = run(capsys, ["factor", "(" * 3000 + "Dx^2" + ")" * 3000])
+        assert code == 1
+        assert "parse error" in err
+
+    def test_nested_radical_root_exit_four(self, capsys):
+        # the roots are ±sqrt(1+sqrt(2)), which no multiquadratic field holds
+        code, out, err = run(capsys, ["factor", "Dx^2 - (1+sqrt(2))*Dy^2 + i*Dx"])
+        assert code == 4
+        assert "status: unsupported_root" in out
+        assert not err
+
     def test_right_side(self, capsys):
         code, out, _ = run(capsys, ["factor", "--side", "right", A1])
         assert code == 0

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpdo.expr import (
     ConstScalar,
@@ -11,7 +13,6 @@ from lpdo.expr import (
     poly_gcd,
     register_differential_param,
     squarefree_decompose,
-    tower,
 )
 
 from conftest import rand_poly, rand_ratexpr
@@ -54,32 +55,50 @@ class TestConstScalar:
     def test_sqrt_denesting(self):
         s2 = ConstScalar.radical(2)
         val = ConstScalar.from_rational(3) + s2.scale(2)
-        root = val.sqrt(allow_extend=False)
+        root = val.sqrt()
         assert root is not None and root * root == val
 
     def test_sqrt_extension_control(self):
         two = ConstScalar.from_rational(2)
-        assert two.sqrt(allow_extend=False) is None
-        got = two.sqrt(allow_extend=True)
+        got = two.sqrt()
+        assert got == ConstScalar.radical(2)
         assert got * got == two
-        assert 2 in tower().radicals
-        # now available without extension
-        assert two.sqrt(allow_extend=False) == got
 
 
-class TestTower:
-    def test_products_are_spanned(self):
-        tower().adjoin(2)
-        tower().adjoin(3)
-        assert tower().contains(6)
-        assert not tower().contains(5)
-        assert not tower().adjoin(6)  # derivable, not a new extension
-        assert tower().adjoin(5)
+def _const(coords: dict[int, int]) -> ConstScalar:
+    return ConstScalar({d: Fraction(q) for d, q in coords.items()})
 
-    def test_sign_generator(self):
-        tower().adjoin(-1)
-        tower().adjoin(2)
-        assert tower().contains(-2)
+
+# elements of Q(sqrt(2), sqrt(3), i) with small integer coordinates
+_scalars = st.dictionaries(st.sampled_from([1, 2, 3, 6, -1, -2, -3, -6]),
+                           st.integers(-4, 4), max_size=4).map(_const)
+
+
+class TestSqrtDenesting:
+    SQUARES = [
+        ConstScalar.radical(-1),
+        _const({1: 3, 2: 2}),
+        _const({1: 2, 3: 1}),
+        _const({1: 5, 6: 2}),
+    ]
+
+    def test_nested_radical_has_no_root(self):
+        assert _const({1: 1, 2: 1}).sqrt() is None
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_roots_square_back_in_either_order(self, order):
+        # a square root depends only on its argument, not on earlier roots
+        for val in self.SQUARES[::order]:
+            assert _const({1: 1, 2: 1}).sqrt() is None
+            root = val.sqrt()
+            assert root is not None and root * root == val
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(_scalars, _scalars)
+    def test_sqrt_terminates_and_squares_back(self, r, z):
+        assert (r * r).sqrt() ** 2 == r * r
+        got = z.sqrt()
+        assert got is None or got * got == z
 
 
 class TestRatExprArith:
@@ -176,7 +195,7 @@ class TestPerfectSquareRoot:
     def test_constant_extends_tower(self):
         r = R.from_int(2).perfect_square_root()
         assert r == R.sqrt_int(2)
-        assert 2 in tower().radicals
+        assert r.radicals() == {2}
 
     def test_not_a_square(self):
         assert X.perfect_square_root() is None

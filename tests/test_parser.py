@@ -4,7 +4,7 @@ import pytest
 
 from lpdo.expr import RatExpr
 from lpdo.operator import LPDO
-from lpdo.parser import ParseError, parse, parse_function
+from lpdo.parser import MAX_NESTING, ParseError, parse, parse_function
 from lpdo.printer import operator_str
 
 from conftest import rand_operator
@@ -98,6 +98,20 @@ class TestErrors:
     def test_bad_exponent(self):
         with pytest.raises(ParseError):
             parse("Dx^y")
+
+    @pytest.mark.parametrize("text", [
+        "(" * 3000 + "Dx" + ")" * 3000,
+        "-" * 3000 + "x",
+        "(-" * 1500 + "x" + ")" * 1500,
+    ])
+    def test_deep_nesting_rejected(self, text):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse(text)
+
+    def test_nesting_up_to_the_limit(self):
+        depth = MAX_NESTING
+        assert parse("(" * depth + "Dx" + ")" * depth) == LPDO.dx()
+        assert parse("-" * (depth + 1) + "x") == -LPDO.function(X)
 
 
 class TestRoundTrip:
