@@ -1,6 +1,8 @@
 """Exact first-order factorization of linear partial differential operators."""
 
-from .expr import ConstScalar, Poly, RatExpr, register_differential_param
+import warnings
+
+from .expr import ConstScalar, Poly, RatExpr
 from .operator import LPDO, FirstOrderFactor
 from .charpoly import CharPoly, Root, RootSearch, char_poly, find_roots
 from .factorize import (
@@ -34,7 +36,6 @@ __all__ = [
     "ConstScalar",
     "Poly",
     "RatExpr",
-    "register_differential_param",
     "LPDO",
     "FirstOrderFactor",
     "CharPoly",
@@ -69,3 +70,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def register_differential_param(name: str) -> None:
+    """Deprecated, does nothing: an unknown function is a symbol of its own."""
+    warnings.warn("register_differential_param does nothing: build an unknown function "
+                  "with RatExpr.unknown(name), or declare its jets name_x, name_y, ... "
+                  "with name to parse", DeprecationWarning, stacklevel=2)

@@ -45,11 +45,13 @@ ints.  It is built from a Poly through the same conversion the gcd uses and
 turned back into one before any reduction, so canonical forms are still taken
 only by RatExpr.
 
-Parameters commute with x and y and normally differentiate to zero.  A
-parameter may instead be registered as *differential*, in which case its
-x/y-derivatives are fresh formal symbols (name suffixed with ``_x...y...``);
-this is how unknown functions are threaded through the factorization
-engine's degenerate path.
+Symbols other than x and y are named by strings.  A plain name is a
+parameter: it commutes with x and y and differentiates to zero.  A name
+of type Unknown (built by RatExpr.unknown) is an unknown function of x and
+y instead: its x/y-derivatives are jet symbols, name suffixed with
+``_x...y...``, that are unknowns too.  The kind travels with the symbol,
+so no registry is kept; this is how the factorization engine's degenerate
+path carries its free p3.
 """
 
 from __future__ import annotations
@@ -128,58 +130,38 @@ def max_gen(v: frozenset[int]) -> int:
     return max(v, key=abs)
 
 
+def _power(base, n: int, one):
+    """base**n for n >= 0 by repeated squaring."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 # --------------------------------------------------------------------------
-# differential parameters (formal unknown functions)
+# unknown functions
 # --------------------------------------------------------------------------
 
-_DIFFERENTIAL_PARAMS: set[str] = set()
+class Unknown(str):
+    """The name of an unknown function of x and y, or of one of its formal
+    derivatives (a jet): base, or base + "_" + "x"*dx + "y"*dy.
 
+    It compares, hashes, orders and prints as that name, so it stands
+    wherever a plain symbol name does; only differentiation tells the two
+    apart.  A plain name is a parameter and differentiates to zero."""
 
-def register_differential_param(name: str) -> None:
-    """Declare a parameter whose x/y-derivatives are formal jet symbols."""
-    _DIFFERENTIAL_PARAMS.add(name)
+    def __new__(cls, base: str, dx: int = 0, dy: int = 0) -> "Unknown":
+        name = base + "_" + "x" * dx + "y" * dy if dx or dy else base
+        self = super().__new__(cls, name)
+        self.base, self.orders = str(base), (dx, dy)
+        return self
 
-
-def differential_base(symbol: str) -> str | None:
-    """Base name when `symbol` is a jet of a differential parameter, else None."""
-    if symbol in _DIFFERENTIAL_PARAMS:
-        return symbol
-    stem, _, tail = symbol.rpartition("_")
-    if stem and tail and set(tail) <= {"x", "y"} and stem in _DIFFERENTIAL_PARAMS:
-        return stem
-    return None
-
-
-def jet_symbol(base: str, dx: int, dy: int) -> str:
-    """Canonical name of d^dx/dx^dx d^dy/dy^dy applied to a differential param."""
-    if dx == 0 and dy == 0:
-        return base
-    return base + "_" + "x" * dx + "y" * dy
-
-
-def _jet_orders(symbol: str, base: str) -> tuple[int, int]:
-    if symbol == base:
-        return 0, 0
-    tail = symbol[len(base) + 1:]
-    return tail.count("x"), tail.count("y")
-
-
-def _diff_symbol(symbol: str, var: str):
-    """Derivative of a single symbol: 1, 0, or a jet symbol name."""
-    if symbol == var:
-        return 1
-    base = differential_base(symbol)
-    if base is not None:
-        dx, dy = _jet_orders(symbol, base)
-        if var == "x":
-            return jet_symbol(base, dx + 1, dy)
-        return jet_symbol(base, dx, dy + 1)
-    return 0
-
-
-def reset_state() -> None:
-    """Forget the registered differential parameters (tests)."""
-    _DIFFERENTIAL_PARAMS.clear()
+    def diff(self, var: str) -> "Unknown":
+        dx, dy = self.orders
+        return Unknown(self.base, dx + (var == "x"), dy + (var == "y"))
 
 
 # --------------------------------------------------------------------------
@@ -307,14 +289,7 @@ class ConstScalar:
     def __pow__(self, n: int) -> "ConstScalar":
         if n < 0:
             return self.inverse() ** (-n)
-        out = ConstScalar.ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, ConstScalar.ONE)
 
     def _split_generator(self) -> int:
         gens: set[int] = set()
@@ -658,14 +633,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Poly.ONE)
 
     # -- calculus
 
@@ -673,8 +641,7 @@ class Poly:
         out = Poly.ZERO
         for m, c in self.terms.items():
             for s, e in m:
-                ds = _diff_symbol(s, var)
-                if ds == 0:
+                if s != var and not isinstance(s, Unknown):
                     continue
                 rest = dict(m)
                 if e == 1:
@@ -682,8 +649,8 @@ class Poly:
                 else:
                     rest[s] = e - 1
                 term = Poly({mono_make(rest.items()): c.scale(e)})
-                if ds != 1:
-                    term = term * Poly.symbol(ds)
+                if s != var:  # an unknown: times its next jet
+                    term = term * Poly.symbol(s.diff(var))
                 out = out + term
         return out
 
@@ -1267,6 +1234,12 @@ class RatExpr:
         return cls.from_poly(Poly.symbol(name))
 
     @classmethod
+    def unknown(cls, name: str) -> "RatExpr":
+        """The unknown function name(x, y), which differentiates into its
+        jets name_x, name_y, name_xy, ..."""
+        return cls.symbol(Unknown(name))
+
+    @classmethod
     def sqrt_int(cls, d: int) -> "RatExpr":
         return cls.from_const(ConstScalar.radical(d))
 
@@ -1386,20 +1359,13 @@ class RatExpr:
     def __pow__(self, n: int) -> "RatExpr":
         if n < 0:
             return self.inverse() ** (-n)
-        out = RatExpr.ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, RatExpr.ONE)
 
     # -- calculus
 
     def diff(self, var: str) -> "RatExpr":
-        """Partial derivative by the quotient rule (parameters are constant
-        unless registered as differential)."""
+        """Partial derivative by the quotient rule (parameters are constant,
+        unknowns differentiate into their jets)."""
         dn = self.num.diff(var)
         if self.den is Poly.ONE or self.den.is_const():
             return RatExpr(dn, Poly.ONE) if self.den is Poly.ONE \
@@ -1500,13 +1466,10 @@ def jet_assignments(base: str, candidate: RatExpr, symbols: set[str]) -> dict[st
     corresponding true derivative of `candidate`."""
     out: dict[str, RatExpr] = {}
     for s in symbols:
-        if differential_base(s) == base:
-            dx, dy = _jet_orders(s, base)
+        if isinstance(s, Unknown) and s.base == base:
             val = candidate
-            for _ in range(dx):
-                val = val.diff("x")
-            for _ in range(dy):
-                val = val.diff("y")
+            for var in "x" * s.orders[0] + "y" * s.orders[1]:
+                val = val.diff(var)
             out[s] = val
     return out
 

@@ -39,7 +39,7 @@ output: each residual, and each cofactor coefficient once every residual
 vanishes.  The outputs are the same as with a reduction after every step.
 
 When every coefficient of w, p3, the operator and the top-level solution is
-rational and no symbol is a differential parameter or one of its jets, the
+rational and no symbol is an unknown function or one of its jets, the
 numerators N are IntPolys: integer polynomials over one integer denominator,
 so a term product is an int product and a monomial product adds exponent
 tuples.  Radical coefficients, the degenerate path's free p3 and formal
@@ -57,24 +57,31 @@ from .expr import (
     IntPoly,
     Poly,
     RatExpr,
+    Unknown,
     _srank,
-    differential_base,
     jet_assignments,
     mono_degree,
     mono_gt,
     mono_make,
     poly_gcd,
-    register_differential_param,
 )
 from .operator import (
     LPDO,
     FirstOrderFactor,
     SWAP_XY,
-    _matrix_entries,
+    _coordinate_substitution,
     matrix_inverse,
     shear_matrix,
 )
-from .charpoly import CharPoly, Root, char_poly, find_roots, root_transform
+from .charpoly import (
+    CharPoly,
+    Root,
+    _deflate,
+    _eval_list,
+    char_poly,
+    find_roots,
+    root_transform,
+)
 
 
 class OutcomeStatus(Enum):
@@ -147,25 +154,17 @@ def solve_top(op: LPDO, omega: RatExpr) -> dict[tuple[int, int], RatExpr]:
     n = op.order
     if op.coeff(n, 0).is_zero():
         raise ValueError("leading pure-Dx coefficient must be nonzero")
-    out: dict[tuple[int, int], RatExpr] = {}
-    acc = RatExpr.ZERO
-    for k in range(n):
-        acc = acc * omega + op.coeff(n - k, k)
-        if not acc.is_zero():
-            out[(n - 1 - k, k)] = acc
-    if not (acc * omega + op.coeff(0, n)).is_zero():
+    sums = _deflate([op.coeff(n - k, k) for k in range(n + 1)], omega)
+    if not (sums[-1] * omega + op.coeff(0, n)).is_zero():
         raise ValueError("omega is not a root of the characteristic polynomial")
-    return out
+    return {(n - 1 - k, k): acc for k, acc in enumerate(sums) if not acc.is_zero()}
 
 
 def _derivative_at_root(n: int, omega: RatExpr,
                         top: dict[tuple[int, int], RatExpr]) -> RatExpr:
     """P'(w) at a root w: P(W) = (W - w) q(W) gives P'(w) = q(w), and the
     coefficients of q are solve_top's."""
-    acc = RatExpr.ZERO
-    for k in range(n):
-        acc = acc * omega + top.get((n - 1 - k, k), RatExpr.ZERO)
-    return acc
+    return _eval_list([top.get((n - 1 - k, k), RatExpr.ZERO) for k in range(n)], omega)
 
 
 def solve_p3(op: LPDO, omega: RatExpr,
@@ -188,8 +187,8 @@ def solve_p3(op: LPDO, omega: RatExpr,
 
 
 def _partial(p: Poly, v: str) -> Poly:
-    """The algebraic partial derivative dp/dv (no jets for differential
-    parameters)."""
+    """The algebraic partial derivative dp/dv (an unknown's jets are
+    independent symbols here)."""
     out = {}
     for m, c in p.terms.items():
         e = dict(m).get(v, 0)
@@ -215,9 +214,9 @@ _ZERO = (Poly.ZERO, 0)
 
 def _rational_lane(values: list[RatExpr], syms: set[str]) -> bool:
     """True when the descent may run on IntPoly numerators: every
-    coefficient is rational and no symbol is a differential parameter or
-    one of its jets (their derivatives are new symbols, not index shifts)."""
-    return (all(differential_base(s) is None for s in syms)
+    coefficient is rational and no symbol is an unknown function or one of
+    its jets (their derivatives are new symbols, not index shifts)."""
+    return (not any(isinstance(s, Unknown) for s in syms)
             and all(c.is_rational() for r in values for p in (r.num, r.den)
                     for c in p.terms.values()))
 
@@ -233,7 +232,7 @@ class LevelState:
     only the outputs are reduced.
 
     The numerators are IntPolys when every input is rational and free of
-    differential parameters, and Polys otherwise.  Lifts onto Q^k are
+    unknown functions, and Polys otherwise.  Lifts onto Q^k are
     computed on Polys and converted once; Q^k is built as a numerator and
     converted to a Poly once, for the lifts and the reductions.
     """
@@ -425,8 +424,7 @@ def degenerate_constraints(op: LPDO, omega: RatExpr) -> RiccatiProblem:
 def _riccati_problem(op: LPDO, omega: RatExpr,
                      top: dict[tuple[int, int], RatExpr]) -> RiccatiProblem:
     name = _fresh_unknown(op)
-    register_differential_param(name)
-    _, residuals = _run_descent(op, omega, RatExpr.symbol(name), top)
+    _, residuals = _run_descent(op, omega, RatExpr.unknown(name), top)
     constraints = tuple(
         _normalize_constraint(r, name) for r in residuals[1:] if not r.is_zero()
     )
@@ -434,8 +432,7 @@ def _riccati_problem(op: LPDO, omega: RatExpr,
 
 
 def _normalize_constraint(residual: RatExpr, unknown: str) -> RatExpr:
-    jets = {s for s in residual.symbols()
-            if s == unknown or s.startswith(unknown + "_")}
+    jets = {s for s in residual.symbols() if isinstance(s, Unknown) and s.base == unknown}
     if not jets:
         return residual
     groups = residual.as_poly_in(jets)
@@ -465,26 +462,13 @@ def choose_normalization(op: LPDO, max_shear: int | None = None):
     if not op.coeff(0, n).is_zero():
         return SWAP_XY
     limit = max_shear if max_shear is not None else n + 1
+    # the transformed a_{n,0} is the symbol on the direction (1, c):
+    # sum over k of a_{n-k,k} c^k, a polynomial in c
+    in_c = [op.coeff(n - k, k) for k in range(n, -1, -1)]
     for c in range(1, limit + 1):
-        # the transformed a_{n,0} is the symbol on the direction (1, c):
-        # sum over k of a_{n-k,k} c^k
-        ci = RatExpr.from_int(c)
-        val = RatExpr.ZERO
-        for k in range(n, -1, -1):
-            val = val * ci + op.coeff(n - k, k)
-        if not val.is_zero():
+        if not _eval_list(in_c, RatExpr.from_int(c)).is_zero():
             return shear_matrix(c)
     raise ValueError("no admissible shear found within the bound")
-
-
-def _coordinate_substitution(matrix) -> dict[str, RatExpr]:
-    """Substitution expressing a function of the new coordinates in the old
-    ones: (u, v) = M (x, y)."""
-    m11, m12, m21, m22 = _matrix_entries(matrix)
-    return {
-        "x": m11 * RatExpr.X + m12 * RatExpr.Y,
-        "y": m21 * RatExpr.X + m22 * RatExpr.Y,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -720,9 +704,7 @@ def riccati_candidates(problem: RiccatiProblem) -> list[RatExpr]:
     c1, c2, c3 = (RatExpr.symbol(u) for u in unknowns)
     for template in (c3, c1 * RatExpr.X + c2 * RatExpr.Y + c3):
         equations: list[RatExpr] = []
-        for constraint in problem.constraints:
-            subs = jet_assignments(problem.unknown, template, constraint.symbols())
-            residual = constraint.substitute(subs)
+        for residual in problem.check(template):
             # the residual vanishes iff its numerator does; grouping the
             # numerator by x/y monomials gives equations in the constants
             groups = RatExpr.from_poly(residual.num).as_poly_in({"x", "y"})
@@ -776,6 +758,9 @@ def factor_fully(op: LPDO, max_shear: int | None = None) -> FactorizationTree:
     for outcome in factor_all_roots(op, max_shear):
         if outcome.status is OutcomeStatus.DEGENERATE:
             for cand in riccati_candidates(outcome.riccati):
+                if outcome.normalization is not None:
+                    # found in the normalized coordinates; p3 is given in op's
+                    cand = cand.substitute(_coordinate_substitution(outcome.normalization))
                 done = factor_left(op, outcome.root, cand, max_shear)
                 if done.status is OutcomeStatus.FACTORED:
                     outcome = done

@@ -165,19 +165,9 @@ class LPDO:
         applying M then M^-1 is the original operator.
         """
         m11, m12, m21, m22 = _matrix_entries(matrix)
-        det = m11 * m22 - m12 * m21
-        if det.is_zero():
-            raise ValueError("singular change of variables")
-        for entry in (m11, m12, m21, m22):
-            if not entry.is_const():
-                raise ValueError("change of variables must be constant")
-        inv = det.inverse()
-        i11, i12 = m22 * inv, -(m12 * inv)
-        i21, i22 = -(m21 * inv), m11 * inv
-        subs = {
-            "x": i11 * RatExpr.X + i12 * RatExpr.Y,
-            "y": i21 * RatExpr.X + i22 * RatExpr.Y,
-        }
+        if not all(e.is_const() for e in (m11, m12, m21, m22)):
+            raise ValueError("change of variables must be constant")
+        subs = _coordinate_substitution(matrix_inverse(matrix))
         new_dx = LPDO({(1, 0): m11, (0, 1): m21})
         new_dy = LPDO({(1, 0): m12, (0, 1): m22})
         dx_pow: list[LPDO] = [LPDO.function(RatExpr.ONE)]
@@ -221,6 +211,16 @@ def _as_ratexpr(v) -> RatExpr:
     if isinstance(v, Poly):
         return RatExpr.from_poly(v)
     return RatExpr.from_fraction(v)
+
+
+def _coordinate_substitution(matrix) -> dict[str, RatExpr]:
+    """Substitution expressing a function of the new coordinates in the old
+    ones: (u, v) = M (x, y)."""
+    m11, m12, m21, m22 = _matrix_entries(matrix)
+    return {
+        "x": m11 * RatExpr.X + m12 * RatExpr.Y,
+        "y": m21 * RatExpr.X + m22 * RatExpr.Y,
+    }
 
 
 SWAP_XY = ((0, 1), (1, 0))

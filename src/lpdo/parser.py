@@ -10,17 +10,24 @@
 Dx*x parses to x*Dx + 1 while Dy*x is just x*Dy.  '/' divides by an
 order-zero operand (a function).  Juxtaposition is not multiplication.
 Parameters must be declared up front; unknown names are reported with
-their position.  The input-only aliases (unicode minus, and the symbols
-for the two derivations written with the partial sign) are tolerated.
-Parentheses and unary minus signs together nest at most MAX_NESTING
-deep, so deeply nested input is a ParseError, not a RecursionError.
+their position.  A parameter p is an unknown function of x and y when a
+name p_<x...y...> (p_x, p_y, p_xy, ...) is declared too; those names are
+then its derivatives.  The input-only aliases (unicode minus, and the
+symbols for the two derivations written with the partial sign) are
+tolerated.  Parentheses and unary minus signs together nest at most
+MAX_NESTING deep, so deeply nested input is a ParseError, not a
+RecursionError.  An exponent is at most MAX_EXPONENT, and no power or
+product may have a degree above MAX_DEGREE, checked before it is expanded.
+The degree is read off the text: x, y, a parameter, Dx and Dy count 1 and
+a number 0; a sum has the largest degree of its terms, a product the sum
+of its factors' and a power e times its base's.
 """
 
 from __future__ import annotations
 
 import re
 
-from .expr import RatExpr
+from .expr import RatExpr, Unknown
 from .operator import LPDO
 
 
@@ -94,14 +101,34 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 MAX_NESTING = 100
+MAX_EXPONENT = 100
+MAX_DEGREE = 200
+
+_JET_TAIL = re.compile(r"(x*)(y*)")
+
+
+def _symbols(params: set[str]) -> dict[str, RatExpr]:
+    """The declared names as symbols: p_<x...y...> with p declared is a jet
+    of the unknown function p, and every other name is a parameter."""
+    jets = {}
+    for name in params:
+        stem, _, tail = name.rpartition("_")
+        orders = _JET_TAIL.fullmatch(tail)
+        if stem in params and tail and orders:
+            jets[name] = Unknown(stem, len(orders[1]), len(orders[2]))
+    bases = {jet.base for jet in jets.values()}
+    symbols = {name: Unknown(name) if name in bases else name for name in params}
+    symbols.update(jets)
+    return {name: RatExpr.symbol(s) for name, s in symbols.items()}
 
 
 class _Parser:
     def __init__(self, tokens: list[_Token], params: set[str]):
         self.tokens = tokens
         self.pos = 0
-        self.params = params
+        self.symbols = _symbols(params)
         self.depth = 0
+        self.degree = 0  # of the text parsed last
 
     @property
     def token(self) -> _Token:
@@ -119,9 +146,13 @@ class _Parser:
                       else f"expected {text!r}, found end of input")
         return self.advance()
 
-    def fail(self, message: str):
-        t = self.token
+    def fail(self, message: str, t: _Token | None = None):
+        t = t or self.token
         raise ParseError(message, t.line, t.column)
+
+    def bounded(self, degree: int, t: _Token):
+        if degree > MAX_DEGREE:
+            self.fail(f"degree {degree} above {MAX_DEGREE}", t)
 
     def nested(self, parse):
         """parse() one level deeper, within MAX_NESTING."""
@@ -142,29 +173,35 @@ class _Parser:
         elif self.token.text == "+":
             self.advance()
         value = self.term()
+        degree = self.degree
         if negate:
             value = -value
         while self.token.text in ("+", "-"):
             op = self.advance().text
             rhs = self.term()
+            degree = max(degree, self.degree)
             value = value + rhs if op == "+" else value - rhs
+        self.degree = degree
         return value
 
     def term(self) -> LPDO:
         value = self.factor()
+        degree = self.degree
         while self.token.text in ("*", "/"):
             op = self.advance()
             rhs = self.factor()
+            degree += self.degree
+            self.bounded(degree, op)
             if op.text == "*":
                 value = value.compose(rhs)
             else:
                 if rhs.order > 0:
-                    raise ParseError("cannot divide by an operator of order > 0",
-                                     op.line, op.column)
+                    self.fail("cannot divide by an operator of order > 0", op)
                 f = rhs.coeff(0, 0)
                 if f.is_zero():
-                    raise ParseError("division by zero", op.line, op.column)
+                    self.fail("division by zero", op)
                 value = value.compose(LPDO.function(f.inverse()))
+        self.degree = degree
         return value
 
     def factor(self) -> LPDO:
@@ -179,8 +216,11 @@ class _Parser:
                 self.fail("exponent must be a positive integer")
             e = int(self.advance().text)
             if e < 1:
-                raise ParseError("exponent must be a positive integer",
-                                 t.line, t.column)
+                self.fail("exponent must be a positive integer", t)
+            if e > MAX_EXPONENT:
+                self.fail(f"exponent {e} above {MAX_EXPONENT}", t)
+            self.degree *= e
+            self.bounded(self.degree, t)
             out = value
             for _ in range(e - 1):
                 out = out.compose(value)
@@ -189,6 +229,7 @@ class _Parser:
 
     def atom(self) -> LPDO:
         t = self.token
+        self.degree = 0 if t.kind == "int" or t.text in ("sqrt", "i") else 1
         if t.kind == "int":
             self.advance()
             return LPDO.function(RatExpr.from_int(int(t.text)))
@@ -222,8 +263,8 @@ class _Parser:
                 return LPDO.function(RatExpr.Y)
             if name == "i":
                 return LPDO.function(RatExpr.sqrt_int(-1))
-            if name in self.params:
-                return LPDO.function(RatExpr.symbol(name))
+            if name in self.symbols:
+                return LPDO.function(self.symbols[name])
             raise ParseError(
                 f"unknown symbol {name!r} (declare parameters with --params)",
                 t.line, t.column)

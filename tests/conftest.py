@@ -2,15 +2,7 @@ import random
 
 import pytest
 
-from lpdo.expr import RatExpr, reset_state
-
-
-@pytest.fixture(autouse=True)
-def clean_state():
-    """Each test starts with no registered differential parameters."""
-    reset_state()
-    yield
-    reset_state()
+from lpdo.expr import RatExpr
 
 
 @pytest.fixture

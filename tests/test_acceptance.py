@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from lpdo.expr import RatExpr, register_differential_param
+from lpdo.expr import RatExpr
 from lpdo.operator import LPDO, FirstOrderFactor
 from lpdo.charpoly import char_poly
 from lpdo.factorize import (
@@ -116,9 +116,7 @@ def test_criterion_3_zero_term_family():
 def test_criterion_4_factorizable_hyperbolic_class():
     t0 = time.monotonic()
     # fully symbolic lower coefficients: formal unknown functions
-    register_differential_param("a10")
-    register_differential_param("a01")
-    a10, a01 = R.symbol("a10"), R.symbol("a01")
+    a10, a01 = R.unknown("a10"), R.unknown("a01")
     quarter = R.from_fraction(Fraction(1, 4))
     grad = lambda f: f.diff("x") + f.diff("y")
     a00 = (R.from_int(2) * grad(a10 + a01) + a10 * a10 - a01 * a01) * quarter
@@ -174,7 +172,7 @@ def test_criterion_5_degenerate_reduction():
         a00 = _rand_univar(rng)
         op = LPDO({(2, 0): a20, (1, 0): a10, (0, 0): a00})
         prob = degenerate_constraints(op, R.ZERO)
-        psi = R.symbol(prob.unknown)
+        psi = R.unknown(prob.unknown)
         dx = lambda f: f.diff("x")
         want = dx(psi) + psi * psi + \
             ((R.from_int(2) * dx(a20) - a10) / a20) * psi + \

@@ -2,8 +2,10 @@
 
 import json
 
+import pytest
+
 import lpdo.cli
-from lpdo import factorize
+from lpdo import factorize, parse
 from lpdo.cli import main
 
 
@@ -15,6 +17,8 @@ def run(capsys, argv):
 
 A1 = "Dx^2 - Dy^2 + x*Dy + y*Dx + (y^2-x^2)/4 + 1"
 A_PARAM = "Dx^2 - Dy^2 + x*Dy + y*Dx + (y^2-x^2)/4 + a"
+C4 = ("Dx^2 - Dy^2 + a10*Dx + a01*Dy"
+      " + (2*(a10_x + a10_y + a01_x + a01_y) + a10^2 - a01^2)/4")
 
 
 class TestFactor:
@@ -57,6 +61,23 @@ class TestFactor:
         code, _, err = run(capsys, ["factor", "(" * 3000 + "Dx^2" + ")" * 3000])
         assert code == 1
         assert "parse error" in err
+
+    @pytest.mark.parametrize("text", ["Dx^2 + (x+y)^101", "Dx^2 + (x^3)^67",
+                                      "Dx^2 + x^100*x^100*y"])
+    def test_oversized_power_exit_one(self, capsys, text):
+        code, _, err = run(capsys, ["factor", text])
+        assert code == 1
+        assert "parse error" in err
+
+    def test_unknown_functions_declared_by_their_jets(self, capsys):
+        # criterion 4: a10 and a01 are unknown functions, a00 holds their jets
+        params = "a10,a01,a10_x,a10_y,a01_x,a01_y"
+        code, out, err = run(capsys, ["factor", C4, "--root", "-1", "--params", params])
+        assert code == 0, out + err
+        (factor,) = [line.split(": ", 1)[1] for line in out.splitlines()
+                     if line.startswith("factor: ")]
+        jets = set(params.split(","))
+        assert parse(factor, jets) == parse("Dx + Dy + (a10 - a01)/2", jets)
 
     def test_nested_radical_root_exit_four(self, capsys):
         # the roots are ±sqrt(1+sqrt(2)), which no multiquadratic field holds

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpdo import expr, parse, parse_function, register_differential_param
+from lpdo import expr, parse, parse_function
 from lpdo.expr import ConstScalar, IntPoly, Poly, RatExpr as R
 from lpdo.factorize import LevelState, OutcomeStatus, factor_left, solve_level
 from lpdo.operator import LPDO, FirstOrderFactor
@@ -156,9 +156,7 @@ def test_sqrt2_coefficient_takes_the_poly_lane():
 
 
 def test_differential_parameters_take_the_poly_lane():
-    register_differential_param("a10")
-    register_differential_param("a01")
-    a10, a01 = R.symbol("a10"), R.symbol("a01")
+    a10, a01 = R.unknown("a10"), R.unknown("a01")
     half = R.from_fraction(Fraction(1, 2))
     grad = lambda f: f.diff("x") + f.diff("y")
     a00 = (R.from_int(2) * grad(a10 + a01) + a10 * a10 - a01 * a01) * half * half
@@ -169,10 +167,9 @@ def test_differential_parameters_take_the_poly_lane():
 
 
 def test_degenerate_psi_path_matches_and_keeps_its_jets():
-    register_differential_param("psi")
     op = parse("Dx^2 + x*Dx")
-    _assert_same(op, R.ZERO, R.symbol("psi"), Poly)
-    _, residuals = _descent(op, R.ZERO, R.symbol("psi"), _oracle_top(op, R.ZERO))
+    _assert_same(op, R.ZERO, R.unknown("psi"), Poly)
+    _, residuals = _descent(op, R.ZERO, R.unknown("psi"), _oracle_top(op, R.ZERO))
     assert "psi_x" in residuals[-1].symbols()
 
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lpdo
 from lpdo.expr import (
     ConstScalar,
     Poly,
     RatExpr,
     poly_gcd,
-    register_differential_param,
     squarefree_decompose,
 )
 
@@ -158,12 +158,28 @@ class TestDiff:
                 assert (a * b).diff(v) == a.diff(v) * b + a * b.diff(v)
 
     def test_differential_parameter_jets(self):
-        register_differential_param("psi")
-        psi = R.symbol("psi")
+        psi = R.unknown("psi")
         assert psi.diff("x") == R.symbol("psi_x")
         assert psi.diff("x").diff("y") == R.symbol("psi_xy")
         assert psi.diff("y").diff("x") == R.symbol("psi_xy")
         assert (psi * psi).diff("x") == R.from_int(2) * psi * R.symbol("psi_x")
+
+    def test_unknowns_leave_plain_symbols_constant(self):
+        # the kind belongs to the symbol: a plain "a" stays a parameter
+        # next to the unknown a, and nothing declares a_x
+        a = R.unknown("a")
+        assert a.diff("x") == R.symbol("a_x")
+        assert a.diff("x").diff("x") == R.symbol("a_xx")
+        assert R.symbol("a").diff("x").is_zero()
+        assert R.symbol("a") == a
+        assert (R.symbol("a_x") * X).diff("x") == R.symbol("a_x")
+        assert str(a.diff("y")) == "a_y"
+
+    def test_registering_a_parameter_is_a_deprecated_no_op(self):
+        with pytest.warns(DeprecationWarning, match=r"RatExpr\.unknown"):
+            lpdo.register_differential_param("b")
+        assert R.symbol("b").diff("x").is_zero()
+        assert "register_differential_param" not in lpdo.__all__
 
 
 class TestSubstitute:

@@ -209,7 +209,7 @@ class TestFactorLeft:
     def test_pure_dx_square_goes_degenerate(self):
         out = factor_left(LPDO({(2, 0): ONE}))
         assert out.status is OutcomeStatus.DEGENERATE
-        psi = R.symbol(out.riccati.unknown)
+        psi = R.unknown(out.riccati.unknown)
         assert out.riccati.constraints == (psi.diff("x") + psi * psi,)
 
     def test_rejects_low_order(self):
@@ -247,7 +247,7 @@ class TestDegeneratePath:
         a20, a10, a00 = X + ONE, X * X, X
         op = LPDO({(2, 0): a20, (1, 0): a10, (0, 0): a00})
         prob = degenerate_constraints(op, R.ZERO)
-        psi = R.symbol(prob.unknown)
+        psi = R.unknown(prob.unknown)
         dx = lambda f: f.diff("x")
         want = dx(psi) + psi * psi + \
             ((R.from_int(2) * dx(a20) - a10) / a20) * psi + \
@@ -269,7 +269,7 @@ class TestDegeneratePath:
     def test_completion_with_valid_candidate(self):
         op = LPDO({(2, 0): ONE, (1, 0): X})
         prob = degenerate_constraints(op, R.ZERO)
-        psi = R.symbol(prob.unknown)
+        psi = R.unknown(prob.unknown)
         assert prob.constraints == \
             (psi.diff("x") + psi * psi - X * psi - ONE,)
         assert all(r.is_zero() for r in prob.check(X))
@@ -528,6 +528,12 @@ class TestFactorFully:
         tree = factor_fully(parse("Dx^2 - Dy^2"))
         chains = {" o ".join(str(c) for c in ch) for ch in tree.chains()}
         assert chains == {"Dx + Dy o Dx - Dy", "Dx - Dy o Dx + Dy"}
+
+    def test_riccati_candidate_under_a_normalization(self):
+        # Dy^2 + y*Dy = (Dy + y) o Dy: the double root works in swapped
+        # coordinates, where the candidate p3 = x is this operator's y
+        tree = factor_fully(parse("Dy^2 + y*Dy"))
+        assert ["Dy + y", "Dy"] in [[str(c) for c in ch] for ch in tree.chains()]
 
     def test_cross_lead_chain_of_two(self):
         al, be = R.symbol("alpha"), R.symbol("beta")

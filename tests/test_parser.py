@@ -4,7 +4,14 @@ import pytest
 
 from lpdo.expr import RatExpr
 from lpdo.operator import LPDO
-from lpdo.parser import MAX_NESTING, ParseError, parse, parse_function
+from lpdo.parser import (
+    MAX_DEGREE,
+    MAX_EXPONENT,
+    MAX_NESTING,
+    ParseError,
+    parse,
+    parse_function,
+)
 from lpdo.printer import operator_str
 
 from conftest import rand_operator
@@ -112,6 +119,54 @@ class TestErrors:
         depth = MAX_NESTING
         assert parse("(" * depth + "Dx" + ")" * depth) == LPDO.dx()
         assert parse("-" * (depth + 1) + "x") == -LPDO.function(X)
+
+
+    def test_exponent_above_the_limit(self):
+        with pytest.raises(ParseError, match="exponent 101 above 100") as e:
+            parse(f"Dx + (x + y)^{MAX_EXPONENT + 1}")
+        assert e.value.column == 14
+        assert parse(f"x^{MAX_EXPONENT}").coeff(0, 0) == X ** MAX_EXPONENT
+
+    @pytest.mark.parametrize("text", [
+        "(x^3)^67",           # the power: 3 * 67 = 201
+        "(x*y*Dx)^67",        # Dx counts too: 67 * (1 + 1 + 1)
+        "x^100 * x^100 * y",  # the product: 200 + 1
+        "x^100 * x^100 / y",  # the quotient: 200 + 1
+    ])
+    def test_degree_above_the_limit(self, text):
+        assert MAX_DEGREE == 200
+        with pytest.raises(ParseError, match="degree 201 above 200"):
+            parse(text)
+
+    def test_degree_up_to_the_limit(self):
+        assert parse("x^100 * y^100").coeff(0, 0) == X ** 100 * Y ** 100
+        assert parse("(x^2)^100").coeff(0, 0) == X ** 200
+
+
+class TestUnknownFunctions:
+    JETS = {"p", "p_x", "p_y", "p_xy"}
+
+    def test_declared_jets_make_an_unknown_function(self):
+        p = parse_function("p", self.JETS)
+        assert p.diff("x") == parse_function("p_x", self.JETS)
+        assert p.diff("x").diff("y") == parse_function("p_xy", self.JETS)
+        # a declared jet differentiates on, like the unknown it belongs to
+        p_y = parse_function("p_y", self.JETS)
+        assert p_y.diff("x") == parse_function("p_xy", self.JETS)
+        assert str(p_y.diff("y").diff("y")) == "p_yyy"
+
+    def test_without_jets_a_parameter_is_constant(self):
+        assert parse_function("p", {"p"}).diff("x").is_zero()
+        # p_x alone is a parameter of its own, and p is not declared
+        assert parse_function("p_x", {"p_x"}).diff("x").is_zero()
+        assert parse_function("p", {"p", "p_z"}).diff("x").is_zero()
+
+    def test_the_same_text_gives_the_same_operator_either_way(self):
+        text = "(Dx - Dy)*(Dx + Dy + psi)"
+        assert parse(text, {"psi"}) == parse("Dx^2 - Dy^2 + psi*Dx - psi*Dy", {"psi"})
+        with_jets = {"psi", "psi_x", "psi_y"}
+        assert parse(text, with_jets) == parse(
+            "Dx^2 - Dy^2 + psi*Dx - psi*Dy + psi_x - psi_y", with_jets)
 
 
 class TestRoundTrip:
