@@ -40,10 +40,10 @@ take term-by-term division over ConstScalar.
 
 The third integer lane is IntPoly, the numerator type of the factorization
 engine's rational descent: an integer polynomial on exponent tuples over one
-positive integer denominator, with +, -, * and the x/y-derivatives done on
-ints.  It is built from a Poly through the same conversion the gcd uses and
-turned back into one before any reduction, so canonical forms are still taken
-only by RatExpr.
+positive integer denominator, with +, -, *, exact division and the
+x/y-derivatives done on ints.  It is built from a Poly through the same
+conversion the gcd uses and turned back into one before any reduction, so
+canonical forms are still taken only by RatExpr.
 
 Symbols other than x and y are named by strings.  A plain name is a
 parameter: it commutes with x and y and differentiates to zero.  A name
@@ -208,7 +208,8 @@ class ConstScalar:
         return not self._coords
 
     def is_rational(self) -> bool:
-        return all(d == 1 for d in self._coords)
+        c = self._coords
+        return not c or (len(c) == 1 and 1 in c)
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -1065,9 +1066,9 @@ class IntPoly:
 
     Exponent tuples follow a symbol list fixed by the caller, in _srank
     order with x and y always present, so x and y are the first two places.
-    Only the ring operations and the x/y-derivatives are provided; the
-    value is neither reduced nor canonical, and to_poly gives it back as a
-    Poly."""
+    Only the ring operations, exact division and the x/y-derivatives are
+    provided; the value is neither reduced nor canonical, and to_poly gives
+    it back as a Poly."""
 
     __slots__ = ("terms", "den")
 
@@ -1122,6 +1123,15 @@ class IntPoly:
                 e = tuple(map(_add, e1, e2))
                 out[e] = get(e, 0) + c1 * c2
         return IntPoly({e: c for e, c in out.items() if c}, self.den * other.den)
+
+    def exact_div(self, other: "IntPoly") -> "IntPoly":
+        """Exact quotient, over Z by the primitive part of other (Gauss's
+        lemma); raises ValueError when the division is not exact."""
+        cg = gcd(*other.terms.values())
+        q = _zp_quo(self.terms, {e: c // cg for e, c in other.terms.items()})
+        if q is None:
+            raise ValueError("inexact polynomial division")
+        return IntPoly({e: c * other.den for e, c in q.items()}, self.den * cg)
 
     def scale_rational(self, k: int) -> "IntPoly":
         """The value times the integer k."""

@@ -26,30 +26,33 @@ back and certify it.  The characteristic polynomial is never rebuilt there:
 the top level's Horner sums are the coefficients of P(W) / (W - w), one
 more Horner step is the remainder P(w), and the quotient at w is P'(w).
 `factor_left`, `factor_all_roots` and the command line share one walk over
-the roots, which reads P_n at most once, for the root search or a root's
-multiplicity.
+the roots.  P_n is read for the root search only: a root value given by the
+caller is a root when the remainder P(w) vanishes and simple when P'(w) does
+not, and only a multiple one has its exact multiplicity read off P_n.
 
-The descent below the top level runs over one common denominator, after
-Bareiss's fraction-free elimination.  Every denominator it creates comes
-from those of w, p3, the operator's coefficients and the top-level solution,
-and from L-derivatives of them, so each value is kept as a polynomial N over
-Q^k, with Q the squarefree part of the lcm of those denominators.  Sums,
-products and L then need no gcd.  RatExpr's canonical form is taken once per
-output: each residual, and each cofactor coefficient once every residual
-vanishes.  The outputs are the same as with a reduction after every step.
-
-When every coefficient of w, p3, the operator and the top-level solution is
-rational and no symbol is an unknown function or one of its jets, the
-numerators N are IntPolys: integer polynomials over one integer denominator,
-so a term product is an int product and a monomial product adds exponent
-tuples.  Radical coefficients, the degenerate path's free p3 and formal
-unknown functions keep Poly numerators over ConstScalar.  Either way each
-output converts back to a Poly once and is reduced by RatExpr.
+Below the top level the values live on a Lane, over one common denominator
+after Bareiss's fraction-free elimination: N / Q^k, with Q the squarefree
+part of the lcm of the inputs' denominators, so sums, products and
+derivatives need no gcd and a value is zero exactly when N is.  N is an
+IntPoly (an integer polynomial over one integer denominator) when every
+input is rational and no symbol is an unknown function or one of its jets,
+and a Poly over ConstScalar otherwise.  An attempt lifts w, the operator's
+coefficients and the top-level solution onto one LevelState once.  There
+solve_p3 forms the b-sums and P'(w) and divides exactly when the numerator
+of P'(w) divides theirs; otherwise p3 is reduced once and Q widened to cover
+its denominator.  The descent then solves the levels on the same state.  The
+certificate, verify, builds factor o cofactor by the Leibniz rule on a lane
+of the three operators' coefficients and subtracts the operator: an exact
+identity of numerators.  RatExpr's canonical form is taken once per output
+(p3, each residual, each cofactor coefficient once every residual vanishes,
+each nonzero coefficient of a failed certificate), so the outputs are those
+of a reduction after every step.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -160,30 +163,25 @@ def solve_top(op: LPDO, omega: RatExpr) -> dict[tuple[int, int], RatExpr]:
     return {(n - 1 - k, k): acc for k, acc in enumerate(sums) if not acc.is_zero()}
 
 
-def _derivative_at_root(n: int, omega: RatExpr,
-                        top: dict[tuple[int, int], RatExpr]) -> RatExpr:
-    """P'(w) at a root w: P(W) = (W - w) q(W) gives P'(w) = q(w), and the
-    coefficients of q are solve_top's."""
-    return _eval_list([top.get((n - 1 - k, k), RatExpr.ZERO) for k in range(n)], omega)
-
-
-def solve_p3(op: LPDO, omega: RatExpr,
-             top: dict[tuple[int, int], RatExpr]) -> RatExpr:
+def solve_p3(op: LPDO, omega: RatExpr, top: dict[tuple[int, int], RatExpr],
+             state: "LevelState | None" = None) -> RatExpr:
     """p3 = (b_{n-1,0} w^(n-1) + ... + b_{0,n-1}) / P'(w) for a simple root,
     where b_{n-1-k,k} = a_{n-1-k,k} - L(p_{n-1-k,k}) and top is
-    solve_top(op, omega)."""
-    n = op.order
-    dP = _derivative_at_root(n, omega, top)
-    if dP.is_zero():
+    solve_top(op, omega).
+
+    The sums run on the lane of state, the LevelState of (op, omega, top),
+    built here when it is not given; the state keeps p3 for the descent."""
+    s = state or LevelState(op, omega, None, top)
+    if s.dp[0].is_zero():
         raise DegenerateRoot(
             "multiple root: p3 is not determined, switch to the Riccati path")
-    acc = RatExpr.ZERO
+    n = op.order
+    acc = _ZERO
     for k in range(n):
-        p = top.get((n - 1 - k, k), RatExpr.ZERO)
-        # b = a - L(p), with L(f) = f_x - w * f_y the derivation along the factor
-        b = op.coeff(n - 1 - k, k) - (p.diff("x") - omega * p.diff("y"))
-        acc = acc * omega + b
-    return acc / dP
+        jk = (n - 1 - k, k)
+        b = s.add(s.coeffs.get(jk, _ZERO), s.neg(s.L(s.solved.get(jk, _ZERO))))
+        acc = s.add(s.mul(acc, s.omega), b)
+    return s.divide_p3(acc, s.dp)
 
 
 def _partial(p: Poly, v: str) -> Poly:
@@ -197,71 +195,55 @@ def _partial(p: Poly, v: str) -> Poly:
     return Poly(out)
 
 
-def _squarefree_part(p: Poly) -> Poly:
-    """p over gcd(p, dp/dv for every symbol v): each irreducible factor of p
-    once."""
-    g = p
-    for v in sorted(p.symbols()):
-        g = poly_gcd(g, _partial(p, v))
+def _squarefree_lcm(dens) -> Poly:
+    """Each irreducible factor of the lcm of the polynomials dens, once."""
+    q = Poly.ONE
+    for d in dens:
+        if not d.is_const():
+            q = d if q.is_const() else q * d.exact_div(poly_gcd(q, d))
+    g = q
+    for v in sorted(q.symbols()):  # q over gcd(q, dq/dv for every symbol v)
+        g = poly_gcd(g, _partial(q, v))
         if g.is_const():
-            return p
-    return p.exact_div(g)
+            return q
+    return q.exact_div(g)
 
 
 # zero on either numerator lane: every operation tests is_zero first
 _ZERO = (Poly.ZERO, 0)
 
 
-def _rational_lane(values: list[RatExpr], syms: set[str]) -> bool:
-    """True when the descent may run on IntPoly numerators: every
-    coefficient is rational and no symbol is an unknown function or one of
-    its jets (their derivatives are new symbols, not index shifts)."""
-    return (not any(isinstance(s, Unknown) for s in syms)
-            and all(c.is_rational() for r in values for p in (r.num, r.den)
-                    for c in p.terms.values()))
+class Lane:
+    """Exact values over one common denominator Q.
 
-
-class LevelState:
-    """The descent's values over one common denominator Q.
-
-    A value is a pair (N, k) of a numerator and an exponent, standing for
-    N / Q^k.  Q is the squarefree part of the lcm of the denominators of
-    omega, p3, the operator's coefficients and the top-level solution, so
-    every denominator the descent creates divides a power of Q: sums,
-    products and the derivation L stay polynomial in the numerators, and
-    only the outputs are reduced.
-
-    The numerators are IntPolys when every input is rational and free of
-    unknown functions, and Polys otherwise.  Lifts onto Q^k are
-    computed on Polys and converted once; Q^k is built as a numerator and
-    converted to a Poly once, for the lifts and the reductions.
+    A value (N, k) stands for N / Q^k, with Q the squarefree part of the
+    lcm of the denominators of the values the lane is built for; every
+    denominator of their sums, products and derivatives divides a power of
+    Q.  So a value is zero exactly when its numerator is, and only values
+    read out are reduced.  The numerators are IntPolys when every value is
+    rational and no symbol is an unknown function or one of its jets (whose
+    derivatives are new symbols, not index shifts), and Polys otherwise.
     """
 
-    def __init__(self, op: LPDO, omega: RatExpr, p3: RatExpr,
-                 top: dict[tuple[int, int], RatExpr]):
-        values = [omega, p3, *op.coeffs.values(), *top.values()]
-        dens = dict.fromkeys(r.den for r in values if not r.den.is_const())
-        q = Poly.ONE
-        for d in dens:
-            q = d if q.is_const() else q * d.exact_div(poly_gcd(q, d))
-        self.q = _squarefree_part(q)
-        self._qpowers: dict[int, Poly] = {}
-        syms = set().union(*(r.symbols() for r in values))
-        if _rational_lane(values, syms):
+    def __init__(self, values: list[RatExpr]):
+        syms = {s for r in values for p in (r.num, r.den) for m in p.terms for s, _ in m}
+        if not any(isinstance(s, Unknown) for s in syms) and all(
+                c.is_rational() for r in values for p in (r.num, r.den)
+                for c in p.terms.values()):
             order = sorted(syms | {"x", "y"}, key=_srank)
             index = {s: i for i, s in enumerate(order)}
             self._num = lambda p: IntPoly.from_poly(p, index)
             self._poly = lambda n: n.to_poly(order)
         else:
             self._num = self._poly = lambda p: p
-        self._powers = [self._num(Poly.ONE), self._num(self.q)]
-        self._a = self._num(omega.num)
-        self._b = None if omega.den.is_const() else self._num(omega.den)
-        self._b_inv = self._lift_den(omega.den)  # 1/b as (Q^j / b, j)
-        self._dq = self._d(self._powers[1])
-        self.omega = self.lift(omega)
-        self.p3 = self.lift(p3)
-        self.solved = {jk: self.lift(v) for jk, v in top.items()}
+        self._set_q(_squarefree_lcm(
+            dict.fromkeys(r.den for r in values if not r.den.is_const())))
+
+    def _set_q(self, q: Poly) -> None:
+        self.q = q
+        self._powers = [self._num(Poly.ONE), self._num(q)]
+        self._qpowers: dict[int, Poly] = {}
+        self._dq: dict = {}  # d(Q) for each derivation d, by name
 
     def power(self, k: int):
         """Q^k as a numerator."""
@@ -326,6 +308,44 @@ class LevelState:
             return _ZERO
         return u[0] * v[0], u[1] + v[1]
 
+    def derive(self, u, d, name: str):
+        """d(N / Q^k) = (d(N)*Q - k*N*d(Q)) / Q^(k+1) for a derivation d of
+        the numerators; name keys the value d(Q), computed once."""
+        n, k = u
+        if not k:
+            return d(n), 0
+        dq = self._dq.get(name)
+        if dq is None:
+            dq = self._dq[name] = d(self.power(1))
+        return d(n) * self.power(1) - n.scale_rational(k) * dq, k + 1
+
+    def diff(self, u, var: str):
+        """The partial derivative by x or y."""
+        return self.derive(u, lambda n: n.diff(var), var)
+
+
+class LevelState(Lane):
+    """The descent on one lane: omega, p3 (None for solve_p3 to fill in),
+    P'(w), the operator's coefficients below the top order and the cofactor
+    coefficients solved so far, with the derivation L along the factor."""
+
+    def __init__(self, op: LPDO, omega: RatExpr, p3: RatExpr | None,
+                 top: dict[tuple[int, int], RatExpr]):
+        super().__init__([omega, *([] if p3 is None else [p3]),
+                          *op.coeffs.values(), *top.values()])
+        self._a = self._num(omega.num)
+        self._b = None if omega.den.is_const() else self._num(omega.den)
+        self._b_inv = self._lift_den(omega.den)  # 1/b as (Q^j / b, j)
+        self.omega = self.lift(omega)
+        self.p3 = None if p3 is None else self.lift(p3)
+        self.coeffs = {jk: self.lift(c) for jk, c in op.coeffs.items()
+                       if sum(jk) < op.order}
+        self.solved = {jk: self.lift(v) for jk, v in top.items()}
+        self.dp = _ZERO  # P'(w): the top-level solution is P(W) / (W - w)
+        for k in range(op.order):
+            self.dp = self.add(self.mul(self.dp, self.omega),
+                               self.solved.get((op.order - 1 - k, k), _ZERO))
+
     def _d(self, n):
         """D = b*Dx - a*Dy for omega = a/b, so that L = D/b."""
         dx = n.diff("x")
@@ -336,18 +356,52 @@ class LevelState:
     def L(self, u):
         """The derivation f -> f_x - omega*f_y:
         L(N/Q^k) = (D(N)*Q - k*N*D(Q)) / (b * Q^(k+1)), and D(N)/b for k = 0."""
-        n, k = u
-        if n.is_zero():
+        if u[0].is_zero():
             return _ZERO
-        if k == 0:
-            num = self._d(n)
-        else:
-            num = self._d(n) * self.power(1) - n.scale_rational(k) * self._dq
-            k += 1
+        num, k = self.derive(u, self._d, "L")
         b_inv, j = self._b_inv
         if b_inv is not None:
             num = num * b_inv
         return num, k + j
+
+    def divide_p3(self, u, v) -> RatExpr:
+        """Take p3 = u / v and return it reduced.  When the numerator of v
+        divides that of u, the quotient is p3 on the lane.  Otherwise p3 is
+        reduced once and Q widened to Q' = Q*E to cover its denominator: E
+        is prime to the squarefree Q, so a value N / Q^k reads N*E^k / Q'^k."""
+        (n, ku), (d, kv) = u, v
+        if n.is_zero():
+            self.p3 = _ZERO
+            return RatExpr.ZERO
+        try:
+            q = n.exact_div(d)
+        except ValueError:
+            pass
+        else:
+            self.p3 = (q, ku - kv) if ku >= kv else (q * self.power(kv - ku), 0)
+            return self.reduce(self.p3)
+        if kv >= ku:
+            n = n * self.power(kv - ku)
+        else:
+            d = d * self.power(ku - kv)
+        p3 = RatExpr._reduce(self._poly(n), self._poly(d))
+        q = _squarefree_lcm([self.q, p3.den])
+        powers = [self.power(0), self._num(q.exact_div(self.q))]
+        self._set_q(q)
+
+        def move(w):
+            m, k = w
+            if not k:
+                return w
+            while len(powers) <= k:
+                powers.append(powers[-1] * powers[1])
+            return (powers[k] if m is None else m * powers[k]), k
+
+        self.omega, self.dp, self._b_inv = map(move, (self.omega, self.dp, self._b_inv))
+        self.coeffs = {jk: move(w) for jk, w in self.coeffs.items()}
+        self.solved = {jk: move(w) for jk, w in self.solved.items()}
+        self.p3 = self.lift(p3)
+        return p3
 
 
 def solve_level(state: LevelState, op: LPDO, m: int) -> RatExpr:
@@ -356,13 +410,14 @@ def solve_level(state: LevelState, op: LPDO, m: int) -> RatExpr:
     Solves the level-(m-1) cofactor coefficients triangularly and returns
     the residual (left side minus right side) of the surplus equation,
     reduced; the residual of the lowest level (m = 0) is the whole equation.
+    The state holds op's coefficients.
     """
     s = state
     cs = []
     for k in range(m + 1):
         p = s.solved.get((m - k, k), _ZERO)
         rhs = s.add(s.L(p), s.mul(s.p3, p))
-        cs.append(s.add(s.lift(op.coeff(m - k, k)), s.neg(rhs)))
+        cs.append(s.add(s.coeffs.get((m - k, k), _ZERO), s.neg(rhs)))
     u_prev = _ZERO
     for k in range(m):
         u = s.add(cs[k], s.mul(s.omega, u_prev))
@@ -372,9 +427,9 @@ def solve_level(state: LevelState, op: LPDO, m: int) -> RatExpr:
     return s.reduce(s.add(cs[m], s.mul(s.omega, u_prev)))
 
 
-def _run_descent(op: LPDO, omega: RatExpr, p3: RatExpr,
+def _run_descent(op: LPDO, state: LevelState,
                  top: dict[tuple[int, int], RatExpr]) -> tuple[dict | None, list[RatExpr]]:
-    """Run all equation levels from n-1 down to 0.
+    """Run all equation levels from n-1 down to 0 on a state with its p3.
 
     Returns the full cofactor coefficient map and the list of residuals
     [level n-1, level n-2, ..., level 0].  The level-(n-1) entry vanishes
@@ -382,9 +437,7 @@ def _run_descent(op: LPDO, omega: RatExpr, p3: RatExpr,
     degenerate path it equals the necessary precondition.  The cofactor is
     None unless every residual vanishes, the only case that uses it.
     """
-    n = op.order
-    state = LevelState(op, omega, p3, top)
-    residuals = [solve_level(state, op, m) for m in range(n - 1, -1, -1)]
+    residuals = [solve_level(state, op, m) for m in range(op.order - 1, -1, -1)]
     if not all(r.is_zero() for r in residuals):
         return None, residuals
     cofactor = dict(top)
@@ -416,7 +469,7 @@ def degenerate_constraints(op: LPDO, omega: RatExpr) -> RiccatiProblem:
     generalized Riccati constraints on p3.
     """
     top = solve_top(op, omega)
-    if not _derivative_at_root(op.order, omega, top).is_zero():
+    if not LevelState(op, omega, None, top).dp[0].is_zero():
         raise ValueError("root is simple: the algebraic path applies")
     return _riccati_problem(op, omega, top)
 
@@ -424,7 +477,8 @@ def degenerate_constraints(op: LPDO, omega: RatExpr) -> RiccatiProblem:
 def _riccati_problem(op: LPDO, omega: RatExpr,
                      top: dict[tuple[int, int], RatExpr]) -> RiccatiProblem:
     name = _fresh_unknown(op)
-    _, residuals = _run_descent(op, omega, RatExpr.unknown(name), top)
+    state = LevelState(op, omega, RatExpr.unknown(name), top)
+    _, residuals = _run_descent(op, state, top)
     constraints = tuple(
         _normalize_constraint(r, name) for r in residuals[1:] if not r.is_zero()
     )
@@ -475,6 +529,11 @@ def choose_normalization(op: LPDO, max_shear: int | None = None):
 # the public engine
 # --------------------------------------------------------------------------
 
+def _not_a_root(root: Root) -> ValueError:
+    value = "infinity" if root.at_infinity else root.value
+    return ValueError(f"{value} is not a root of the characteristic polynomial")
+
+
 def _attempt(op: LPDO, root: Root, matrix, p3: RatExpr | None) -> FactorizationOutcome:
     """The factorization of op at one root: a left factor Dx - w*Dy + p3
     with the given p3, the p3 of a simple root, or the Riccati problem of a
@@ -489,23 +548,33 @@ def _attempt(op: LPDO, root: Root, matrix, p3: RatExpr | None) -> FactorizationO
     if matrix is not None:
         to_new = _coordinate_substitution(matrix_inverse(matrix))
         work = op.change_vars(matrix)
-        omega = root_transform(root, matrix).value.substitute(to_new)
+        moved = root_transform(root, matrix)
+        if moved.at_infinity:  # a direction where work's a_{n,0} is nonzero
+            raise _not_a_root(root)
+        omega = moved.value.substitute(to_new)
         if p3 is not None:
             p3 = p3.substitute(to_new)
-    top = solve_top(work, omega)
+    try:
+        top = solve_top(work, omega)
+    except ValueError:
+        raise _not_a_root(root) from None
+    state = LevelState(work, omega, p3, top)
     riccati = None
     if p3 is not None:
-        cof, residuals = _run_descent(work, omega, p3, top)
+        cof, residuals = _run_descent(work, state, top)
     else:
         try:
-            p3 = solve_p3(work, omega, top)
+            p3 = solve_p3(work, omega, top, state)
         except DegenerateRoot:
             riccati = _riccati_problem(work, omega, top)
             cof, residuals = None, [riccati.necessary_precondition]
         else:
-            cof, residuals = _run_descent(work, omega, p3, top)
+            cof, residuals = _run_descent(work, state, top)
             if not residuals.pop(0).is_zero():
                 raise CertificateError("p3 level must close exactly for a simple root")
+    if not root.multiplicity:  # a value from the caller: simple unless P'(w) = 0
+        root = replace(root, multiplicity=char_poly(op).multiplicity_of(
+            root.value) if state.dp[0].is_zero() else 1)
     if riccati is None:
         status = OutcomeStatus.CONDITIONS_FAIL if cof is None else OutcomeStatus.FACTORED
     elif residuals[0].is_zero():
@@ -553,11 +622,8 @@ def _outcomes(op: LPDO, root_choice, p3: RatExpr | None, max_shear: int | None):
         elif not roots:
             yield FactorizationOutcome(
                 status=OutcomeStatus.UNSUPPORTED_ROOT, unresolved=search.unresolved)
-    else:
-        multiplicity = char_poly(op).multiplicity_of(root_choice)
-        if multiplicity == 0:
-            raise ValueError(f"{root_choice} is not a root of the characteristic polynomial")
-        roots = [Root(root_choice, multiplicity)]
+    else:  # a value: _attempt checks it and reads off its multiplicity
+        roots = [Root(root_choice, 0)]
     for root in roots:
         yield _attempt(op, root, matrix, p3)
 
@@ -623,13 +689,49 @@ def complete_with_p3(op: LPDO, omega: RatExpr, candidate: RatExpr,
     return factor_left(op, omega, candidate, max_shear)
 
 
+def _compose(lane: Lane, a: dict, b: dict) -> dict:
+    """The coefficients of a o b, for operators given as {(j, k): value on
+    the lane}, by the Leibniz rule of LPDO.compose; each derivative of a
+    coefficient of b is taken once."""
+    grid = {}
+
+    def deriv(lm, i, s):
+        u = grid.get((lm, i, s))
+        if u is None:
+            u = grid[(lm, i, s)] = (
+                lane.diff(deriv(lm, i, s - 1), "y") if s else
+                lane.diff(deriv(lm, i - 1, 0), "x") if i else b[lm])
+        return u
+
+    out = {}
+    for (j, k), c in a.items():
+        for lm in b:
+            for r in range(j + 1):
+                for s in range(k + 1):
+                    t = lane.mul(c, deriv(lm, j - r, k - s))
+                    factor = comb(j, r) * comb(k, s)
+                    if factor != 1 and not t[0].is_zero():
+                        t = t[0].scale_rational(factor), t[1]
+                    key = (r + lm[0], s + lm[1])
+                    out[key] = lane.add(out.get(key, _ZERO), t)
+    return out
+
+
 def verify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO,
            side: str = "left") -> LPDO:
     """compose(factor, cofactor) - op (or the mirrored product for a right
-    factor); the zero operator certifies the factorization."""
+    factor); the zero operator certifies the factorization.
+
+    The product is built on one Lane of the three operators' coefficients,
+    so the check is an exact identity of numerators; only the coefficients
+    of a nonzero difference are reduced."""
     f = factor.as_operator()
-    prod = f.compose(cofactor) if side == "left" else cofactor.compose(f)
-    return prod - op
+    lane = Lane([*f.coeffs.values(), *cofactor.coeffs.values(), *op.coeffs.values()])
+    fl, bl = ({jk: lane.lift(c) for jk, c in o.coeffs.items()} for o in (f, cofactor))
+    diff = _compose(lane, fl, bl) if side == "left" else _compose(lane, bl, fl)
+    for jk, c in op.coeffs.items():
+        diff[jk] = lane.add(diff.get(jk, _ZERO), lane.neg(lane.lift(c)))
+    return LPDO({jk: lane.reduce(u) for jk, u in diff.items() if not u[0].is_zero()})
 
 
 def _certify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO, side: str) -> None:

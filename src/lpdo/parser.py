@@ -17,15 +17,20 @@ symbols for the two derivations written with the partial sign) are
 tolerated.  Parentheses and unary minus signs together nest at most
 MAX_NESTING deep, so deeply nested input is a ParseError, not a
 RecursionError.  An exponent is at most MAX_EXPONENT, and no power or
-product may have a degree above MAX_DEGREE, checked before it is expanded.
-The degree is read off the text: x, y, a parameter, Dx and Dy count 1 and
-a number 0; a sum has the largest degree of its terms, a product the sum
-of its factors' and a power e times its base's.
+product may have a degree above MAX_DEGREE or more than MAX_TERMS terms,
+both checked before it is expanded.  The degree is read off the text: x, y,
+a parameter, Dx and Dy count 1 and a number 0; a sum has the largest degree
+of its terms, a product the sum of its factors' and a power e times its
+base's.  The term count is estimated the same way: an atom has one term, a
+sum the sum of its terms' counts, a product the product of its factors'
+and a power e of t terms C(t+e-1, e), the number of monomials of degree e
+in t symbols.
 """
 
 from __future__ import annotations
 
 import re
+from math import comb
 
 from .expr import RatExpr, Unknown
 from .operator import LPDO
@@ -103,6 +108,7 @@ def _tokenize(text: str) -> list[_Token]:
 MAX_NESTING = 100
 MAX_EXPONENT = 100
 MAX_DEGREE = 200
+MAX_TERMS = 2000
 
 _JET_TAIL = re.compile(r"(x*)(y*)")
 
@@ -129,6 +135,7 @@ class _Parser:
         self.symbols = _symbols(params)
         self.depth = 0
         self.degree = 0  # of the text parsed last
+        self.terms = 1  # its estimated term count
 
     @property
     def token(self) -> _Token:
@@ -150,9 +157,11 @@ class _Parser:
         t = t or self.token
         raise ParseError(message, t.line, t.column)
 
-    def bounded(self, degree: int, t: _Token):
+    def bounded(self, degree: int, terms: int, t: _Token):
         if degree > MAX_DEGREE:
             self.fail(f"degree {degree} above {MAX_DEGREE}", t)
+        if terms > MAX_TERMS:
+            self.fail(f"about {terms} terms, above {MAX_TERMS}", t)
 
     def nested(self, parse):
         """parse() one level deeper, within MAX_NESTING."""
@@ -173,25 +182,25 @@ class _Parser:
         elif self.token.text == "+":
             self.advance()
         value = self.term()
-        degree = self.degree
+        degree, terms = self.degree, self.terms
         if negate:
             value = -value
         while self.token.text in ("+", "-"):
             op = self.advance().text
             rhs = self.term()
-            degree = max(degree, self.degree)
+            degree, terms = max(degree, self.degree), terms + self.terms
             value = value + rhs if op == "+" else value - rhs
-        self.degree = degree
+        self.degree, self.terms = degree, terms
         return value
 
     def term(self) -> LPDO:
         value = self.factor()
-        degree = self.degree
+        degree, terms = self.degree, self.terms
         while self.token.text in ("*", "/"):
             op = self.advance()
             rhs = self.factor()
-            degree += self.degree
-            self.bounded(degree, op)
+            degree, terms = degree + self.degree, terms * self.terms
+            self.bounded(degree, terms, op)
             if op.text == "*":
                 value = value.compose(rhs)
             else:
@@ -201,7 +210,7 @@ class _Parser:
                 if f.is_zero():
                     self.fail("division by zero", op)
                 value = value.compose(LPDO.function(f.inverse()))
-        self.degree = degree
+        self.degree, self.terms = degree, terms
         return value
 
     def factor(self) -> LPDO:
@@ -220,7 +229,8 @@ class _Parser:
             if e > MAX_EXPONENT:
                 self.fail(f"exponent {e} above {MAX_EXPONENT}", t)
             self.degree *= e
-            self.bounded(self.degree, t)
+            self.terms = comb(self.terms + e - 1, e)
+            self.bounded(self.degree, self.terms, t)
             out = value
             for _ in range(e - 1):
                 out = out.compose(value)
@@ -230,6 +240,7 @@ class _Parser:
     def atom(self) -> LPDO:
         t = self.token
         self.degree = 0 if t.kind == "int" or t.text in ("sqrt", "i") else 1
+        self.terms = 1
         if t.kind == "int":
             self.advance()
             return LPDO.function(RatExpr.from_int(int(t.text)))

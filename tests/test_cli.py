@@ -69,6 +69,11 @@ class TestFactor:
         assert code == 1
         assert "parse error" in err
 
+    def test_term_count_above_the_bound_exit_one(self, capsys):
+        code, _, err = run(capsys, ["factor", "Dx^2 + (x+y+a+b)^32", "--params", "a,b"])
+        assert code == 1
+        assert "parse error" in err and "6545 terms" in err
+
     def test_unknown_functions_declared_by_their_jets(self, capsys):
         # criterion 4: a10 and a01 are unknown functions, a00 holds their jets
         params = "a10,a01,a10_x,a10_y,a01_x,a01_y"

@@ -1,6 +1,7 @@
-"""The common-denominator descent against a reference level loop that keeps
-every value a reduced RatExpr, on both numerator lanes (IntPoly for rational
-inputs, Poly otherwise), and the integer lane of Poly.exact_div."""
+"""The common-denominator lane against reference loops that keep every value
+a reduced RatExpr, on both numerator lanes (IntPoly for rational inputs, Poly
+otherwise): the descent, solve_p3 and the certificate verify.  Also the
+integer lane of Poly.exact_div."""
 
 from fractions import Fraction
 
@@ -10,7 +11,15 @@ from hypothesis import strategies as st
 
 from lpdo import expr, parse, parse_function
 from lpdo.expr import ConstScalar, IntPoly, Poly, RatExpr as R
-from lpdo.factorize import LevelState, OutcomeStatus, factor_left, solve_level
+from lpdo.factorize import (
+    DegenerateRoot,
+    LevelState,
+    OutcomeStatus,
+    factor_left,
+    solve_level,
+    solve_p3,
+    verify,
+)
 from lpdo.operator import LPDO, FirstOrderFactor
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -93,8 +102,8 @@ def coefficients(draw):
 
 
 @st.composite
-def operators(draw, coefficients=coefficients):
-    n = draw(st.integers(2, 4))
+def operators(draw, coefficients=coefficients, max_order=4):
+    n = draw(st.integers(2, max_order))
     coeffs = {}
     for j in range(n + 1):
         for k in range(n + 1 - j):
@@ -183,6 +192,143 @@ def test_planted_factor_with_a_rational_root(omega):
     assert out.status is OutcomeStatus.FACTORED
     assert out.cofactor == cofactor
     _assert_same(op, w, Y / (Y + R.ONE) ** 2)
+
+
+# --------------------------------------------------------------------------
+# solve_p3 on the lane
+# --------------------------------------------------------------------------
+
+def _oracle_p3(op, omega, top):
+    """p3 = (sum of b_{n-1-k,k} w^(n-1-k)) / P'(w) with b = a - L(p), every
+    value a reduced RatExpr."""
+    n = op.order
+    dp = R.ZERO
+    for k in range(n):
+        dp = dp * omega + top.get((n - 1 - k, k), R.ZERO)
+    if dp.is_zero():
+        raise DegenerateRoot("multiple root")
+    acc = R.ZERO
+    for k in range(n):
+        p = top.get((n - 1 - k, k), R.ZERO)
+        b = op.coeff(n - 1 - k, k) - (p.diff("x") - omega * p.diff("y"))
+        acc = acc * omega + b
+    return acc / dp
+
+
+def _assert_p3_same(op, omega, lane=None):
+    """solve_p3 gives the reference p3, and the state it leaves carries that
+    p3 (on a widened Q when the division left a new denominator) into the
+    same descent.  Returns whether Q was widened."""
+    top = _oracle_top(op, omega)
+    try:
+        want = _oracle_p3(op, omega, top)
+    except DegenerateRoot:
+        with pytest.raises(DegenerateRoot):
+            solve_p3(op, omega, top)
+        return None
+    state = LevelState(op, omega, None, top)
+    if lane is not None:
+        assert type(state.power(0)) is lane
+    q = state.q
+    got = solve_p3(op, omega, top, state)
+    assert got == want and str(got) == str(want)
+    assert state.reduce(state.p3) == want
+    want_cof, want_res = _oracle_descent(op, omega, want, top)
+    residuals = [solve_level(state, op, m) for m in range(op.order - 1, -1, -1)]
+    assert residuals == want_res
+    assert {jk: state.reduce(v) for jk, v in state.solved.items()} == want_cof
+    return state.q != q
+
+
+@PROPERTY
+@given(operators(), st.sampled_from(ROOTS))
+def test_solve_p3_matches_the_ratexpr_formula(op, omega):
+    _assert_p3_same(op, omega, IntPoly)
+
+
+# some order-3 draws with these denominators take the lane descent 20 s
+@settings(PROPERTY, max_examples=25)
+@given(operators(rational_coefficients, max_order=2), st.sampled_from(Q_ROOTS))
+def test_solve_p3_with_rational_coefficients_and_a_parameter(op, omega):
+    _assert_p3_same(op, omega, IntPoly)
+
+
+S2 = R.sqrt_int(2)
+PLANTED_B = LPDO({(1, 0): X + R.ONE, (0, 1): Y, (0, 0): X})
+
+
+@pytest.mark.parametrize("scale, lane", [(R.ONE, IntPoly), (S2, Poly)])
+def test_solve_p3_exact_division_keeps_q(scale, lane):
+    # P'(2) = P_B(2) = 2*(x + 1) + y divides the b-sum: p3 is x*y*scale
+    factor = FirstOrderFactor.from_root(R.from_int(2), X * Y * scale)
+    op = factor.as_operator().compose(PLANTED_B)
+    assert _assert_p3_same(op, R.from_int(2), lane) is False
+
+
+@pytest.mark.parametrize("scale, lane", [(R.ONE, IntPoly), (S2, Poly)])
+def test_solve_p3_inexact_division_widens_q(scale, lane):
+    # the b-sum is not a multiple of P'(2) = 2*(x + 1) + y, and the root
+    # -y/(y + 1) gives a Q of its own to widen
+    op = PLANTED_B.compose(LPDO({(1, 0): R.ONE, (0, 1): scale, (0, 0): Y}))
+    omega = parse_function("-y/(y + 1)")
+    assert not _oracle_p3(op, omega, _oracle_top(op, omega)).den.is_const()
+    assert _assert_p3_same(op, omega, lane) is True
+    assert _assert_p3_same(op, R.from_int(2), lane) is True
+
+
+def test_solve_p3_multiple_root_raises():
+    op = LPDO({(2, 0): R.ONE, (1, 1): -R.from_int(2) * X, (0, 2): X * X, (0, 0): Y})
+    top = _oracle_top(op, X)
+    with pytest.raises(DegenerateRoot):
+        solve_p3(op, X, top)
+    with pytest.raises(DegenerateRoot):
+        _oracle_p3(op, X, top)
+
+
+# --------------------------------------------------------------------------
+# verify on the lane
+# --------------------------------------------------------------------------
+
+U = R.unknown("u")
+# one kind per example: rational (the IntPoly lane), sqrt(2) or the unknown
+# function u (the Poly lane)
+KINDS = (R.ONE, S2, U, U.diff("x") + X)
+
+
+@st.composite
+def products(draw):
+    """A factor, a cofactor of order <= 2 and a perturbation, with
+    coefficients c*kind for c from coefficients()."""
+    kind = draw(st.sampled_from(KINDS))
+
+    def coefficient():
+        return draw(coefficients()) * kind
+
+    def operator():
+        return LPDO({(j, k): coefficient()
+                     for j in range(3) for k in range(3 - j) if draw(st.booleans())})
+
+    p1, p2 = coefficient(), coefficient()
+    if p1.is_zero() and p2.is_zero():
+        p1 = R.ONE
+    return FirstOrderFactor(p1, p2, coefficient()), operator(), operator()
+
+
+@settings(PROPERTY, max_examples=30)
+@given(products(), st.sampled_from(("left", "right")))
+def test_verify_matches_compose(case, side):
+    """verify(f, B, A) is the difference f o B - A (B o f - A on the right)
+    in canonical form: zero for the product, and -E, the same nonzero
+    difference as compose gives, for a product perturbed by E."""
+    f, b, e = case
+    prod = f.as_operator().compose(b) if side == "left" else b.compose(f.as_operator())
+    for a in (prod, prod + e):
+        got, want = verify(f, b, a, side), prod - a
+        assert got == want
+        assert {jk: str(c) for jk, c in got.coeffs.items()} == \
+            {jk: str(c) for jk, c in want.coeffs.items()}
+    assert verify(f, b, prod, side).is_zero()
+    assert verify(f, b, prod + e, side) == -e
 
 
 # --------------------------------------------------------------------------

@@ -225,6 +225,15 @@ class TestFactorLeft:
                            match="x is not a root of the characteristic polynomial"):
             factor_left(hyperbolic_family(ONE), root_choice=X)
 
+    @pytest.mark.parametrize("text, value", [
+        ("Dy^2 + x*Dx", "0"),   # swapped, the value moves to infinity
+        ("Dx*Dy + Dy^2", "1"),  # swapped, the value stays finite
+    ])
+    def test_explicit_non_root_named_under_a_normalization(self, text, value):
+        with pytest.raises(ValueError,
+                           match=f"^{value} is not a root of the characteristic polynomial"):
+            factor_left(parse(text), root_choice=R.from_int(int(value)))
+
     def test_explicit_double_root_reports_multiplicity_two(self):
         out = factor_left(LPDO({(2, 0): ONE}), root_choice=R.ZERO)
         assert out.root.multiplicity == 2
@@ -479,7 +488,8 @@ class TestCharPolyReadOnce:
         op = parse("(Dx - 2*Dy + x)*(Dx^2 + y*Dy + 1)")
         out = factor_left(op, root_choice=R.from_int(2))
         assert out.status is OutcomeStatus.FACTORED
-        assert len(calls) == 1
+        assert out.root.multiplicity == 1
+        assert calls == []  # root and simple: read off solve_top and P'(w)
 
     def test_level_solves_do_not_read_it(self, monkeypatch):
         calls = self._count(monkeypatch)
@@ -502,8 +512,8 @@ class TestCharPolyReadOnce:
             a = FirstOrderFactor.from_root(w, rand_poly(rng, 1)).as_operator().compose(b)
             if a.order != n or a.coeff(n, 0).is_zero():
                 continue
-            got = factorize._derivative_at_root(n, w, solve_top(a, w))
-            assert got == char_poly(a).derivative_at(w)
+            state = factorize.LevelState(a, w, None, solve_top(a, w))
+            assert state.reduce(state.dp) == char_poly(a).derivative_at(w)
             checked += 1
 
 

@@ -8,6 +8,7 @@ from lpdo.parser import (
     MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERMS,
     ParseError,
     parse,
     parse_function,
@@ -137,6 +138,24 @@ class TestErrors:
         assert MAX_DEGREE == 200
         with pytest.raises(ParseError, match="degree 201 above 200"):
             parse(text)
+
+    def test_term_count_estimate_is_bounded(self):
+        # a sum adds term counts and a product multiplies them: x + x + ...
+        # is one term once expanded, so only the estimate can be at the bound
+        terms = " + ".join(["x"] * MAX_TERMS)
+        assert parse(f"({terms}) * y").coeff(0, 0) == R.from_int(MAX_TERMS) * X * Y
+        with pytest.raises(ParseError, match=f"about {MAX_TERMS + 1} terms"):
+            parse(f"({terms} + x) * y")
+
+    def test_power_of_a_sum_counts_its_monomials(self):
+        # (x + y + a + b)^e has C(e + 3, 3) terms: 2024 for e = 21
+        assert MAX_TERMS == 2000
+        with pytest.raises(ParseError, match="about 2024 terms, above 2000") as e:
+            parse("Dx^2 + (x + y + a + b)^21", {"a", "b"})
+        assert e.value.column == 24  # the exponent
+        with pytest.raises(ParseError, match="about 6545 terms"):
+            parse("Dx^2 + (x + y + a + b)^32", {"a", "b"})
+        assert len(parse("(x + y + a + b)^5", {"a", "b"}).coeff(0, 0).num.terms) == 56
 
     def test_degree_up_to_the_limit(self):
         assert parse("x^100 * y^100").coeff(0, 0) == X ** 100 * Y ** 100

@@ -45,3 +45,24 @@ def test_tracer_counts_every_descent_level():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(metrics) == {m["name"] for m in declared}
     assert all(metrics[f"factorize.level{m}.s"] > 0 for m in range(n))
+
+
+def test_factored_attempt_traces_one_verify_and_one_p3():
+    # the spans that show where the lane certificate and p3 spend their time
+    layers = _layers()
+    op = parse("(Dx - 2*Dy + x)*(Dx^2 + y*Dy + 1)")
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        out = lpdo.factor_left(op, root_choice=lpdo.RatExpr.from_int(2))
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert out.status is lpdo.OutcomeStatus.FACTORED and out.certified
+    assert tracer.calls["factorize.verify"] == 1
+    assert tracer.calls["factorize.solve_p3"] == 1
+    assert tracer.calls["operator.compose"] == 0  # the certificate composes on the lane
+    metrics = tracer.metrics([1.0], 0.0)
+    assert metrics["factorize.verify.s"] > 0 and metrics["factorize.solve_p3.s"] > 0
+    assert metrics["charpoly.char_poly.calls_per_op"] == 0
