@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .expr import RatExpr
+from .expr import _TRIAL_BOUND, RatExpr, _factor, _is_prime
 from .operator import LPDO, _matrix_entries
 
 
@@ -234,17 +234,13 @@ def _root_candidates(coeffs: list[RatExpr]):
 
 
 def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    """The positive divisors of n (of 1 for n = 0), ascending."""
+    out = [1]
+    for p, e in _factor(abs(n) or 1):
+        if p > _TRIAL_BOUND and not _is_prime(p):  # r of a square cofactor r**2
+            raise ValueError(f"cannot list the divisors of the integer {n}")
+        out = [d * p ** i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 def root_transform(root: Root, matrix) -> Root:

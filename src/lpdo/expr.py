@@ -29,21 +29,17 @@ of two lanes, after splitting off the common monomial part:
                   with a subresultant remainder sequence over ConstScalar.
 
 Both lanes give the same monic gcd, so canonical forms do not depend on
-which one ran.
+which one ran.  Poly.exact_div has the same split: rational coefficients
+divide over Z by the primitive part of the divisor (by Gauss's lemma a
+divisor with integer content above 1 need not divide over Z even when the
+quotient over Q exists), radical ones term by term over ConstScalar.
 
-Poly.exact_div has the same split.  With rational coefficients on both
-sides it clears denominators, divides over Z by the primitive part of the
-divisor (a divisor with integer content above 1 need not divide over Z even
-when the quotient over Q exists, by Gauss's lemma) and scales back; the
-division is the one GCDHEU uses to accept a candidate.  Radical coefficients
-take term-by-term division over ConstScalar.
-
-The third integer lane is IntPoly, the numerator type of the factorization
-engine's rational descent: an integer polynomial on exponent tuples over one
-positive integer denominator, with +, -, *, exact division and the
-x/y-derivatives done on ints.  It is built from a Poly through the same
-conversion the gcd uses and turned back into one before any reduction, so
-canonical forms are still taken only by RatExpr.
+The integer lane's type is IntPoly: an integer polynomial over one positive
+integer denominator, with one int per monomial (see ZPoly: a bit field per
+symbol, so a product of monomials is a sum of keys) and +, -, *, exact
+division, GCDHEU and the x/y-derivatives done on ints.  It is also the
+numerator type of the factorization engine's descent, which reduces its
+values on it and builds a Poly only for a canonical result.
 
 Symbols other than x and y are named by strings.  A plain name is a
 parameter: it commutes with x and y and differentiates to zero.  A name
@@ -57,53 +53,72 @@ path carries its free p3.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
-from operator import add as _add
+from math import gcd, isqrt, lcm
+from operator import or_
 
 
 # --------------------------------------------------------------------------
 # integer helpers
 # --------------------------------------------------------------------------
 
+_TRIAL_BOUND = 1 << 24  # trial division to it takes about 0.4 s on a Xeon core
+# Miller-Rabin with the first 13 prime bases is a proof below this bound
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is proven prime: below _MR_LIMIT the strong-probable-prime
+    test to every base in _MR_BASES decides; above it, False."""
+    if n < 2 or n >= _MR_LIMIT or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+               for a in _MR_BASES)
+
+
+def _factor(n: int) -> list[tuple[int, int]]:
+    """[(p, e), ...] with n = prod(p**e) for n > 0, p ascending: trial
+    division by 2, 3 and 6k +- 1 up to _TRIAL_BOUND, stopped once the
+    cofactor is proven prime.  A cofactor left at the bound must be a perfect
+    square r**2, given as (r, 2) with r unsplit; else ValueError names n."""
+    out, m, k = [], n, 5
+    while m > 1 and not _is_prime(m):
+        p = next((p for p in (2, 3) if m % p == 0), None)
+        if p is None:
+            for k in range(k, min(isqrt(m), _TRIAL_BOUND) + 1, 6):
+                if m % k == 0 or m % (k + 2) == 0:
+                    break
+            else:
+                r = isqrt(m)
+                if r * r != m:
+                    raise ValueError(f"cannot factor the integer {n}: no factor up "
+                                     f"to {_TRIAL_BOUND} and no primality proof")
+                return out + [(r, 2)]
+            p = k if m % k == 0 else k + 2
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        out.append((p, e))
+    return out + [(m, 1)] * (m > 1)
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = c**2 * d with c > 0 and d square-free (d keeps the sign)."""
     if n == 0:
         raise ValueError("cannot decompose 0")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    c, d = 1, 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            c *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    d *= n  # leftover prime
-    return c, sign * d
+    c, d = 1, -1 if n < 0 else 1
+    for p, e in _factor(abs(n)):
+        c, d = c * p ** (e // 2), d * p ** (e % 2)
+    return c, d
 
 
 def _radical_generators(d: int) -> frozenset[int]:
     """Generator set of a square-free index: its primes, plus -1 for the sign."""
-    gens = set()
-    if d < 0:
-        gens.add(-1)
-        d = -d
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            gens.add(p)
-            d //= p
-        p += 1 if p == 2 else 2
-    if d > 1:
-        gens.add(d)
-    return frozenset(gens)
+    return frozenset([p for p, _ in _factor(abs(d))] + [-1] * (d < 0))
 
 
 def _mul_radicals(a: int, b: int) -> tuple[int, int]:
@@ -124,10 +139,6 @@ def _mul_radicals(a: int, b: int) -> tuple[int, int]:
         else:
             key *= g
     return factor, (-key if neg else key)
-
-
-def max_gen(v: frozenset[int]) -> int:
-    return max(v, key=abs)
 
 
 def _power(base, n: int, one):
@@ -297,7 +308,7 @@ class ConstScalar:
         for d in self._coords:
             if d != 1:
                 gens |= _radical_generators(d)
-        return max_gen(frozenset(gens))
+        return max(gens, key=abs)
 
     def _split_by(self, g: int) -> tuple["ConstScalar", "ConstScalar"]:
         """self = u + sqrt(g) * v, with u and v not involving generator g."""
@@ -663,24 +674,10 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_const():
             return self.scale(other.const_value().inverse())
-        syms = sorted(self.symbols() | other.symbols(), key=_srank)
-        index = {s: i for i, s in enumerate(syms)}
-        f, g = _to_zpoly(self, index), _to_zpoly(other, index)
-        if f is not None and g is not None:
-            (f, df), (g, dg) = f, g
-            # divide by the primitive part: over Z a divisor with content
-            # c > 1 need not divide even when the rational quotient exists
-            cg = gcd(*g.values())
-            if cg != 1:
-                g = {e: c // cg for e, c in g.items()}
-            q = _zp_quo(f, g)
-            if q is None:
-                raise ValueError("inexact polynomial division")
-            unit = Fraction(dg, df * cg)
-            out = Poly.__new__(Poly)
-            out.terms = {tuple((s, k) for s, k in zip(syms, e) if k):
-                         _rational(c * unit) for e, c in q.items()}
-            return out
+        pair = _int_pair(self, other)
+        if pair is not None:  # over Z by the primitive part of other
+            syms, f, g = pair
+            return f.exact_div(g).to_poly(syms)
         rem = self
         dm, dc = other.leading_term()
         dci = dc.inverse()
@@ -900,55 +897,57 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
 
 # -- integer heuristic gcd ----------------------------------------------------
 #
-# An integer polynomial is a dict from exponent tuples (one place per symbol
-# of a fixed list in _srank order) to nonzero ints.
+# An integer polynomial is a dict from packed monomials to nonzero ints: the
+# exponent of symbol i in _srank order (x is 0, y is 1), at most _EXP_MAX,
+# sits in the bits [_W*i, _W*i + _W) of the key below a guard bit.  Products
+# of monomials add keys, int order is lexicographic (the last symbol most
+# significant), and a monomial that does not divide borrows from a guard bit.
+# A Poly with a larger exponent or more than _FIELDS symbols takes the PRS
+# and ConstScalar paths; an IntPoly product past _EXP_MAX raises OverflowError.
 
-ZPoly = dict[tuple[int, ...], int]
+ZPoly = dict[int, int]
+
+_W = 15  # the keys of x and y alone stay one-digit CPython ints
+_EXP_MAX = (1 << _W - 1) - 1
+_MASK = (1 << _W) - 1
+_FIELDS = 64
+_GUARD = sum(1 << _W * i + _W - 1 for i in range(_FIELDS))
 
 # evaluation points tried per level before the heuristic gives up
 _HEU_TRIES = 6
 
 
+def _zp_monomial(e: int, syms: list[str]) -> Monomial:
+    out = []
+    for s in syms:
+        if not e:
+            break
+        if e & _MASK:
+            out.append((s, e & _MASK))
+        e >>= _W
+    return tuple(out)
+
+
+def _int_pair(a: Poly, b: Poly) -> tuple[list[str], "IntPoly", "IntPoly"] | None:
+    """The joint symbols of a and b in _srank order, and a and b as IntPolys
+    on them; None when either has no IntPoly."""
+    syms = sorted(a.symbols() | b.symbols(), key=_srank)
+    index = {s: i for i, s in enumerate(syms)}
+    f, g = IntPoly.from_poly(a, index), IntPoly.from_poly(b, index)
+    return None if f is None or g is None else (syms, f, g)
+
+
 def _int_gcd(a: Poly, b: Poly) -> Poly | None:
     """Monic gcd of rational a and b by GCDHEU over Z; None when a
     coefficient carries a radical or the heuristic gives up."""
-    syms = sorted(a.symbols() | b.symbols(), key=_srank)
-    index = {s: i for i, s in enumerate(syms)}
-    f, g = _to_zpoly(a, index), _to_zpoly(b, index)
-    if f is None or g is None:
-        return None
-    h = _heu_gcd(f[0], g[0], len(syms))
-    if h is None:
-        return None
-    # graded-lex order on exponent tuples in symbol rank order
-    lead = h[max(h, key=lambda e: (sum(e), e))]
-    return Poly({tuple((s, k) for s, k in zip(syms, e) if k):
-                 ConstScalar({1: Fraction(c, lead)}) for e, c in h.items()})
+    pair = _int_pair(a, b)
+    h = None if pair is None else pair[1].gcd(pair[2])
+    return None if h is None else h.to_poly(pair[0]).monic()
 
 
-def _to_zpoly(p: Poly, index: dict[str, int]) -> tuple[ZPoly, int] | None:
-    """p times the lcm of its coefficient denominators, and that lcm; None
-    when a coefficient is not rational."""
-    rats = []
-    for m, c in p.terms.items():
-        q = c._coords.get(1)
-        if q is None or len(c._coords) != 1:
-            return None
-        rats.append((m, q))
-    den = lcm(*(q.denominator for _, q in rats))
-    zero = [0] * len(index)
-    out = {}
-    for m, q in rats:
-        e = list(zero)
-        for s, k in m:
-            e[index[s]] = k
-        out[tuple(e)] = q.numerator * (den // q.denominator)
-    return out, den
-
-
-def _heu_gcd(f: ZPoly, g: ZPoly, n: int) -> ZPoly | None:
-    """gcd over Z of nonzero f and g in n variables (Char, Geddes and
-    Gonnet 1989), or None when no evaluation point succeeds.
+def _heu_gcd(f: ZPoly, g: ZPoly) -> ZPoly | None:
+    """gcd over Z of nonzero f and g (Char, Geddes and Gonnet 1989), or None
+    when no evaluation point succeeds.
 
     The last variable is evaluated at an integer xi, the gcd of the images
     is found recursively, and the candidate is rebuilt xi-adically from it.
@@ -956,22 +955,24 @@ def _heu_gcd(f: ZPoly, g: ZPoly, n: int) -> ZPoly | None:
     candidate that divides both is their gcd (Geddes, Czapor and Labahn,
     Algorithms for Computer Algebra, 1992, section 7.7), so a candidate is
     accepted only after exact division."""
+    n = (max(max(f), max(g)).bit_length() + _W - 1) // _W  # the fields in use
     if n == 0:
-        return {(): gcd(f[()], g[()])}
+        return {0: gcd(f[0], g[0])}
     cf, cg = gcd(*f.values()), gcd(*g.values())
     if cf != 1:
         f = {e: c // cf for e, c in f.items()}
     if cg != 1:
         g = {e: c // cg for e, c in g.items()}
     content = gcd(cf, cg)
+    shift = _W * (n - 1)
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
     for _ in range(_HEU_TRIES):
-        ff, gg = _zp_eval_last(f, xi), _zp_eval_last(g, xi)
+        ff, gg = _zp_eval_last(f, xi, shift), _zp_eval_last(g, xi, shift)
         if ff and gg:
-            hh = _heu_gcd(ff, gg, n - 1)
-            if hh is None:
+            hh = _heu_gcd(ff, gg)
+            h = None if hh is None else _zp_interpolate(hh, xi, shift)
+            if h is None:
                 return None
-            h = _zp_interpolate(hh, xi)
             ch = gcd(*h.values())
             if ch != 1:
                 h = {e: c // ch for e, c in h.items()}
@@ -983,33 +984,36 @@ def _heu_gcd(f: ZPoly, g: ZPoly, n: int) -> ZPoly | None:
     return None
 
 
-def _zp_eval_last(f: ZPoly, xi: int) -> ZPoly:
-    """f with its last variable set to xi."""
+def _zp_eval_last(f: ZPoly, xi: int, shift: int) -> ZPoly:
+    """f with its last variable, the field at shift, set to xi."""
+    low = (1 << shift) - 1
     powers = [1]
     out: ZPoly = {}
     for e, c in f.items():
-        k = e[-1]
+        k = e >> shift
         while len(powers) <= k:
             powers.append(powers[-1] * xi)
-        rest = e[:-1]
+        rest = e & low
         out[rest] = out.get(rest, 0) + c * powers[k]
     return {e: c for e, c in out.items() if c}
 
 
-def _zp_interpolate(h: ZPoly, xi: int) -> ZPoly:
-    """The polynomial in one more (last) variable whose coefficients are the
-    symmetric base-xi digits of h's coefficients."""
+def _zp_interpolate(h: ZPoly, xi: int, shift: int) -> ZPoly | None:
+    """The polynomial in one more (last) variable, the field at shift, whose
+    coefficients are the symmetric base-xi digits of h's; None past _EXP_MAX."""
     half = xi // 2
     out: ZPoly = {}
     k = 0
     while h:
+        if k > _EXP_MAX:
+            return None
         rest: ZPoly = {}
         for e, c in h.items():
             r = c % xi
             if r > half:
                 r -= xi
             if r:
-                out[e + (k,)] = r
+                out[e | k << shift] = r
             c = (c - r) // xi
             if c:
                 rest[e] = c
@@ -1023,37 +1027,35 @@ def _zp_quo(f: ZPoly, h: ZPoly) -> ZPoly | None:
     else None."""
     lh = max(h)
     lc = h[lh]
+    if not lh:  # a constant divides coefficient by coefficient
+        return None if any(c % lc for c in f.values()) else {e: c // lc for e, c in f.items()}
     quo: ZPoly = {}
-    if not any(lh):
-        for e, c in f.items():
-            qc, r = divmod(c, lc)
-            if r:
-                return None
-            quo[e] = qc
-        return quo
+    # the guard bits of the fields up to lh's last; a key of f has none set,
+    # and one set in the remainder means an exponent above f's, so no quotient
+    guard = _GUARD & (1 << lh.bit_length() + _W - 1) - 1
     rest = [(e, c) for e, c in h.items() if e != lh]
     rem = dict(f)
-    # min-heap on negated exponents: pops the lexicographically largest
-    heap = [tuple(-k for k in e) for e in rem]
+    # min-heap on negated keys: pops the lexicographically largest
+    heap = [-e for e in rem]
     heapify(heap)
     while heap:
-        e = tuple(-k for k in heappop(heap))
+        e = -heappop(heap)
         c = rem.pop(e, 0)
         if not c:
             continue
-        q = tuple(a - b for a, b in zip(e, lh))
-        if min(q) < 0:
+        if e & guard or (e + guard - lh) & guard != guard:
             return None
         qc, r = divmod(c, lc)
         if r:
             return None
+        q = e - lh
         quo[q] = qc
         for he, hc in rest:
-            m = tuple(a + b for a, b in zip(q, he))
+            m = q + he
             v = rem.get(m, 0) - qc * hc
             if v:
                 if m not in rem:
-                    heappush(heap, tuple(-k for k in m))
+                    heappush(heap, -m)
                 rem[m] = v
             else:
                 rem.pop(m, None)
@@ -1062,13 +1064,9 @@ def _zp_quo(f: ZPoly, h: ZPoly) -> ZPoly | None:
 
 class IntPoly:
     """A rational polynomial as an integer polynomial over one positive
-    integer denominator: terms / den.
-
-    Exponent tuples follow a symbol list fixed by the caller, in _srank
-    order with x and y always present, so x and y are the first two places.
-    Only the ring operations, exact division and the x/y-derivatives are
-    provided; the value is neither reduced nor canonical, and to_poly gives
-    it back as a Poly."""
+    integer denominator: terms / den, the terms a ZPoly on a symbol list in
+    _srank order with x and y always present (the fields 0 and 1).  It is
+    neither reduced nor canonical; to_poly gives the value back as a Poly."""
 
     __slots__ = ("terms", "den")
 
@@ -1077,19 +1075,38 @@ class IntPoly:
         self.den = den
 
     @classmethod
-    def from_poly(cls, p: Poly, index: dict[str, int]) -> "IntPoly":
-        terms, den = _to_zpoly(p, index)
-        return cls(terms, den)
+    def from_poly(cls, p: Poly, index: dict[str, int]) -> "IntPoly | None":
+        """p on the fields of index; None when a coefficient is not
+        rational or p has no packed keys."""
+        if len(index) > _FIELDS:
+            return None
+        rats = {}
+        for m, c in p.terms.items():
+            q = c._coords.get(1)
+            if q is None or len(c._coords) != 1:
+                return None
+            e = 0
+            for s, k in m:
+                if k > _EXP_MAX:
+                    return None
+                e |= k << _W * index[s]
+            rats[e] = q
+        den = lcm(*(q.denominator for q in rats.values()))
+        return cls({e: q.numerator * (den // q.denominator) for e, q in rats.items()}, den)
 
-    def to_poly(self, syms: list[str]) -> Poly:
+    def to_poly(self, syms: list[str], unit: Fraction | int = 1) -> Poly:
+        """The value times unit, as a Poly."""
         out = Poly.__new__(Poly)
-        den = self.den
-        out.terms = {tuple((s, k) for s, k in zip(syms, e) if k):
-                     _rational(Fraction(c, den)) for e, c in self.terms.items()}
+        u, den = unit.numerator, self.den * unit.denominator
+        out.terms = {_zp_monomial(e, syms): _rational(Fraction(c * u, den))
+                     for e, c in self.terms.items()}
         return out
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def is_const(self) -> bool:
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def _plus(self, other: "IntPoly", sign: int) -> "IntPoly":
         """self + sign * other, over the lcm of the two denominators."""
@@ -1116,13 +1133,23 @@ class IntPoly:
         return IntPoly({e: -c for e, c in self.terms.items()}, self.den)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
+        a, b = self.terms, other.terms
+        den = self.den * other.den
+        if len(a) == 1 and 0 in a:
+            a, b = b, a
+        if len(b) == 1 and 0 in b:  # a constant factor scales
+            k = b[0]
+            return IntPoly({e: c * k for e, c in a.items()}, den)
         out: ZPoly = {}
         get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(_add, e1, e2))
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-        return IntPoly({e: c for e, c in out.items() if c}, self.den * other.den)
+        out = {e: c for e, c in out.items() if c}
+        if out and reduce(or_, out) & _GUARD:
+            raise OverflowError(f"an exponent of a product passes {_EXP_MAX}")
+        return IntPoly(out, den)
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Exact quotient, over Z by the primitive part of other (Gauss's
@@ -1133,6 +1160,12 @@ class IntPoly:
             raise ValueError("inexact polynomial division")
         return IntPoly({e: c * other.den for e, c in q.items()}, self.den * cg)
 
+    def gcd(self, other: "IntPoly") -> "IntPoly | None":
+        """The GCDHEU gcd over Z of the nonzero terms (the denominators left
+        out); None when the heuristic gives up."""
+        h = _heu_gcd(self.terms, other.terms)
+        return None if h is None else IntPoly(h)
+
     def scale_rational(self, k: int) -> "IntPoly":
         """The value times the integer k."""
         if not k:
@@ -1140,13 +1173,14 @@ class IntPoly:
         return IntPoly({e: c * k for e, c in self.terms.items()}, self.den)
 
     def diff(self, var: str) -> "IntPoly":
-        """d/dx or d/dy: an index shift in the first or second place."""
-        i = 0 if var == "x" else 1
+        """d/dx or d/dy: the exponent is read off field 0 or 1, then lowered."""
+        shift = 0 if var == "x" else _W
+        one = 1 << shift
         out: ZPoly = {}
         for e, c in self.terms.items():
-            k = e[i]
+            k = e >> shift & _MASK
             if k:
-                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+                out[e - one] = c * k
         return IntPoly(out, self.den)
 
 
@@ -1206,20 +1240,11 @@ class RatExpr:
     def _reduce(cls, num: Poly, den: Poly) -> "RatExpr":
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            return cls(Poly.ZERO, Poly.ONE)
-        if den.is_const():
-            return cls(num.scale(den.const_value().inverse()), Poly.ONE)
-        g = poly_gcd(num, den)
-        if not g.is_const():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        _, lc = den.leading_term()
-        if not (lc == ConstScalar.ONE):
-            inv = lc.inverse()
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return cls(num, den)
+        if not num.is_zero() and not den.is_const():
+            g = poly_gcd(num, den)
+            if not g.is_const():
+                num, den = num.exact_div(g), den.exact_div(g)
+        return cls._fast(num, den)
 
     # -- constructors
 

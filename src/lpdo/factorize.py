@@ -34,19 +34,21 @@ Below the top level the values live on a Lane, over one common denominator
 after Bareiss's fraction-free elimination: N / Q^k, with Q the squarefree
 part of the lcm of the inputs' denominators, so sums, products and
 derivatives need no gcd and a value is zero exactly when N is.  N is an
-IntPoly (an integer polynomial over one integer denominator) when every
-input is rational and no symbol is an unknown function or one of its jets,
-and a Poly over ConstScalar otherwise.  An attempt lifts w, the operator's
-coefficients and the top-level solution onto one LevelState once.  There
-solve_p3 forms the b-sums and P'(w) and divides exactly when the numerator
-of P'(w) divides theirs; otherwise p3 is reduced once and Q widened to cover
-its denominator.  The descent then solves the levels on the same state.  The
-certificate, verify, builds factor o cofactor by the Leibniz rule on a lane
-of the three operators' coefficients and subtracts the operator: an exact
-identity of numerators.  RatExpr's canonical form is taken once per output
-(p3, each residual, each cofactor coefficient once every residual vanishes,
-each nonzero coefficient of a failed certificate), so the outputs are those
-of a reduction after every step.
+IntPoly (packed integer monomials over one integer denominator) when every
+input is rational, no symbol is an unknown function or one of its jets and
+every exponent fits a packed key, and a Poly over ConstScalar otherwise.  An
+attempt lifts w, the operator's coefficients and the top-level solution onto
+one LevelState once.  There solve_p3 forms the b-sums and P'(w) and divides
+exactly when the numerator of P'(w) divides theirs; otherwise p3 is reduced
+on the numerators and Q widened to cover its denominator.  The descent then
+solves the levels on the same state.  The certificate, verify, builds factor
+o cofactor by the Leibniz rule on a lane of the three operators' coefficients
+and subtracts the operator: an exact identity of numerators.  A value is
+read out once per output (p3, each residual, each cofactor coefficient once
+every residual vanishes, each nonzero coefficient of a failed certificate).
+Q is squarefree, so N / Q^k is already reduced when gcd(N, Q), taken on the
+numerators, is a unit, and only its denominator is then made monic.  The
+outputs are those of a reduction after every step.
 """
 
 from __future__ import annotations
@@ -57,10 +59,13 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .expr import (
+    ConstScalar,
     IntPoly,
     Poly,
     RatExpr,
     Unknown,
+    _EXP_MAX,
+    _FIELDS,
     _srank,
     jet_assignments,
     mono_degree,
@@ -220,29 +225,35 @@ class Lane:
     lcm of the denominators of the values the lane is built for; every
     denominator of their sums, products and derivatives divides a power of
     Q.  So a value is zero exactly when its numerator is, and only values
-    read out are reduced.  The numerators are IntPolys when every value is
-    rational and no symbol is an unknown function or one of its jets (whose
-    derivatives are new symbols, not index shifts), and Polys otherwise.
+    read out are reduced, against Q rather than Q^k.  The numerators are
+    IntPolys when every value is rational, no symbol is an unknown function
+    or one of its jets (whose derivatives are new symbols, not index shifts)
+    and every exponent fits a packed key, and Polys otherwise.
     """
 
     def __init__(self, values: list[RatExpr]):
-        syms = {s for r in values for p in (r.num, r.den) for m in p.terms for s, _ in m}
-        if not any(isinstance(s, Unknown) for s in syms) and all(
-                c.is_rational() for r in values for p in (r.num, r.den)
-                for c in p.terms.values()):
-            order = sorted(syms | {"x", "y"}, key=_srank)
+        terms = [t for r in values for p in (r.num, r.den) for t in p.terms.items()]
+        syms = {s for m, _ in terms for s, _ in m}
+        order = sorted(syms | {"x", "y"}, key=_srank)
+        if len(order) <= _FIELDS and not any(isinstance(s, Unknown) for s in syms) and all(
+                c.is_rational() and all(e <= _EXP_MAX for _, e in m) for m, c in terms):
             index = {s: i for i, s in enumerate(order)}
             self._num = lambda p: IntPoly.from_poly(p, index)
-            self._poly = lambda n: n.to_poly(order)
+            self._poly = lambda n, inv=ConstScalar.ONE: n.to_poly(order, inv.rational_value())
+            self._gcd = IntPoly.gcd
         else:
-            self._num = self._poly = lambda p: p
+            self._num = lambda p: p
+            self._poly = lambda n, inv=None: n if inv is None else n.scale(inv)
+            self._gcd = poly_gcd
         self._set_q(_squarefree_lcm(
             dict.fromkeys(r.den for r in values if not r.den.is_const())))
 
     def _set_q(self, q: Poly) -> None:
         self.q = q
         self._powers = [self._num(Poly.ONE), self._num(q)]
-        self._qpowers: dict[int, Poly] = {}
+        if self._powers[1] is None:  # an integer lane's Q past the packed bound
+            raise OverflowError(f"the common denominator {q} has no packed keys")
+        self._monic: dict[int, tuple] = {}  # Q^k made monic, and 1/lc(Q^k)
         self._dq: dict = {}  # d(Q) for each derivation d, by name
 
     def power(self, k: int):
@@ -250,13 +261,6 @@ class Lane:
         while len(self._powers) <= k:
             self._powers.append(self._powers[-1] * self._powers[1])
         return self._powers[k]
-
-    def _qpower(self, k: int) -> Poly:
-        """Q^k as a Poly, converted once from the numerator form."""
-        p = self._qpowers.get(k)
-        if p is None:
-            p = self._qpowers[k] = self._poly(self.power(k))
-        return p
 
     def _lift_den(self, d: Poly) -> tuple[object | None, int]:
         """(Q^k / d, k) for the least k with d | Q^k, the cofactor as a
@@ -276,7 +280,7 @@ class Lane:
                 raise ValueError(f"denominator {d} does not divide a power of {self.q}")
             rest = rest.exact_div(g)
             k += 1
-        return self._num(self._qpower(k).exact_div(d)), k
+        return self.power(k).exact_div(self._num(d)), k
 
     def lift(self, r: RatExpr) -> tuple[object, int]:
         co, k = self._lift_den(r.den)
@@ -284,9 +288,21 @@ class Lane:
         return (n if co is None else n * co), k
 
     def reduce(self, u: tuple[object, int]) -> RatExpr:
-        if u[0].is_zero():
+        """N / Q^k in canonical form: with Q squarefree it is reduced when
+        gcd(N, Q) is a unit, and then only its denominator is made monic."""
+        n, k = u
+        if n.is_zero():
             return RatExpr.ZERO
-        return RatExpr._reduce(self._poly(u[0]), self._qpower(u[1]))
+        if not k:
+            return RatExpr(self._poly(n), Poly.ONE)
+        if k not in self._monic:  # lc(Q^k) = lc(Q)^k under the graded-lex order
+            inv = self.q.leading_term()[1].inverse() ** k
+            self._monic[k] = self._poly(self.power(k), inv), inv
+        den, inv = self._monic[k]
+        g = self._gcd(n, self._powers[1])
+        if g is None or not g.is_const():
+            return RatExpr._reduce(self._poly(n), den)
+        return RatExpr(self._poly(n, inv), den)
 
     def add(self, u, v):
         (n1, k1), (n2, k2) = u, v
@@ -384,7 +400,10 @@ class LevelState(Lane):
             n = n * self.power(kv - ku)
         else:
             d = d * self.power(ku - kv)
-        p3 = RatExpr._reduce(self._poly(n), self._poly(d))
+        g = self._gcd(n, d)  # reduced on the numerators, then converted once
+        if g is not None and not g.is_const():
+            n, d = n.exact_div(g), d.exact_div(g)
+        p3 = (RatExpr._reduce if g is None else RatExpr._fast)(self._poly(n), self._poly(d))
         q = _squarefree_lcm([self.q, p3.den])
         powers = [self.power(0), self._num(q.exact_div(self.q))]
         self._set_q(q)

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, stdin, formats."""
 
 import json
+import time
 
 import pytest
 
@@ -28,6 +29,20 @@ class TestFactor:
         assert "status: factored" in out
         assert "factor: Dx + Dy + (-x + y)/2" in out
         assert "cofactor: Dx - Dy + (x + y)/2" in out
+
+    def test_a_large_prime_coefficient_is_proven_and_factored(self, capsys):
+        code, out, _ = run(capsys, ["factor", "Dx^2 - 2305843009213693951*Dy^2"])
+        assert code == 0
+        assert "factor: Dx + sqrt(2305843009213693951)*Dy" in out
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_an_unfactorable_integer_is_an_error_not_a_hang(self, capsys, order):
+        # 10^39 + 7 keeps two prime factors above the trial-division bound
+        start = time.perf_counter()
+        code, _, err = run(capsys, [
+            "factor", f"Dx^{order} - 1000000000000000000000000000000000000007*Dy^{order}"])
+        assert code == 1 and err.startswith("error: cannot factor the integer")
+        assert time.perf_counter() - start < 2
 
     def test_conditions_fail_exit_two_with_both_roots(self, capsys):
         code, out, _ = run(capsys, ["factor", "--params", "a", A_PARAM])

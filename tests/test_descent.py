@@ -13,6 +13,7 @@ from lpdo import expr, parse, parse_function
 from lpdo.expr import ConstScalar, IntPoly, Poly, RatExpr as R
 from lpdo.factorize import (
     DegenerateRoot,
+    Lane,
     LevelState,
     OutcomeStatus,
     factor_left,
@@ -414,3 +415,54 @@ def test_radical_coefficients_take_the_division_loop(monkeypatch):
     with pytest.raises(ValueError):
         (p * g + Poly.ONE).exact_div(g)
     assert not calls
+
+
+# --------------------------------------------------------------------------
+# Lane.reduce: the gcd with the squarefree Q on the numerators
+# --------------------------------------------------------------------------
+
+# Q as the lane holds it: two factors, and a negative leading coefficient
+# over an integer denominator (-x/2 - y/3 + 1, set directly)
+TWO_FACTORS = ((X + Y) * (X - R.ONE)).num
+NEGATIVE = (R.from_fraction(Fraction(-1, 2)) * X - R.from_fraction(Fraction(1, 3)) * Y
+            + R.ONE).num
+
+
+def _lane(q, kind):
+    """A lane over x, y and a with numerators of the kind's lane (R.ONE:
+    IntPoly, S2: Poly) and Q = q."""
+    lane = Lane([kind * A])
+    lane._set_q(q)
+    return lane
+
+
+def _assert_reduces(lane, n, k):
+    got = lane.reduce((lane._num(n), k))
+    want = R._reduce(n, lane.q ** k) if k else R._reduce(n, Poly.ONE)
+    assert got == want and str(got) == str(want)
+    return got
+
+
+@PROPERTY
+@given(polys(rationals, 0), st.integers(0, 3), st.sampled_from((TWO_FACTORS, NEGATIVE)),
+       st.sampled_from((R.ONE, S2)))
+def test_lane_reduce_matches_ratexpr_reduce(n, k, q, kind):
+    _assert_reduces(_lane(q, kind), n.scale(kind.const_value()), k)
+
+
+@pytest.mark.parametrize("kind, lane_type", [(R.ONE, IntPoly), (S2, Poly)])
+@pytest.mark.parametrize("q", [TWO_FACTORS, NEGATIVE], ids=["two_factors", "negative_lc"])
+def test_lane_reduce_cases(kind, lane_type, q):
+    lane = _lane(q, kind)
+    assert type(lane.power(1)) is lane_type
+    c = kind.const_value()
+    unit = (X * Y + R.from_int(3)).num.scale(c)
+    assert _assert_reduces(lane, unit, 0).den == Poly.ONE
+    for k in (1, 2, 3):  # a unit gcd: the denominator is Q^k made monic
+        got = _assert_reduces(lane, unit, k)
+        assert got.den == (lane.q ** k).monic()
+    shared = (X + Y).num * unit  # one factor of the two-factor Q
+    for k in (2, 3):
+        got = _assert_reduces(lane, shared, k)
+        if q is TWO_FACTORS:
+            assert got.den == ((X + Y) ** (k - 1) * (X - R.ONE) ** k).num.monic()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lpdo
+from lpdo import expr
 from lpdo.expr import (
     ConstScalar,
     Poly,
@@ -249,3 +250,48 @@ class TestPolyGcd:
             got_r = R.from_poly(got)
             quot = got_r / g
             assert (quot * g) == got_r
+
+
+# --------------------------------------------------------------------------
+# integer factoring: trial division to a bound, then a primality proof
+# --------------------------------------------------------------------------
+
+def _sympy_squarefree(n):
+    import sympy
+
+    c = d = 1
+    for p, e in sympy.factorint(abs(n)).items():
+        c, d = c * p ** (e // 2), d * p ** (e % 2)
+    return c, d if n > 0 else -d
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(-10 ** 12, 10 ** 12).filter(bool))
+def test_squarefree_decompose_matches_sympy(n):
+    assert expr.squarefree_decompose(n) == _sympy_squarefree(n)
+
+
+@pytest.mark.parametrize("n", [
+    2 ** 61 - 1,                      # proven prime by Miller-Rabin
+    3 * (2 ** 61 - 1) ** 2,           # a square cofactor above the bound
+    999983 * 1000003,                 # two primes below the bound
+    (2 ** 31 - 1) ** 2 * 5 ** 3,
+])
+def test_squarefree_decompose_of_large_integers(n):
+    assert expr.squarefree_decompose(n) == _sympy_squarefree(n)
+
+
+def test_is_prime_agrees_with_sympy_on_pseudoprimes():
+    import sympy
+
+    for n in [2047, 3215031751, 3825123056546413051, 318665857834031151167461,
+              561, 1105, 2 ** 61 - 1, *range(2, 2000)]:
+        assert expr._is_prime(n) == sympy.isprime(n), n
+    assert not expr._is_prime(2 ** 89 - 1)  # prime, but past the proven range
+
+
+def test_an_integer_past_the_bound_raises_naming_it():
+    n = 10 ** 39 + 7  # 19 * 347 * 389513 * 157034976251 * 2479696758123328573
+    with pytest.raises(ValueError, match=str(n)):
+        expr.squarefree_decompose(n)
+

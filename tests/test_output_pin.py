@@ -1,0 +1,53 @@
+"""The printed outcomes of round 0 of `roundtrip` and `generic` at seed 0,
+pinned byte for byte.
+
+perfbench/workloads.py builds the inputs; every operation's status, factor,
+cofactor, residuals and extensions are printed and compared with
+tests/data/outcomes_seed0.txt.  A change to the arithmetic that moves any
+canonical form, or the order of the residuals, fails here.  After a change
+that is meant to move an output, regenerate the file with
+
+    PYTHONPATH=src python tests/test_output_pin.py > tests/data/outcomes_seed0.txt
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PINNED = ROOT / "tests" / "data" / "outcomes_seed0.txt"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads_pin", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def render() -> str:
+    workloads = _workloads()
+    lines = []
+    for name in ("roundtrip", "generic"):
+        for i, op in enumerate(workloads.make(name, 0).round(0)):
+            out = op.run()
+            lines += [f"{name} {i}: {op.label}",
+                      f"  status: {out.status.value}",
+                      f"  factor: {out.factor}",
+                      f"  cofactor: {out.cofactor}",
+                      f"  extensions: {out.extensions}"]
+            lines += [f"  residual: {r}" for r in out.residuals]
+    return "\n".join(lines) + "\n"
+
+
+def test_round_zero_outcomes_match_the_pinned_text():
+    assert render() == PINNED.read_text()
+
+
+if __name__ == "__main__":
+    sys.stdout.write(render())

@@ -66,3 +66,33 @@ def test_factored_attempt_traces_one_verify_and_one_p3():
     metrics = tracer.metrics([1.0], 0.0)
     assert metrics["factorize.verify.s"] > 0 and metrics["factorize.solve_p3.s"] > 0
     assert metrics["charpoly.char_poly.calls_per_op"] == 0
+
+
+def test_residuals_reduce_without_poly_gcd():
+    # a generic-style operator: linear coefficients, the simple integer root
+    # 1, no factor.  Its residuals are reduced against the squarefree Q on
+    # the lane's own numerators, so poly_gcd runs only for p3's step.
+    layers = _layers()
+    op = parse("(x + 2)*Dx^4 + (y - 1)*Dx^3*Dy + 2*x*Dx^2*Dy^2 + (y + 1)*Dx*Dy^3"
+               " - (3*x + 2*y + 2)*Dy^4 + (x - y)*Dx^2 + (2*y + 1)*Dx*Dy + x*Dy + y - 3")
+    w = lpdo.RatExpr.ONE
+    fz = lpdo.factorize
+
+    def p3_step():
+        top = fz.solve_top(op, w)
+        fz.solve_p3(op, w, top, fz.LevelState(op, w, None, top))
+
+    calls = []
+    for run in (p3_step, lambda: lpdo.factor_left(op, root_choice=w)):
+        tracer = layers.Tracer()
+        tracer.install()
+        try:
+            tracer.begin_op()
+            out = run()
+            tracer.end_op()
+        finally:
+            tracer.uninstall()
+        calls.append(tracer.calls["expr.poly_gcd"])
+    assert out.status is lpdo.OutcomeStatus.CONDITIONS_FAIL
+    assert len(out.nonzero_residuals()) == 3
+    assert calls[1] <= calls[0]
