@@ -12,8 +12,9 @@ Three layers:
 
   ConstScalar -- an element of Q(sqrt(d1), ..., sqrt(dk)), stored as a map
                  from square-free radical index to rational coordinate.
-  Poly        -- a sparse multivariate polynomial over ConstScalar with a
-                 fixed graded-lexicographic term order.
+  Poly        -- a sparse multivariate polynomial over ConstScalar: a map
+                 from packed int monomial keys on its own symbol tuple to
+                 coefficients, under a graded-lexicographic term order.
   RatExpr     -- a reduced fraction of two Polys with a monic denominator.
 
 Every RatExpr operation is kept reduced through poly_gcd, which returns
@@ -32,14 +33,17 @@ Both lanes give the same monic gcd, so canonical forms do not depend on
 which one ran.  Poly.exact_div has the same split: rational coefficients
 divide over Z by the primitive part of the divisor (by Gauss's lemma a
 divisor with integer content above 1 need not divide over Z even when the
-quotient over Q exists), radical ones term by term over ConstScalar.
+quotient over Q exists), radical ones by the same lexicographic division
+over ConstScalar.
 
-The integer lane's type is IntPoly: an integer polynomial over one positive
-integer denominator, with one int per monomial (see ZPoly: a bit field per
-symbol, so a product of monomials is a sum of keys) and +, -, *, exact
-division, GCDHEU and the x/y-derivatives done on ints.  It is also the
-numerator type of the factorization engine's descent, which reduces its
-values on it and builds a Poly only for a canonical result.
+Only this module knows the monomial format (see "monomials: packed keys"):
+a bit field per symbol, so a product of monomials is a sum of keys, and an
+exponent past 16383 raises OverflowError.  The integer lane's type IntPoly
+holds a Poly's keys with int coefficients over one positive integer
+denominator, with +, -, *, exact division, GCDHEU and the x/y-derivatives
+done on ints.  It is also the numerator type of the factorization engine's
+descent, which reduces its values on it and builds a Poly only for a
+canonical result.
 
 Symbols other than x and y are named by strings.  A plain name is a
 parameter: it commutes with x and y and differentiates to zero.  A name
@@ -47,13 +51,13 @@ of type Unknown (built by RatExpr.unknown) is an unknown function of x and
 y instead: its x/y-derivatives are jet symbols, name suffixed with
 ``_x...y...``, that are unknowns too.  The kind travels with the symbol,
 so no registry is kept; this is how the factorization engine's degenerate
-path carries its free p3.
+path carries its free p3.  Combining a name of both kinds raises ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 from operator import or_
@@ -147,8 +151,9 @@ def _power(base, n: int, one):
     while n:
         if n & 1:
             out = out * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return out
 
 
@@ -422,90 +427,125 @@ ConstScalar.ZERO = ConstScalar()
 ConstScalar.ONE = ConstScalar.from_rational(1)
 
 
+
 # --------------------------------------------------------------------------
-# monomials
+# monomials: packed keys
 # --------------------------------------------------------------------------
 #
-# A monomial is a tuple of (symbol, exponent) pairs, sorted by symbol rank,
-# exponents > 0.  Rank: x first, y second, all other symbols alphabetically.
+# A Poly keys each term by one int on its own symbol tuple: x and y are the
+# fields 0 and 1, then come exactly the other symbols it uses, alphabetically.
+# Field i is the bits [_W*i, _W*i + _W) of the key: an exponent of at most
+# _EXP_MAX below a guard bit.  So a product of monomials is a sum of keys, in
+# which an exponent past _EXP_MAX sets a guard bit (OverflowError), a quotient
+# is a difference, in which a monomial that does not divide borrows from a
+# guard bit, and d/dv lowers one field.  The term order is graded-lex: total
+# degree, then the fields read from x upward; int order is lexicographic with
+# the last field most significant.  Two Polys on equal tuples share keys, and
+# adding a symbol after the last field leaves the keys as they are.
 
-Monomial = tuple[tuple[str, int], ...]
-
-MONO_ONE: Monomial = ()
-
-
-def _srank(name: str) -> tuple[int, str]:
-    if name == "x":
-        return (0, "")
-    if name == "y":
-        return (1, "")
-    return (2, name)
-
-
-def mono_make(pairs) -> Monomial:
-    items = [(s, e) for s, e in pairs if e]
-    items.sort(key=lambda it: _srank(it[0]))
-    return tuple(items)
+_W = 15  # the keys of x and y alone stay one-digit CPython ints
+_EXP_MAX = (1 << _W - 1) - 1
+_MASK = (1 << _W) - 1
+_XY = ("x", "y")
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for s, e in b:
-        out[s] = out.get(s, 0) + e
-    return mono_make(out.items())
+def _guard(n: int) -> int:
+    """The guard bits of the fields 0 to n - 1."""
+    return ((1 << _W * n) - 1) // _MASK << _W - 1
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    """a / b, or None when b does not divide a."""
-    out = dict(a)
-    for s, e in b:
-        r = out.get(s, 0) - e
-        if r < 0:
-            return None
-        if r:
-            out[s] = r
-        else:
-            out.pop(s, None)
-    return mono_make(out.items())
+def _carries(o: int) -> int:
+    """The guard bits set in o (the OR of some keys)."""
+    return o & _guard((o.bit_length() + _W - 1) // _W)
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _fields(e: int, syms) -> list[tuple[str, int]]:
+    """The (symbol, exponent) pairs of key e on syms, exponents above 0."""
+    out = []
+    for s in syms:
+        if not e:
+            break
+        if e & _MASK:
+            out.append((s, e & _MASK))
+        e >>= _W
+    return out
 
 
-def mono_gt(a: Monomial, b: Monomial) -> bool:
-    """Graded lexicographic order: higher total degree wins, then the
-    earlier-ranked symbol with the larger exponent."""
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return da > db
-    i = j = 0
-    while i < len(a) and j < len(b):
-        sa, ea = a[i]
-        sb, eb = b[j]
-        ra, rb = _srank(sa), _srank(sb)
-        if ra < rb:
-            return True
-        if rb < ra:
-            return False
-        if ea != eb:
-            return ea > eb
-        i += 1
-        j += 1
-    return i < len(a)
+def _ranker(n: int):
+    """The sort key of the term order on n fields: the total degree above
+    the fields read from x upward."""
+    def rank(e: int) -> int:
+        d = r = 0
+        for _ in range(n):
+            f = e & _MASK
+            d, r, e = d + f, r << _W | f, e >> _W
+        return d << _W * n | r
+    return rank
 
 
-def _mono_cmp(a: Monomial, b: Monomial) -> int:
-    if a == b:
+def _merge(s: tuple, t: tuple) -> tuple:
+    """The symbol tuple of two Polys together.  A name that is a parameter
+    in one and an unknown function in the other raises ValueError."""
+    if s is t or len(t) == 2:
+        return s
+    if len(s) == 2:
+        return t
+    names = {p: p for p in s[2:]}
+    for q in t[2:]:
+        if isinstance(names.setdefault(q, q), Unknown) != isinstance(q, Unknown):
+            raise ValueError(f"{q} is both a parameter and an unknown function")
+    return s if len(names) == len(s) - 2 else _XY + tuple(sorted(names))
+
+
+def _rekey(packed: dict, old: tuple, new: tuple) -> dict:
+    """The terms packed, keyed on the symbols old, keyed on new instead; new
+    holds every symbol that a key uses."""
+    if old is new or len(old) == 2:
+        return packed
+    moves = [(_W * i, _W * new.index(s)) for i, s in enumerate(old) if i > 1 and s in new]
+    if all(a == b for a, b in moves):
+        return packed
+    out = {}
+    for e, c in packed.items():
+        k = e & (1 << 2 * _W) - 1
+        for a, b in moves:
+            k |= (e >> a & _MASK) << b
+        out[k] = c
+    return out
+
+
+def _canon(syms: tuple, packed: dict) -> "Poly":
+    """The Poly of packed on syms, without the symbols after y it does not use."""
+    if len(syms) > 2:
+        o = reduce(or_, packed, 0)
+        used = tuple(s for i, s in enumerate(syms) if i < 2 or o >> _W * i & _MASK)
+        if len(used) < len(syms):
+            packed, syms = _rekey(packed, syms, used), used
+    p = Poly.__new__(Poly)
+    p.syms, p.packed = syms, packed
+    return p
+
+
+def _joint(a: "Poly", b: "Poly") -> tuple[tuple, dict, dict]:
+    """The symbol tuple of a and b together, and the terms of each on it."""
+    u = _merge(a.syms, b.syms)
+    return u, _rekey(a.packed, a.syms, u), _rekey(b.packed, b.syms, u)
+
+
+def _lead(p: "Poly") -> int:
+    """The key of the leading term under the graded-lex order."""
+    return max(p.packed, key=_ranker(len(p.syms)))
+
+
+def _mono_gcd(keys, n: int) -> int:
+    """The key of the largest monomial dividing every one of keys, on n
+    fields: the least of each field."""
+    if 0 in keys:
         return 0
-    return -1 if mono_gt(a, b) else 1
-
-
-MONO_DESC_KEY = cmp_to_key(_mono_cmp)
+    out = 0
+    for s in range(0, _W * n, _W):
+        out |= min(e >> s & _MASK for e in keys) << s
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -513,18 +553,30 @@ MONO_DESC_KEY = cmp_to_key(_mono_cmp)
 # --------------------------------------------------------------------------
 
 class Poly:
-    """Sparse multivariate polynomial over ConstScalar; no zero terms stored."""
+    """Sparse multivariate polynomial over ConstScalar: packed maps the key
+    of each monomial on the symbol tuple syms to its nonzero coefficient.
 
-    __slots__ = ("terms",)
+    terms is the same polynomial keyed by ((symbol, exponent), ...) tuples,
+    a view for readers outside the package."""
 
-    def __init__(self, terms: dict[Monomial, ConstScalar] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
+    __slots__ = ("syms", "packed")
+
+    def __init__(self, syms: tuple[str, ...] = _XY,
+                 packed: dict[int, ConstScalar] | None = None):
+        """The terms packed, keyed on syms (x, y, then other symbols in
+        alphabetical order); zero terms and unused symbols are dropped, and
+        an exponent past _EXP_MAX raises OverflowError."""
+        packed = {e: c for e, c in (packed or {}).items() if not c.is_zero()}
+        if packed and (_carries(reduce(or_, packed)) or max(packed) >> _W * len(syms)):
+            raise OverflowError(f"an exponent passes {_EXP_MAX} or a key has fields past {syms}")
+        p = _canon(tuple(syms), packed)
+        self.syms, self.packed = p.syms, p.packed
 
     # -- constructors
 
     @classmethod
     def const(cls, c: ConstScalar) -> "Poly":
-        return cls({MONO_ONE: c})
+        return Poly.ZERO if c.is_zero() else _canon(_XY, {0: c})
 
     @classmethod
     def rational(cls, q) -> "Poly":
@@ -532,7 +584,14 @@ class Poly:
 
     @classmethod
     def symbol(cls, name: str, exp: int = 1) -> "Poly":
-        return cls({mono_make([(name, exp)]): ConstScalar.ONE})
+        """name^exp; an Unknown name keeps its kind."""
+        if exp > _EXP_MAX:
+            raise OverflowError(f"the exponent {exp} passes {_EXP_MAX}")
+        if not exp:
+            return Poly.ONE
+        if name in _XY:
+            return _canon(_XY, {exp << _W * (name == "y"): ConstScalar.ONE})
+        return _canon(_XY + (name,), {exp << 2 * _W: ConstScalar.ONE})
 
     ZERO: "Poly"
     ONE: "Poly"
@@ -540,107 +599,89 @@ class Poly:
     # -- views
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and MONO_ONE in self.terms)
+        return not self.packed or (len(self.packed) == 1 and 0 in self.packed)
 
     def const_value(self) -> ConstScalar:
-        if not self.terms:
+        if not self.packed:
             return ConstScalar.ZERO
         if self.is_const():
-            return self.terms[MONO_ONE]
+            return self.packed[0]
         raise ValueError(f"{self} is not constant")
 
+    @property
+    def terms(self) -> dict[tuple[tuple[str, int], ...], ConstScalar]:
+        return {tuple(_fields(e, self.syms)): c for e, c in self.packed.items()}
+
     def symbols(self) -> set[str]:
-        out: set[str] = set()
-        for m in self.terms:
-            out.update(s for s, _ in m)
-        return out
+        o = reduce(or_, self.packed, 0)
+        return {s for i, s in enumerate(self.syms) if o >> _W * i & _MASK}
 
-    def leading_term(self) -> tuple[Monomial, ConstScalar]:
-        if not self.terms:
+    def degree(self) -> int:
+        """The total degree; 0 for a constant."""
+        return max((sum(k for _, k in _fields(e, self.syms)) for e in self.packed), default=0)
+
+    def leading_term(self) -> tuple["Poly", ConstScalar]:
+        """The leading monomial under the graded-lex order, and its coefficient."""
+        if not self.packed:
             raise ValueError("leading term of zero polynomial")
-        best = None
-        for m in self.terms:
-            if best is None or mono_gt(m, best):
-                best = m
-        return best, self.terms[best]
-
-    def sorted_terms(self) -> list[tuple[Monomial, ConstScalar]]:
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=MONO_DESC_KEY)]
+        e = _lead(self)
+        return _canon(self.syms, {e: ConstScalar.ONE}), self.packed[e]
 
     def radicals(self) -> set[int]:
         out: set[int] = set()
-        for c in self.terms.values():
+        for c in self.packed.values():
             out |= c.radicals()
         return out
 
     # -- ring operations
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
+        syms, a, b = _joint(self, other)
+        out = dict(a)
+        for e, c in b.items():
+            s = out.get(e)
             s = c if s is None else s + c
             if s.is_zero():
-                out.pop(m, None)
+                del out[e]
             else:
-                out[m] = s
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+                out[e] = s
+        return _canon(syms, out)
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _canon(self.syms, {e: -c for e, c in self.packed.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = -c if s is None else s - c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return self + -other
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.terms or not other.terms:
+        if not self.packed or not other.packed:
             return Poly.ZERO
-        out: dict[Monomial, ConstScalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
+        syms, a, b = _joint(self, other)
+        out: dict[int, ConstScalar] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
                 c = c1 * c2
-                s = out.get(m)
+                s = out.get(e)
                 s = c if s is None else s + c
                 if s.is_zero():
-                    out.pop(m, None)
+                    out.pop(e, None)
                 else:
-                    out[m] = s
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+                    out[e] = s
+        if out and _carries(reduce(or_, out)):
+            raise OverflowError(f"an exponent of a product passes {_EXP_MAX}")
+        return _canon(syms, out)
 
     def scale(self, c: ConstScalar) -> "Poly":
         if c.is_zero():
             return Poly.ZERO
-        p = Poly.__new__(Poly)
-        p.terms = {m: q * c for m, q in self.terms.items()}
-        return p
+        return _canon(self.syms, {e: q * c for e, q in self.packed.items()})
 
     def scale_rational(self, q) -> "Poly":
-        q = Fraction(q)
-        if not q:
-            return Poly.ZERO
-        p = Poly.__new__(Poly)
-        p.terms = {m: c.scale(q) for m, c in self.terms.items()}
-        return p
+        return self.scale(ConstScalar.from_rational(q))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -649,21 +690,27 @@ class Poly:
 
     # -- calculus
 
+    def partial(self, v: str) -> "Poly":
+        """dp/dv, the algebraic partial derivative in the symbol v (an
+        unknown's jets are independent symbols here)."""
+        if v not in self.syms:
+            return Poly.ZERO
+        shift = _W * self.syms.index(v)
+        one = 1 << shift
+        out = {}
+        for e, c in self.packed.items():
+            k = e >> shift & _MASK
+            if k:
+                out[e - one] = c.scale(k)
+        return _canon(self.syms, out)
+
     def diff(self, var: str) -> "Poly":
-        out = Poly.ZERO
-        for m, c in self.terms.items():
-            for s, e in m:
-                if s != var and not isinstance(s, Unknown):
-                    continue
-                rest = dict(m)
-                if e == 1:
-                    rest.pop(s)
-                else:
-                    rest[s] = e - 1
-                term = Poly({mono_make(rest.items()): c.scale(e)})
-                if s != var:  # an unknown: times its next jet
-                    term = term * Poly.symbol(s.diff(var))
-                out = out + term
+        """d/dvar for var x or y: the partial in var, plus, for each unknown
+        function u, the partial in u times u's next jet."""
+        out = self.partial(var)
+        for u in self.syms[2:]:
+            if isinstance(u, Unknown):
+                out = out + self.partial(u) * Poly.symbol(u.diff(var))
         return out
 
     # -- division and gcd
@@ -674,36 +721,27 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_const():
             return self.scale(other.const_value().inverse())
-        pair = _int_pair(self, other)
-        if pair is not None:  # over Z by the primitive part of other
-            syms, f, g = pair
+        syms = _merge(self.syms, other.syms)
+        f, g = IntPoly.from_poly(self, syms), IntPoly.from_poly(other, syms)
+        if f is not None and g is not None:  # over Z by the primitive part of other
             return f.exact_div(g).to_poly(syms)
-        rem = self
-        dm, dc = other.leading_term()
-        dci = dc.inverse()
-        out: dict[Monomial, ConstScalar] = {}
-        while not rem.is_zero():
-            rm, rc = rem.leading_term()
-            q = mono_div(rm, dm)
-            if q is None:
-                raise ValueError("inexact polynomial division")
-            qc = rc * dci
-            out[q] = qc
-            rem = rem - other * Poly({q: qc})
-        return Poly(out)
+        q = _zp_quo(_rekey(self.packed, self.syms, syms), _rekey(other.packed, other.syms, syms))
+        if q is None:
+            raise ValueError("inexact polynomial division")
+        return _canon(syms, q)
 
     def monic(self) -> "Poly":
         """Scale so the graded-lex leading coefficient is 1."""
-        if self.is_zero():
+        if not self.packed:
             return self
-        _, c = self.leading_term()
-        return self.scale(c.inverse())
+        return self.scale(self.packed[_lead(self)].inverse())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
+        return (isinstance(other, Poly) and self.packed == other.packed
+                and self.syms == other.syms)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self.syms, frozenset(self.packed.items())))
 
     def __str__(self) -> str:
         return poly_str(self)
@@ -715,19 +753,25 @@ Poly.ZERO = Poly()
 Poly.ONE = Poly.rational(1)
 
 
+def symbol_tuple(polys) -> tuple[str, ...]:
+    """The symbol tuple of all the polys together, on which each of them can
+    be keyed (see IntPoly.from_poly)."""
+    return reduce(_merge, (p.syms for p in polys), _XY)
+
+
 # -- univariate views (used by the gcd machinery) ---------------------------
 
 def _univar(p: Poly, v: str) -> list[Poly]:
     """Coefficients of p as a polynomial in v, ascending, as Polys without v."""
-    deg = 0
-    for m in p.terms:
-        deg = max(deg, dict(m).get(v, 0))
-    coeffs: list[dict[Monomial, ConstScalar]] = [dict() for _ in range(deg + 1)]
-    for m, c in p.terms.items():
-        d = dict(m)
-        e = d.pop(v, 0)
-        coeffs[e][mono_make(d.items())] = c
-    return [Poly(t) for t in coeffs]
+    if v not in p.syms:
+        return [p]
+    shift = _W * p.syms.index(v)
+    keep = ~(_MASK << shift)
+    coeffs: list[dict[int, ConstScalar]] = [
+        {} for _ in range(max(e >> shift & _MASK for e in p.packed) + 1)]
+    for e, c in p.packed.items():
+        coeffs[e >> shift & _MASK][e & keep] = c
+    return [_canon(p.syms, t) for t in coeffs]
 
 
 def _from_univar(coeffs: list[Poly], v: str) -> Poly:
@@ -783,42 +827,6 @@ def _content_pp(p: Poly, v: str) -> tuple[Poly, list[Poly]]:
     return cont, _trim(pp)
 
 
-def _mono_content(p: Poly) -> Monomial:
-    """Largest monomial dividing every term."""
-    it = iter(p.terms)
-    common = dict(next(it))
-    for m in it:
-        if not common:
-            break
-        exps = dict(m)
-        for s in list(common):
-            e = exps.get(s, 0)
-            if e < common[s]:
-                if e:
-                    common[s] = e
-                else:
-                    del common[s]
-    return mono_make(common.items())
-
-
-def _div_mono(p: Poly, m: Monomial) -> Poly:
-    if not m:
-        return p
-    out = Poly.__new__(Poly)
-    out.terms = {mono_div(t, m): c for t, c in p.terms.items()}
-    return out
-
-
-def _mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    db = dict(b)
-    out = {}
-    for s, e in a:
-        r = min(e, db.get(s, 0))
-        if r:
-            out[s] = r
-    return mono_make(out.items())
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd.  After the common monomial part is split off, rational
     inputs go through the integer heuristic gcd and everything else (or a
@@ -829,37 +837,40 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return a.monic()
     if a.is_const() or b.is_const():
         return Poly.ONE
-    if a.terms == b.terms:
+    syms, fa, fb = _joint(a, b)
+    if fa == fb:
         return a.monic()
     # strip the common monomial part first; it is the whole answer when
     # either argument is a single term
-    ma, mb = _mono_content(a), _mono_content(b)
-    mg = _mono_gcd(ma, mb)
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        return Poly({mg: ConstScalar.ONE})
+    n = len(syms)
+    ma, mb = _mono_gcd(fa, n), _mono_gcd(fb, n)
+    mg = _mono_gcd((ma, mb), n)
+    if len(fa) == 1 or len(fb) == 1:
+        return _canon(syms, {mg: ConstScalar.ONE})
     if ma:
-        a = _div_mono(a, ma)
+        a = _canon(syms, {e - ma: c for e, c in fa.items()})
     if mb:
-        b = _div_mono(b, mb)
+        b = _canon(syms, {e - mb: c for e, c in fb.items()})
     g = _int_gcd(a, b)
     if g is None:
         g = _prs_gcd(a, b)
-    return g * Poly({mg: ConstScalar.ONE}) if mg else g
+    return g * _canon(syms, {mg: ConstScalar.ONE}) if mg else g
 
 
 def _prs_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd of non-constant a and b via content/primitive-part
     recursion with a subresultant remainder sequence in one variable."""
     # quick mutual-divisibility test catches powers of a shared factor
-    small, large = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
+    small, large = (a, b) if len(a.packed) <= len(b.packed) else (b, a)
     try:
         large.exact_div(small)
     except ValueError:
         pass
     else:
         return small.monic()
-    syms = sorted(a.symbols() | b.symbols(), key=_srank)
-    v = syms[0]
+    syms, pa, pb = _joint(a, b)
+    o = reduce(or_, pa) | reduce(or_, pb)
+    v = syms[((o & -o).bit_length() - 1) // _W]  # the first symbol in use
     ca, fa = _content_pp(a, v)
     cb, fb = _content_pp(b, v)
     cont = poly_gcd(ca, cb)
@@ -896,53 +907,20 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
 
 
 # -- integer heuristic gcd ----------------------------------------------------
-#
-# An integer polynomial is a dict from packed monomials to nonzero ints: the
-# exponent of symbol i in _srank order (x is 0, y is 1), at most _EXP_MAX,
-# sits in the bits [_W*i, _W*i + _W) of the key below a guard bit.  Products
-# of monomials add keys, int order is lexicographic (the last symbol most
-# significant), and a monomial that does not divide borrows from a guard bit.
-# A Poly with a larger exponent or more than _FIELDS symbols takes the PRS
-# and ConstScalar paths; an IntPoly product past _EXP_MAX raises OverflowError.
 
-ZPoly = dict[int, int]
-
-_W = 15  # the keys of x and y alone stay one-digit CPython ints
-_EXP_MAX = (1 << _W - 1) - 1
-_MASK = (1 << _W) - 1
-_FIELDS = 64
-_GUARD = sum(1 << _W * i + _W - 1 for i in range(_FIELDS))
+ZPoly = dict[int, int]  # an integer polynomial: a Poly's packed keys to nonzero ints
 
 # evaluation points tried per level before the heuristic gives up
 _HEU_TRIES = 6
 
 
-def _zp_monomial(e: int, syms: list[str]) -> Monomial:
-    out = []
-    for s in syms:
-        if not e:
-            break
-        if e & _MASK:
-            out.append((s, e & _MASK))
-        e >>= _W
-    return tuple(out)
-
-
-def _int_pair(a: Poly, b: Poly) -> tuple[list[str], "IntPoly", "IntPoly"] | None:
-    """The joint symbols of a and b in _srank order, and a and b as IntPolys
-    on them; None when either has no IntPoly."""
-    syms = sorted(a.symbols() | b.symbols(), key=_srank)
-    index = {s: i for i, s in enumerate(syms)}
-    f, g = IntPoly.from_poly(a, index), IntPoly.from_poly(b, index)
-    return None if f is None or g is None else (syms, f, g)
-
-
 def _int_gcd(a: Poly, b: Poly) -> Poly | None:
     """Monic gcd of rational a and b by GCDHEU over Z; None when a
     coefficient carries a radical or the heuristic gives up."""
-    pair = _int_pair(a, b)
-    h = None if pair is None else pair[1].gcd(pair[2])
-    return None if h is None else h.to_poly(pair[0]).monic()
+    syms = _merge(a.syms, b.syms)
+    f, g = IntPoly.from_poly(a, syms), IntPoly.from_poly(b, syms)
+    h = None if f is None or g is None else f.gcd(g)
+    return None if h is None else h.to_poly(syms).monic()
 
 
 def _heu_gcd(f: ZPoly, g: ZPoly) -> ZPoly | None:
@@ -1022,17 +1000,19 @@ def _zp_interpolate(h: ZPoly, xi: int, shift: int) -> ZPoly | None:
     return out
 
 
-def _zp_quo(f: ZPoly, h: ZPoly) -> ZPoly | None:
-    """f / h when h divides f exactly over Z (lexicographic division),
-    else None."""
+def _zp_quo(f: dict, h: dict) -> dict | None:
+    """f / h when h divides f exactly (lexicographic division), else None:
+    over Z for int coefficients, over their field for ConstScalar ones."""
     lh = max(h)
     lc = h[lh]
-    if not lh:  # a constant divides coefficient by coefficient
+    field = isinstance(lc, ConstScalar)
+    if not lh and not field:  # a constant divides coefficient by coefficient
         return None if any(c % lc for c in f.values()) else {e: c // lc for e, c in f.items()}
-    quo: ZPoly = {}
+    inv = lc.inverse() if field else None
+    quo = {}
     # the guard bits of the fields up to lh's last; a key of f has none set,
     # and one set in the remainder means an exponent above f's, so no quotient
-    guard = _GUARD & (1 << lh.bit_length() + _W - 1) - 1
+    guard = _guard((lh.bit_length() + _W - 1) // _W)
     rest = [(e, c) for e, c in h.items() if e != lh]
     rem = dict(f)
     # min-heap on negated keys: pops the lexicographically largest
@@ -1040,33 +1020,37 @@ def _zp_quo(f: ZPoly, h: ZPoly) -> ZPoly | None:
     heapify(heap)
     while heap:
         e = -heappop(heap)
-        c = rem.pop(e, 0)
-        if not c:
+        c = rem.pop(e, None)
+        if c is None:
             continue
         if e & guard or (e + guard - lh) & guard != guard:
             return None
-        qc, r = divmod(c, lc)
-        if r:
-            return None
+        if field:
+            qc = c * inv
+        else:
+            qc, r = divmod(c, lc)
+            if r:
+                return None
         q = e - lh
         quo[q] = qc
         for he, hc in rest:
-            m = q + he
-            v = rem.get(m, 0) - qc * hc
-            if v:
-                if m not in rem:
-                    heappush(heap, -m)
-                rem[m] = v
+            m, t = q + he, qc * hc
+            v = rem.get(m)
+            if v is None:
+                heappush(heap, -m)
+                rem[m] = -t
+            elif v == t:
+                del rem[m]
             else:
-                rem.pop(m, None)
+                rem[m] = v - t
     return quo
 
 
 class IntPoly:
     """A rational polynomial as an integer polynomial over one positive
-    integer denominator: terms / den, the terms a ZPoly on a symbol list in
-    _srank order with x and y always present (the fields 0 and 1).  It is
-    neither reduced nor canonical; to_poly gives the value back as a Poly."""
+    integer denominator: terms / den, the terms a ZPoly keyed on a symbol
+    tuple that the caller keeps.  It is neither reduced nor canonical;
+    to_poly gives the value back as a Poly."""
 
     __slots__ = ("terms", "den")
 
@@ -1075,32 +1059,22 @@ class IntPoly:
         self.den = den
 
     @classmethod
-    def from_poly(cls, p: Poly, index: dict[str, int]) -> "IntPoly | None":
-        """p on the fields of index; None when a coefficient is not
-        rational or p has no packed keys."""
-        if len(index) > _FIELDS:
-            return None
+    def from_poly(cls, p: Poly, syms: tuple[str, ...]) -> "IntPoly | None":
+        """p keyed on syms, a symbol tuple holding p's; None when a
+        coefficient is not rational."""
         rats = {}
-        for m, c in p.terms.items():
+        for e, c in _rekey(p.packed, p.syms, syms).items():
             q = c._coords.get(1)
             if q is None or len(c._coords) != 1:
                 return None
-            e = 0
-            for s, k in m:
-                if k > _EXP_MAX:
-                    return None
-                e |= k << _W * index[s]
             rats[e] = q
         den = lcm(*(q.denominator for q in rats.values()))
         return cls({e: q.numerator * (den // q.denominator) for e, q in rats.items()}, den)
 
-    def to_poly(self, syms: list[str], unit: Fraction | int = 1) -> Poly:
-        """The value times unit, as a Poly."""
-        out = Poly.__new__(Poly)
+    def to_poly(self, syms: tuple[str, ...], unit: Fraction | int = 1) -> Poly:
+        """The value times unit, as a Poly on the symbol tuple syms."""
         u, den = unit.numerator, self.den * unit.denominator
-        out.terms = {_zp_monomial(e, syms): _rational(Fraction(c * u, den))
-                     for e, c in self.terms.items()}
-        return out
+        return _canon(syms, {e: _rational(Fraction(c * u, den)) for e, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -1147,7 +1121,7 @@ class IntPoly:
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
         out = {e: c for e, c in out.items() if c}
-        if out and reduce(or_, out) & _GUARD:
+        if out and _carries(reduce(or_, out)):
             raise OverflowError(f"an exponent of a product passes {_EXP_MAX}")
         return IntPoly(out, den)
 
@@ -1193,27 +1167,30 @@ def poly_sqrt(p: Poly) -> Poly | None:
     """
     if p.is_zero():
         return Poly.ZERO
-    lm, lc = p.leading_term()
-    if any(e % 2 for _, e in lm):
+    syms = p.syms
+    rank, guard = _ranker(len(syms)), _guard(len(syms))
+    lm = _lead(p)
+    if lm & guard >> _W - 1:  # an odd exponent
         return None
-    half = mono_make([(s, e // 2) for s, e in lm])
-    c = lc.sqrt()
+    half = lm >> 1
+    c = p.packed[lm].sqrt()
     if c is None:
         return None
-    root = Poly({half: c})
+    root = _canon(syms, {half: c})
     twice_inv = (c + c).inverse()
-    rem = p - root * root
-    last = lm
-    while not rem.is_zero():
-        rm, rc = rem.leading_term()
-        if not mono_gt(last, rm):
-            return None
-        last = rm
-        q = mono_div(rm, half)
-        if q is None:
-            return None
-        root = root + Poly({q: rc * twice_inv})
+    last = rank(lm)
+    try:  # the partial roots of a square square within the exponent bound
         rem = p - root * root
+        while not rem.is_zero():
+            terms = _rekey(rem.packed, rem.syms, syms)
+            rm = max(terms, key=rank)
+            if rank(rm) >= last or (rm + guard - half) & guard != guard:
+                return None
+            last = rank(rm)
+            root = root + _canon(syms, {rm - half: terms[rm] * twice_inv})
+            rem = p - root * root
+    except OverflowError:
+        return None
     return root
 
 
@@ -1384,7 +1361,7 @@ class RatExpr:
             return cls.ZERO
         if den.is_const():
             return cls(num.scale(den.const_value().inverse()), Poly.ONE)
-        _, lc = den.leading_term()
+        lc = den.packed[_lead(den)]
         if not (lc == ConstScalar.ONE):
             inv = lc.inverse()
             num = num.scale(inv)
@@ -1445,37 +1422,31 @@ class RatExpr:
 
     # -- structure helpers
 
-    def as_poly_in(self, names: set[str]) -> dict[Monomial, "RatExpr"]:
-        """View as a polynomial in the given symbols with RatExpr coefficients.
+    def as_poly_in(self, names: set[str]) -> dict[Poly, "RatExpr"]:
+        """View as a polynomial in the given symbols with RatExpr coefficients,
+        keyed by monomial (a Poly with coefficient 1) in the order of first
+        appearance.
 
         Raises ValueError when any of the symbols occurs in the denominator.
         """
         if self.den.symbols() & names:
             raise ValueError("denominator involves the grouping symbols")
-        groups: dict[Monomial, Poly] = {}
-        for m, c in self.num.terms.items():
-            inside = [(s, e) for s, e in m if s in names]
-            outside = [(s, e) for s, e in m if s not in names]
-            key = mono_make(inside)
-            g = groups.setdefault(key, Poly.ZERO)
-            groups[key] = g + Poly({mono_make(outside): c})
-        return {
-            m: RatExpr._reduce(p, self.den) for m, p in groups.items() if not p.is_zero()
-        }
+        syms = self.num.syms
+        inside = sum(_MASK << _W * i for i, s in enumerate(syms) if s in names)
+        groups: dict[int, dict[int, ConstScalar]] = {}
+        for e, c in self.num.packed.items():
+            groups.setdefault(e & inside, {})[e & ~inside] = c
+        return {_canon(syms, {m: ConstScalar.ONE}): RatExpr._reduce(_canon(syms, t), self.den)
+                for m, t in groups.items()}
 
     # -- comparison / hashing / display
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatExpr)
-            and self.num.terms == other.num.terms
-            and self.den.terms == other.den.terms
-        )
+        return isinstance(other, RatExpr) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((frozenset(self.num.terms.items()),
-                               frozenset(self.den.terms.items())))
+            self._hash = hash((self.num, self.den))
         return self._hash
 
     def __str__(self) -> str:
@@ -1486,9 +1457,9 @@ class RatExpr:
 
 def _poly_substitute(p: Poly, assignments: dict[str, RatExpr]) -> RatExpr:
     out = RatExpr.ZERO
-    for m, c in p.terms.items():
+    for e, c in p.packed.items():
         term = RatExpr.from_const(c)
-        for s, e in m:
+        for s, e in _fields(e, p.syms):
             rep = assignments.get(s)
             base = rep if rep is not None else RatExpr.symbol(s)
             term = term * base ** e
@@ -1525,23 +1496,20 @@ def _coeff_str(c: ConstScalar) -> tuple[str, bool]:
     s = str(c)
     return s, (" + " in s or " - " in s)
 
-def _mono_str(m: Monomial) -> str:
-    parts = []
-    for s, e in m:
-        parts.append(s if e == 1 else f"{s}^{e}")
-    return "*".join(parts)
+def _mono_str(e: int, syms) -> str:
+    return "*".join(s if k == 1 else f"{s}^{k}" for s, k in _fields(e, syms))
 
 
 def poly_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
     chunks: list[str] = []
-    for m, c in p.sorted_terms():
-        txt, grouped = _coeff_str(c)
+    for e in sorted(p.packed, key=_ranker(len(p.syms)), reverse=True):
+        txt, grouped = _coeff_str(p.packed[e])
         neg = txt.startswith("-") and not grouped
         if neg:
             txt = txt[1:]
-        body = _mono_str(m)
+        body = _mono_str(e, p.syms)
         coeff = f"({txt})" if grouped else txt
         if body:
             piece = body if coeff == "1" else f"{coeff}*{body}"
@@ -1561,9 +1529,9 @@ def fraction_str(num: Poly, den: Poly) -> str:
     if den == Poly.ONE:
         return num_s
     den_s = poly_str(den)
-    if len(num.terms) > 1:
+    if len(num.packed) > 1:
         num_s = f"({num_s})"
-    if len(den.terms) > 1 or "*" in den_s:
+    if len(den.packed) > 1 or "*" in den_s:
         den_s = f"({den_s})"
     return f"{num_s}/{den_s}"
 

@@ -34,19 +34,20 @@ Below the top level the values live on a Lane, over one common denominator
 after Bareiss's fraction-free elimination: N / Q^k, with Q the squarefree
 part of the lcm of the inputs' denominators, so sums, products and
 derivatives need no gcd and a value is zero exactly when N is.  N is an
-IntPoly (packed integer monomials over one integer denominator) when every
-input is rational, no symbol is an unknown function or one of its jets and
-every exponent fits a packed key, and a Poly over ConstScalar otherwise.  An
-attempt lifts w, the operator's coefficients and the top-level solution onto
-one LevelState once.  There solve_p3 forms the b-sums and P'(w) and divides
-exactly when the numerator of P'(w) divides theirs; otherwise p3 is reduced
-on the numerators and Q widened to cover its denominator.  The descent then
-solves the levels on the same state.  The certificate, verify, builds factor
-o cofactor by the Leibniz rule on a lane of the three operators' coefficients
-and subtracts the operator: an exact identity of numerators.  A value is
-read out once per output (p3, each residual, each cofactor coefficient once
-every residual vanishes, each nonzero coefficient of a failed certificate).
-Q is squarefree, so N / Q^k is already reduced when gcd(N, Q), taken on the
+IntPoly (a Poly's packed monomial keys, on the symbol tuple of all the
+inputs, with int coefficients over one integer denominator) when every input
+is rational and no symbol is an unknown function or one of its jets, and a
+Poly over ConstScalar otherwise.  An attempt lifts w, the operator's
+coefficients and the top-level solution onto one LevelState once.  There
+solve_p3 forms the b-sums and P'(w) and divides exactly when the numerator
+of P'(w) divides theirs; otherwise p3 is reduced on the numerators and Q
+widened to cover its denominator.  The descent then solves the levels on the
+same state.  The certificate, verify, builds factor o cofactor by the
+Leibniz rule on a lane of the three operators' coefficients and subtracts
+the operator: an exact identity of numerators.  A value is read out once per
+output (p3, each residual, each cofactor coefficient once every residual
+vanishes, each nonzero coefficient of a failed certificate).  Q is
+squarefree, so N / Q^k is already reduced when gcd(N, Q), taken on the
 numerators, is a unit, and only its denominator is then made monic.  The
 outputs are those of a reduction after every step.
 """
@@ -64,14 +65,9 @@ from .expr import (
     Poly,
     RatExpr,
     Unknown,
-    _EXP_MAX,
-    _FIELDS,
-    _srank,
     jet_assignments,
-    mono_degree,
-    mono_gt,
-    mono_make,
     poly_gcd,
+    symbol_tuple,
 )
 from .operator import (
     LPDO,
@@ -189,17 +185,6 @@ def solve_p3(op: LPDO, omega: RatExpr, top: dict[tuple[int, int], RatExpr],
     return s.divide_p3(acc, s.dp)
 
 
-def _partial(p: Poly, v: str) -> Poly:
-    """The algebraic partial derivative dp/dv (an unknown's jets are
-    independent symbols here)."""
-    out = {}
-    for m, c in p.terms.items():
-        e = dict(m).get(v, 0)
-        if e:
-            out[mono_make((s, k - (s == v)) for s, k in m)] = c.scale(e)
-    return Poly(out)
-
-
 def _squarefree_lcm(dens) -> Poly:
     """Each irreducible factor of the lcm of the polynomials dens, once."""
     q = Poly.ONE
@@ -208,7 +193,7 @@ def _squarefree_lcm(dens) -> Poly:
             q = d if q.is_const() else q * d.exact_div(poly_gcd(q, d))
     g = q
     for v in sorted(q.symbols()):  # q over gcd(q, dq/dv for every symbol v)
-        g = poly_gcd(g, _partial(q, v))
+        g = poly_gcd(g, q.partial(v))
         if g.is_const():
             return q
     return q.exact_div(g)
@@ -226,20 +211,17 @@ class Lane:
     denominator of their sums, products and derivatives divides a power of
     Q.  So a value is zero exactly when its numerator is, and only values
     read out are reduced, against Q rather than Q^k.  The numerators are
-    IntPolys when every value is rational, no symbol is an unknown function
-    or one of its jets (whose derivatives are new symbols, not index shifts)
-    and every exponent fits a packed key, and Polys otherwise.
+    IntPolys on the joint symbol tuple of the values when every value is
+    rational and no symbol is an unknown function or one of its jets (whose
+    derivatives are new symbols, not field shifts), and Polys otherwise.
     """
 
     def __init__(self, values: list[RatExpr]):
-        terms = [t for r in values for p in (r.num, r.den) for t in p.terms.items()]
-        syms = {s for m, _ in terms for s, _ in m}
-        order = sorted(syms | {"x", "y"}, key=_srank)
-        if len(order) <= _FIELDS and not any(isinstance(s, Unknown) for s in syms) and all(
-                c.is_rational() and all(e <= _EXP_MAX for _, e in m) for m, c in terms):
-            index = {s: i for i, s in enumerate(order)}
-            self._num = lambda p: IntPoly.from_poly(p, index)
-            self._poly = lambda n, inv=ConstScalar.ONE: n.to_poly(order, inv.rational_value())
+        polys = [p for r in values for p in (r.num, r.den)]
+        syms = symbol_tuple(polys)
+        if not any(isinstance(s, Unknown) for s in syms) and not any(p.radicals() for p in polys):
+            self._num = lambda p: IntPoly.from_poly(p, syms)
+            self._poly = lambda n, inv=ConstScalar.ONE: n.to_poly(syms, inv.rational_value())
             self._gcd = IntPoly.gcd
         else:
             self._num = lambda p: p
@@ -251,8 +233,6 @@ class Lane:
     def _set_q(self, q: Poly) -> None:
         self.q = q
         self._powers = [self._num(Poly.ONE), self._num(q)]
-        if self._powers[1] is None:  # an integer lane's Q past the packed bound
-            raise OverflowError(f"the common denominator {q} has no packed keys")
         self._monic: dict[int, tuple] = {}  # Q^k made monic, and 1/lc(Q^k)
         self._dq: dict = {}  # d(Q) for each derivation d, by name
 
@@ -509,13 +489,10 @@ def _normalize_constraint(residual: RatExpr, unknown: str) -> RatExpr:
     if not jets:
         return residual
     groups = residual.as_poly_in(jets)
-    lead = None
-    for m in groups:
-        if mono_degree(m) and (lead is None or mono_gt(m, lead)):
-            lead = m
-    if lead is None:
+    monos = [m for m in groups if not m.is_const()]
+    if not monos:
         return residual
-    return residual / groups[lead]
+    return residual / groups[sum(monos, Poly.ZERO).leading_term()[0]]
 
 
 # --------------------------------------------------------------------------
@@ -789,11 +766,8 @@ def _solve_small_system(equations: list[RatExpr], unknowns: list[str],
             continue
         u = present[0]
         groups = eq.as_poly_in({u})
-        degree = max(mono_degree(m) for m in groups)
-        coeffs = []
-        for d in range(degree, -1, -1):
-            key = next((m for m in groups if mono_degree(m) == d), None)
-            coeffs.append(RatExpr.ZERO if key is None else groups[key])
+        coeffs = [groups.get(Poly.symbol(u, d), RatExpr.ZERO)
+                  for d in range(max(m.degree() for m in groups), -1, -1)]
         if any(not c.is_const() for c in coeffs):
             continue
         for value in _const_roots(list(coeffs)):

@@ -24,7 +24,7 @@ from .factorize import FactorizationOutcome, FactorizationTree, OutcomeStatus
 def _cleared(r: RatExpr) -> tuple[Poly, Poly]:
     """num and den scaled by the lcm of the numerator's coefficient
     denominators, so that the numerator has integer coefficients."""
-    scale = lcm(*(q.denominator for c in r.num.terms.values() for q in c.coords.values()))
+    scale = lcm(*(q.denominator for c in r.num.packed.values() for q in c.coords.values()))
     if scale == 1:
         return r.num, r.den
     return r.num.scale_rational(scale), r.den.scale_rational(scale)

@@ -176,6 +176,17 @@ class TestDiff:
         assert (R.symbol("a_x") * X).diff("x") == R.symbol("a_x")
         assert str(a.diff("y")) == "a_y"
 
+    def test_a_name_of_both_kinds_does_not_combine(self):
+        # the parameter a and the unknown function a: neither product order
+        # may let one kind silently win
+        for left, right in [(R.symbol("a"), R.unknown("a")), (R.unknown("a"), R.symbol("a"))]:
+            with pytest.raises(ValueError, match="both a parameter and an unknown"):
+                left * right
+            with pytest.raises(ValueError, match="both a parameter and an unknown"):
+                (left * X + Y) * (right + X)
+            with pytest.raises(ValueError, match="both a parameter and an unknown"):
+                left + right
+
     def test_registering_a_parameter_is_a_deprecated_no_op(self):
         with pytest.warns(DeprecationWarning, match=r"RatExpr\.unknown"):
             lpdo.register_differential_param("b")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpdo import expr
-from lpdo.expr import ConstScalar, Poly, poly_gcd
+from lpdo.expr import ConstScalar, Poly, _W, poly_gcd
 
 sympy = pytest.importorskip("sympy")
 
@@ -17,8 +17,8 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 def _poly(terms: dict[tuple[int, ...], Fraction]) -> Poly:
-    return Poly({tuple((s, k) for s, k in zip(SYMS, e) if k): ConstScalar.from_rational(q)
-                 for e, q in terms.items()})
+    return Poly(SYMS, {sum(k << _W * i for i, k in enumerate(e)): ConstScalar.from_rational(q)
+                       for e, q in terms.items()})
 
 
 def polys(min_terms: int, max_terms: int):
