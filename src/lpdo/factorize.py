@@ -18,38 +18,29 @@ problem and can verify or complete a supplied candidate, but does not
 solve differential equations beyond a small candidate search (zero,
 constants, linear forms) used by the recursive factorizer.
 
-Each root goes through one pipeline, `_attempt`: change variables when the
-pure-Dx coefficient vanishes (moving the root and any given p3 into the new
-coordinates), solve the top level, take p3 as given, from the division by
-P'(w), or leave it free on the Riccati path, run the descent, map the result
-back and certify it.  The characteristic polynomial is never rebuilt there:
-the top level's Horner sums are the coefficients of P(W) / (W - w), one
-more Horner step is the remainder P(w), and the quotient at w is P'(w).
-`factor_left`, `factor_all_roots` and the command line share one walk over
-the roots.  P_n is read for the root search only: a root value given by the
-caller is a root when the remainder P(w) vanishes and simple when P'(w) does
-not, and only a multiple one has its exact multiplicity read off P_n.
+Each root goes through one pipeline on one lane, `_attempt`: change
+variables when the pure-Dx coefficient vanishes (moving the root and any
+given p3 into the new coordinates), solve the top level, take p3 as given,
+from the division by P'(w), or leave it free on the Riccati path, run the
+descent, map the result back and certify it.  `factor_left`,
+`factor_all_roots` and the command line share one walk over the roots.  The
+top level's Horner sums are the coefficients of P(W) / (W - w), one more
+step is the remainder P(w) and the sums at w give P'(w), so P_n is read
+only by the root search and for a caller's root that is multiple.
 
-Below the top level the values live on a Lane, over one common denominator
-after Bareiss's fraction-free elimination: N / Q^k, with Q the squarefree
-part of the lcm of the inputs' denominators, so sums, products and
-derivatives need no gcd and a value is zero exactly when N is.  N is an
-IntPoly (a Poly's packed monomial keys, on the symbol tuple of all the
-inputs, with int coefficients over one integer denominator) when every input
-is rational and no symbol is an unknown function or one of its jets, and a
-Poly over ConstScalar otherwise.  An attempt lifts w, the operator's
-coefficients and the top-level solution onto one LevelState once.  There
-solve_p3 forms the b-sums and P'(w) and divides exactly when the numerator
-of P'(w) divides theirs; otherwise p3 is reduced on the numerators and Q
-widened to cover its denominator.  The descent then solves the levels on the
-same state.  The certificate, verify, builds factor o cofactor by the
-Leibniz rule on a lane of the three operators' coefficients and subtracts
-the operator: an exact identity of numerators.  A value is read out once per
-output (p3, each residual, each cofactor coefficient once every residual
-vanishes, each nonzero coefficient of a failed certificate).  Q is
-squarefree, so N / Q^k is already reduced when gcd(N, Q), taken on the
-numerators, is a unit, and only its denominator is then made monic.  The
-outputs are those of a reduction after every step.
+The lane, a LevelState, holds values N / Q^k over one common denominator,
+as in Bareiss's fraction-free elimination, with Q the squarefree part of the
+lcm of the denominators of w, p3 and op's coefficients: sums, products and
+derivatives need no gcd, and a value is zero exactly when N is.  N is an
+IntPoly (packed keys, int coefficients over one integer denominator) for
+rational inputs without unknown functions, else a Poly over ConstScalar.
+solve_p3 divides the b-sum by P'(w) exactly when the numerators allow, else
+reduces p3 and widens Q to cover its denominator.  The certificate, verify,
+lifts each printed coefficient of the factor and cofactor onto the
+attempt's lane (a fresh one under a normalization or for a right factor),
+builds factor o cofactor by the Leibniz rule and subtracts op.  A value is
+read out once per output; Q is squarefree, so N / Q^k is reduced when
+gcd(N, Q) is a unit, and then only its denominator is made monic.
 """
 
 from __future__ import annotations
@@ -80,7 +71,6 @@ from .operator import (
 from .charpoly import (
     CharPoly,
     Root,
-    _deflate,
     _eval_list,
     char_poly,
     find_roots,
@@ -141,8 +131,8 @@ class DegenerateRoot(Exception):
 
 
 class CertificateError(ArithmeticError):
-    """Raised when a FACTORED result fails its exact check: an engine
-    fault, never a property of the input."""
+    """Raised when a FACTORED result fails its exact check, or has a value
+    its lane cannot hold: an engine fault, never a property of the input."""
 
 
 # --------------------------------------------------------------------------
@@ -151,33 +141,27 @@ class CertificateError(ArithmeticError):
 
 def solve_top(op: LPDO, omega: RatExpr) -> dict[tuple[int, int], RatExpr]:
     """Top-level forward substitution: the order-(n-1) cofactor coefficients
-    p_{n-1-k,k} = a_{n,0} w^k + a_{n-1,1} w^(k-1) + ... + a_{n-k,k}.
-
-    These Horner sums are the coefficients of the quotient of P(W) by
-    (W - w); one more Horner step gives the remainder P(w), the root check."""
-    n = op.order
-    if op.coeff(n, 0).is_zero():
-        raise ValueError("leading pure-Dx coefficient must be nonzero")
-    sums = _deflate([op.coeff(n - k, k) for k in range(n + 1)], omega)
-    if not (sums[-1] * omega + op.coeff(0, n)).is_zero():
-        raise ValueError("omega is not a root of the characteristic polynomial")
-    return {(n - 1 - k, k): acc for k, acc in enumerate(sums) if not acc.is_zero()}
+    p_{n-1-k,k} = a_{n,0} w^k + a_{n-1,1} w^(k-1) + ... + a_{n-k,k}, as the
+    LevelState of (op, omega) solves them, reduced."""
+    state = LevelState(op, omega, None)
+    if not state.at_root:
+        raise ValueError("omega is not a root of P_n, or a_{n,0} vanishes")
+    return {jk: state.reduce(v) for jk, v in state.solved.items()}
 
 
-def solve_p3(op: LPDO, omega: RatExpr, top: dict[tuple[int, int], RatExpr],
+def solve_p3(op: LPDO, omega: RatExpr, top: dict[tuple[int, int], RatExpr] | None,
              state: "LevelState | None" = None) -> RatExpr:
     """p3 = (b_{n-1,0} w^(n-1) + ... + b_{0,n-1}) / P'(w) for a simple root,
-    where b_{n-1-k,k} = a_{n-1-k,k} - L(p_{n-1-k,k}) and top is
-    solve_top(op, omega).
+    where b_{n-1-k,k} = a_{n-1-k,k} - L(p_{n-1-k,k}) over the top level p.
 
-    The sums run on the lane of state, the LevelState of (op, omega, top),
-    built here when it is not given; the state keeps p3 for the descent."""
-    s = state or LevelState(op, omega, None, top)
+    The sums run on state, the LevelState of (op, omega), built here when
+    not given; it solves the top level itself, so top (solve_top(op, omega)
+    or None) is not read.  The state keeps p3 for the descent."""
+    s = state or LevelState(op, omega, None)
     if s.dp[0].is_zero():
         raise DegenerateRoot(
             "multiple root: p3 is not determined, switch to the Riccati path")
-    n = op.order
-    acc = _ZERO
+    n, acc = op.order, _ZERO
     for k in range(n):
         jk = (n - 1 - k, k)
         b = s.add(s.coeffs.get(jk, _ZERO), s.neg(s.L(s.solved.get(jk, _ZERO))))
@@ -203,6 +187,15 @@ def _squarefree_lcm(dens) -> Poly:
 _ZERO = (Poly.ZERO, 0)
 
 
+def _int_syms(values: list[RatExpr]) -> tuple | None:
+    """The joint symbol tuple of the values when they take the IntPoly lane
+    (every coefficient rational, no unknown function or jet), else None."""
+    polys = [p for r in values for p in (r.num, r.den)]
+    syms = symbol_tuple(polys)
+    rational = all(c.is_rational() for p in polys for c in p.packed.values())
+    return syms if rational and not any(isinstance(v, Unknown) for v in syms) else None
+
+
 class Lane:
     """Exact values over one common denominator Q.
 
@@ -211,15 +204,12 @@ class Lane:
     denominator of their sums, products and derivatives divides a power of
     Q.  So a value is zero exactly when its numerator is, and only values
     read out are reduced, against Q rather than Q^k.  The numerators are
-    IntPolys on the joint symbol tuple of the values when every value is
-    rational and no symbol is an unknown function or one of its jets (whose
-    derivatives are new symbols, not field shifts), and Polys otherwise.
-    """
+    IntPolys on the values' joint symbol tuple (_int_syms; the jets of an
+    unknown function are new symbols, not field shifts), or Polys."""
 
     def __init__(self, values: list[RatExpr]):
-        polys = [p for r in values for p in (r.num, r.den)]
-        syms = symbol_tuple(polys)
-        if not any(isinstance(s, Unknown) for s in syms) and not any(p.radicals() for p in polys):
+        syms = self._syms = _int_syms(values)
+        if syms is not None:
             self._num = lambda p: IntPoly.from_poly(p, syms)
             self._poly = lambda n, inv=ConstScalar.ONE: n.to_poly(syms, inv.rational_value())
             self._gcd = IntPoly.gcd
@@ -256,11 +246,17 @@ class Lane:
         k, rest = 0, d
         while not rest.is_const():
             g = poly_gcd(rest, self.q)
-            if g.is_const():
-                raise ValueError(f"denominator {d} does not divide a power of {self.q}")
+            if g.is_const():  # only a printed value can be off its attempt's lane
+                raise CertificateError(f"denominator {d} does not divide a power of {self.q}")
             rest = rest.exact_div(g)
             k += 1
         return self.power(k).exact_div(self._num(d)), k
+
+    def holds(self, values: list[RatExpr]) -> bool:
+        """Whether the values fit the lane's numerators: on the IntPoly lane
+        they are rational and use only its symbols."""
+        syms = self._syms and _int_syms(values)  # not computed on the Poly lane
+        return self._syms is None or (syms is not None and set(syms) <= set(self._syms))
 
     def lift(self, r: RatExpr) -> tuple[object, int]:
         co, k = self._lift_den(r.den)
@@ -321,26 +317,29 @@ class Lane:
 
 
 class LevelState(Lane):
-    """The descent on one lane: omega, p3 (None for solve_p3 to fill in),
-    P'(w), the operator's coefficients below the top order and the cofactor
-    coefficients solved so far, with the derivation L along the factor."""
+    """One attempt on one lane: omega, p3 (None for solve_p3 to fill in),
+    all of op's coefficients and the cofactor coefficients solved so far,
+    with the derivation L along the factor.  The top level is solved here:
+    the Horner sums of the a_{n-k,k} at w are B's order-(n-1) coefficients,
+    those of P(W) / (W - w); one more step gives the remainder P(w), the
+    root check (at_root), and the sums at w give P'(w) (dp)."""
 
-    def __init__(self, op: LPDO, omega: RatExpr, p3: RatExpr | None,
-                 top: dict[tuple[int, int], RatExpr]):
-        super().__init__([omega, *([] if p3 is None else [p3]),
-                          *op.coeffs.values(), *top.values()])
+    def __init__(self, op: LPDO, omega: RatExpr, p3: RatExpr | None):
+        super().__init__([omega, *([] if p3 is None else [p3]), *op.coeffs.values()])
         self._a = self._num(omega.num)
         self._b = None if omega.den.is_const() else self._num(omega.den)
         self._b_inv = self._lift_den(omega.den)  # 1/b as (Q^j / b, j)
         self.omega = self.lift(omega)
         self.p3 = None if p3 is None else self.lift(p3)
-        self.coeffs = {jk: self.lift(c) for jk, c in op.coeffs.items()
-                       if sum(jk) < op.order}
-        self.solved = {jk: self.lift(v) for jk, v in top.items()}
-        self.dp = _ZERO  # P'(w): the top-level solution is P(W) / (W - w)
-        for k in range(op.order):
-            self.dp = self.add(self.mul(self.dp, self.omega),
-                               self.solved.get((op.order - 1 - k, k), _ZERO))
+        self.coeffs = {jk: self.lift(c) for jk, c in op.coeffs.items()}
+        n, self.solved, acc, self.dp = op.order, {}, _ZERO, _ZERO
+        for k in range(n):
+            acc = self.add(self.mul(acc, self.omega), self.coeffs.get((n - k, k), _ZERO))
+            if not acc[0].is_zero():
+                self.solved[(n - 1 - k, k)] = acc
+            self.dp = self.add(self.mul(self.dp, self.omega), acc)
+        rem = self.add(self.mul(acc, self.omega), self.coeffs.get((0, n), _ZERO))
+        self.at_root = rem[0].is_zero() and (n, 0) in op.coeffs
 
     def _d(self, n):
         """D = b*Dx - a*Dy for omega = a/b, so that L = D/b."""
@@ -409,7 +408,6 @@ def solve_level(state: LevelState, op: LPDO, m: int) -> RatExpr:
     Solves the level-(m-1) cofactor coefficients triangularly and returns
     the residual (left side minus right side) of the surplus equation,
     reduced; the residual of the lowest level (m = 0) is the whole equation.
-    The state holds op's coefficients.
     """
     s = state
     cs = []
@@ -426,24 +424,18 @@ def solve_level(state: LevelState, op: LPDO, m: int) -> RatExpr:
     return s.reduce(s.add(cs[m], s.mul(s.omega, u_prev)))
 
 
-def _run_descent(op: LPDO, state: LevelState,
-                 top: dict[tuple[int, int], RatExpr]) -> tuple[dict | None, list[RatExpr]]:
+def _run_descent(op: LPDO, state: LevelState) -> tuple[dict | None, list[RatExpr]]:
     """Run all equation levels from n-1 down to 0 on a state with its p3.
 
-    Returns the full cofactor coefficient map and the list of residuals
-    [level n-1, level n-2, ..., level 0].  The level-(n-1) entry vanishes
-    identically when p3 came from the simple-root division; in the
-    degenerate path it equals the necessary precondition.  The cofactor is
-    None unless every residual vanishes, the only case that uses it.
+    Returns the residuals [level n-1, ..., level 0] and, when they all
+    vanish, the cofactor coefficients, top level included, reduced; else
+    None.  The level-(n-1) residual vanishes when p3 came from the
+    simple-root division, and is the necessary precondition when it is free.
     """
     residuals = [solve_level(state, op, m) for m in range(op.order - 1, -1, -1)]
     if not all(r.is_zero() for r in residuals):
         return None, residuals
-    cofactor = dict(top)
-    for jk, v in state.solved.items():
-        if jk not in top:
-            cofactor[jk] = state.reduce(v)
-    return cofactor, residuals
+    return {jk: state.reduce(v) for jk, v in state.solved.items()}, residuals
 
 
 # --------------------------------------------------------------------------
@@ -451,9 +443,7 @@ def _run_descent(op: LPDO, state: LevelState,
 # --------------------------------------------------------------------------
 
 def _fresh_unknown(op: LPDO) -> str:
-    used = set()
-    for c in op.coeffs.values():
-        used |= c.symbols()
+    used = set().union(*(c.symbols() for c in op.coeffs.values()))
     for name in itertools.chain(("psi",), (f"psi{i}" for i in itertools.count(1))):
         if name not in used and not any(s.startswith(name + "_") for s in used):
             return name
@@ -467,20 +457,20 @@ def degenerate_constraints(op: LPDO, omega: RatExpr) -> RiccatiProblem:
     residuals, normalized monic in their leading jet monomial, are the
     generalized Riccati constraints on p3.
     """
-    top = solve_top(op, omega)
-    if not LevelState(op, omega, None, top).dp[0].is_zero():
+    state = LevelState(op, omega, None)
+    if not state.at_root:
+        raise ValueError("omega is not a root of P_n, or a_{n,0} vanishes")
+    if not state.dp[0].is_zero():
         raise ValueError("root is simple: the algebraic path applies")
-    return _riccati_problem(op, omega, top)
+    return _riccati_problem(op, omega)
 
 
-def _riccati_problem(op: LPDO, omega: RatExpr,
-                     top: dict[tuple[int, int], RatExpr]) -> RiccatiProblem:
+def _riccati_problem(op: LPDO, omega: RatExpr) -> RiccatiProblem:
+    """The descent with p3 a fresh unknown function, on a Poly lane of its own."""
     name = _fresh_unknown(op)
-    state = LevelState(op, omega, RatExpr.unknown(name), top)
-    _, residuals = _run_descent(op, state, top)
-    constraints = tuple(
-        _normalize_constraint(r, name) for r in residuals[1:] if not r.is_zero()
-    )
+    _, residuals = _run_descent(op, LevelState(op, omega, RatExpr.unknown(name)))
+    constraints = tuple(_normalize_constraint(r, name)
+                        for r in residuals[1:] if not r.is_zero())
     return RiccatiProblem(name, constraints, residuals[0])
 
 
@@ -550,22 +540,20 @@ def _attempt(op: LPDO, root: Root, matrix, p3: RatExpr | None) -> FactorizationO
         omega = moved.value.substitute(to_new)
         if p3 is not None:
             p3 = p3.substitute(to_new)
-    try:
-        top = solve_top(work, omega)
-    except ValueError:
-        raise _not_a_root(root) from None
-    state = LevelState(work, omega, p3, top)
+    state = LevelState(work, omega, p3)
+    if not state.at_root:
+        raise _not_a_root(root)
     riccati = None
     if p3 is not None:
-        cof, residuals = _run_descent(work, state, top)
+        cof, residuals = _run_descent(work, state)
     else:
         try:
-            p3 = solve_p3(work, omega, top, state)
+            p3 = solve_p3(work, omega, None, state)
         except DegenerateRoot:
-            riccati = _riccati_problem(work, omega, top)
+            riccati = _riccati_problem(work, omega)
             cof, residuals = None, [riccati.necessary_precondition]
         else:
-            cof, residuals = _run_descent(work, state, top)
+            cof, residuals = _run_descent(work, state)
             if not residuals.pop(0).is_zero():
                 raise CertificateError("p3 level must close exactly for a simple root")
     if not root.multiplicity:  # a value from the caller: simple unless P'(w) = 0
@@ -591,8 +579,8 @@ def _attempt(op: LPDO, root: Root, matrix, p3: RatExpr | None) -> FactorizationO
             shift = (f.p1 * u.diff("x") + f.p2 * u.diff("y")) / u
             factor = FirstOrderFactor(f.p1, f.p2, f.p3 - shift)
             cofactor = cofactor.change_vars(inv).scale(u)
-    if factor is not None:
-        _certify(factor, cofactor, op, "left")
+    if factor is not None:  # certified on the attempt's lane unless op was normalized
+        _certify(factor, cofactor, op, "left", state if matrix is None else None)
     return FactorizationOutcome(
         status=status, root=root, factor=factor, cofactor=cofactor,
         residuals=tuple(residuals), riccati=riccati, normalization=matrix,
@@ -714,24 +702,36 @@ def _compose(lane: Lane, a: dict, b: dict) -> dict:
 
 
 def verify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO,
-           side: str = "left") -> LPDO:
+           side: str = "left", state: LevelState | None = None) -> LPDO:
     """compose(factor, cofactor) - op (or the mirrored product for a right
     factor); the zero operator certifies the factorization.
 
-    The product is built on one Lane of the three operators' coefficients,
-    so the check is an exact identity of numerators; only the coefficients
-    of a nonzero difference are reduced."""
+    The product is built on one lane, an exact identity of numerators, and
+    only the coefficients of a nonzero difference are reduced.  The lane is
+    state when given, the LevelState of the attempt at op that printed the
+    factor and cofactor, whose coefficients stand for op's; else a Lane of
+    the three operators.  Every printed coefficient is lifted onto it, and
+    one that does not fit the attempt's lane raises CertificateError."""
     f = factor.as_operator()
-    lane = Lane([*f.coeffs.values(), *cofactor.coeffs.values(), *op.coeffs.values()])
+    printed = [*f.coeffs.values(), *cofactor.coeffs.values()]
+    if state is None:
+        lane = Lane([*printed, *op.coeffs.values()])
+        a = {jk: lane.lift(c) for jk, c in op.coeffs.items()}
+    elif not state.holds(printed):
+        raise CertificateError("a printed coefficient does not fit the attempt's lane")
+    else:
+        lane, a = state, state.coeffs
     fl, bl = ({jk: lane.lift(c) for jk, c in o.coeffs.items()} for o in (f, cofactor))
     diff = _compose(lane, fl, bl) if side == "left" else _compose(lane, bl, fl)
-    for jk, c in op.coeffs.items():
-        diff[jk] = lane.add(diff.get(jk, _ZERO), lane.neg(lane.lift(c)))
+    for jk, u in a.items():
+        diff[jk] = lane.add(diff.get(jk, _ZERO), lane.neg(u))
     return LPDO({jk: lane.reduce(u) for jk, u in diff.items() if not u[0].is_zero()})
 
 
-def _certify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO, side: str) -> None:
-    if not verify(factor, cofactor, op, side=side).is_zero():
+def _certify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO, side: str,
+             state: LevelState | None = None) -> None:
+    """verify, looked up in this module, on state's lane when given."""
+    if not verify(factor, cofactor, op, side, state).is_zero():
         raise CertificateError(f"{side} factorization failed independent verification")
 
 
@@ -771,10 +771,8 @@ def _solve_small_system(equations: list[RatExpr], unknowns: list[str],
         if any(not c.is_const() for c in coeffs):
             continue
         for value in _const_roots(list(coeffs)):
-            new_assignment = dict(assignment)
-            new_assignment[u] = value
             reduced = [e.substitute({u: value}) for e in eqs]
-            got = _solve_small_system(reduced, unknowns, new_assignment)
+            got = _solve_small_system(reduced, unknowns, {**assignment, u: value})
             if got is not None:
                 return got
         return None

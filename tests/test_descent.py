@@ -1,7 +1,8 @@
 """The common-denominator lane against reference loops that keep every value
 a reduced RatExpr, on both numerator lanes (IntPoly for rational inputs, Poly
-otherwise): the descent, solve_p3 and the certificate verify.  Also the
-integer lane of Poly.exact_div."""
+otherwise): the top level and the descent, solve_p3 and the certificate
+verify, also on an attempt's own lane.  Also the integer lane of
+Poly.exact_div."""
 
 from fractions import Fraction
 
@@ -9,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpdo import expr, parse, parse_function
+from lpdo import expr, factorize, parse, parse_function
 from lpdo.expr import ConstScalar, IntPoly, Poly, RatExpr as R, _W
 from lpdo.factorize import (
+    CertificateError,
     DegenerateRoot,
     Lane,
     LevelState,
     OutcomeStatus,
     factor_left,
+    factor_right,
     solve_level,
     solve_p3,
     verify,
@@ -63,11 +66,11 @@ def _oracle_descent(op, omega, p3, top):
     return solved, residuals
 
 
-def _descent(op, omega, p3, top, lane=None):
-    """The common-denominator descent with the whole cofactor map read back,
-    zero residuals or not; lane, when given, is the numerator type the state
-    must hold."""
-    state = LevelState(op, omega, p3, top)
+def _descent(op, omega, p3, lane=None):
+    """The common-denominator descent, top level included, with the whole
+    cofactor map read back, zero residuals or not; lane, when given, is the
+    numerator type the state must hold."""
+    state = LevelState(op, omega, p3)
     if lane is not None:
         assert type(state.power(0)) is lane
     residuals = [solve_level(state, op, m) for m in range(op.order - 1, -1, -1)]
@@ -77,7 +80,7 @@ def _descent(op, omega, p3, top, lane=None):
 def _assert_same(op, omega, p3, lane=None):
     top = _oracle_top(op, omega)
     want_cof, want_res = _oracle_descent(op, omega, p3, top)
-    got_cof, got_res = _descent(op, omega, p3, top, lane)
+    got_cof, got_res = _descent(op, omega, p3, lane)
     assert got_res == want_res
     assert [str(r) for r in got_res] == [str(r) for r in want_res]
     assert got_cof == want_cof
@@ -150,7 +153,7 @@ def test_rational_coefficients_and_a_parameter_take_the_integer_lane(op, omega, 
 def test_rational_operator_state_holds_integer_numerators():
     op = parse("Dx^3 + x/2*Dx^2*Dy - 3/4*y*Dy^2 + a*Dx + 1/(x + y)", {"a"})
     omega = parse_function("-y/(y + 1)")
-    state = LevelState(op, omega, A, _oracle_top(op, omega))
+    state = LevelState(op, omega, A)
     solve_level(state, op, op.order - 1)
     values = [state.omega, state.p3, *state.solved.values()]
     assert all(type(n) is IntPoly and type(k) is int for n, k in values)
@@ -179,7 +182,7 @@ def test_differential_parameters_take_the_poly_lane():
 def test_degenerate_psi_path_matches_and_keeps_its_jets():
     op = parse("Dx^2 + x*Dx")
     _assert_same(op, R.ZERO, R.unknown("psi"), Poly)
-    _, residuals = _descent(op, R.ZERO, R.unknown("psi"), _oracle_top(op, R.ZERO))
+    _, residuals = _descent(op, R.ZERO, R.unknown("psi"))
     assert "psi_x" in residuals[-1].symbols()
 
 
@@ -227,7 +230,7 @@ def _assert_p3_same(op, omega, lane=None):
         with pytest.raises(DegenerateRoot):
             solve_p3(op, omega, top)
         return None
-    state = LevelState(op, omega, None, top)
+    state = LevelState(op, omega, None)
     if lane is not None:
         assert type(state.power(0)) is lane
     q = state.q
@@ -330,6 +333,123 @@ def test_verify_matches_compose(case, side):
             {jk: str(c) for jk, c in want.coeffs.items()}
     assert verify(f, b, prod, side).is_zero()
     assert verify(f, b, prod + e, side) == -e
+
+
+# --------------------------------------------------------------------------
+# one lane per attempt: the certificate on the attempt's LevelState
+# --------------------------------------------------------------------------
+
+W2 = R.from_int(2)
+# (factor, cofactor, perturbations of the cofactor that fit the attempt's
+# lane): Q = 1 throughout; Q = y + 1 from the operator, widened by p3's
+# denominator x + y; and a sqrt(2) coefficient on the Poly lane
+ONE_LANE = {
+    "q=1": (FirstOrderFactor.from_root(W2, X),
+            LPDO({(2, 0): R.ONE, (0, 1): Y, (0, 0): R.ONE}),
+            (LPDO({(0, 1): X}), LPDO({(1, 0): X * Y, (0, 0): R.ONE}))),
+    "widened q": (FirstOrderFactor.from_root(W2, R.ONE / (X + Y)),
+                  LPDO({(1, 0): X + Y, (0, 1): (X + Y) / (Y + R.ONE),
+                        (0, 0): (X + Y) * (R.ONE + R.ONE / (Y + R.ONE))}),
+                  (LPDO({(0, 1): X}), LPDO({(1, 0): R.ONE / (Y + R.ONE),
+                                            (0, 0): Y / (X + Y) ** 2}))),
+    "sqrt(2)": (FirstOrderFactor.from_root(W2, S2 * X),
+                LPDO({(1, 0): R.ONE, (0, 1): Y, (0, 0): S2 * Y}),
+                (LPDO({(0, 0): S2}), LPDO({(1, 0): X * Y / R.from_int(3)}))),
+}
+
+
+def _lanes(monkeypatch):
+    """The lanes built from here on, and the state each verify call gets."""
+    built, states = [], []
+    init, real_verify = Lane.__init__, factorize.verify
+    monkeypatch.setattr(Lane, "__init__",
+                        lambda self, values: built.append(self) or init(self, values))
+    monkeypatch.setattr(factorize, "verify", lambda *args: states.append(
+        args[4] if len(args) > 4 else None) or real_verify(*args))
+    return built, states
+
+
+@pytest.mark.parametrize("case", ONE_LANE)
+def test_a_factored_attempt_builds_one_lane(case, monkeypatch):
+    f, b, _ = ONE_LANE[case]
+    built, states = _lanes(monkeypatch)
+    out = factor_left(f.as_operator().compose(b), root_choice=W2)
+    assert out.status is OutcomeStatus.FACTORED and out.certified
+    assert out.factor == f and out.cofactor == b
+    assert len(built) == 1 and states == built  # verify ran on the attempt's state
+    if case == "widened q":
+        assert built[0].q == parse_function("(y + 1)*(x + y)").num
+
+
+def test_a_normalized_attempt_and_a_right_factor_certify_on_a_fresh_lane(monkeypatch):
+    built, states = _lanes(monkeypatch)
+    out = factor_left(parse("(Dy + x)*(Dx + Dy + y)"))  # a_{2,0} = 0: normalized
+    assert out.status is OutcomeStatus.FACTORED and out.normalization is not None
+    assert out.certified and states == [None] and type(built[-1]) is Lane
+    built.clear(), states.clear()
+    out = factor_right(parse("(Dx + y)*(Dx - Dy + x)"))
+    assert out.status is OutcomeStatus.FACTORED and out.normalization is None
+    assert str(out.factor.as_operator()) == "Dx - Dy + x"
+    *attempts, fresh = built  # one state per root tried, then the right certificate's
+    assert {type(lane) for lane in attempts} == {LevelState} and type(fresh) is Lane
+    assert states == [attempts[-1], None]
+
+
+CORRUPTIONS = {
+    "plus one": lambda c: c + R.ONE,
+    "a new symbol": lambda c: c * R.symbol("c"),  # off the integer lane's fields
+    "a new denominator": lambda c: c / (X + R.from_int(3)),
+    "a factor of q": lambda c: c / (X + Y),
+}
+
+
+def _corrupt(monkeypatch, wrong):
+    """Print the cofactor's first coefficient c as wrong(c)."""
+    real = factorize._run_descent
+
+    def descent(op, state):
+        cofactor, residuals = real(op, state)
+        if cofactor is not None:
+            jk = min(cofactor)
+            cofactor[jk] = wrong(cofactor[jk])
+        return cofactor, residuals
+
+    monkeypatch.setattr(factorize, "_run_descent", descent)
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("case", ONE_LANE)
+def test_a_corrupted_printed_coefficient_fails_the_certificate(case, corrupt, monkeypatch):
+    f, b, _ = ONE_LANE[case]
+    _corrupt(monkeypatch, CORRUPTIONS[corrupt])
+    with pytest.raises(CertificateError):
+        factor_left(f.as_operator().compose(b), root_choice=W2)
+
+
+def test_a_printed_symbol_off_the_integer_lane_fails_the_certificate(monkeypatch):
+    # the lane's symbols are x, y, a: a printed c in place of a must not be
+    # read as a, whose field its key would take
+    f = FirstOrderFactor.from_root(W2, A * X)
+    b = LPDO({(1, 0): R.ONE, (0, 0): A * Y})
+    assert factor_left(f.as_operator().compose(b), root_choice=W2).cofactor == b
+    _corrupt(monkeypatch, lambda c: c.substitute({"a": R.symbol("c")}))
+    with pytest.raises(CertificateError, match="does not fit"):
+        factor_left(f.as_operator().compose(b), root_choice=W2)
+
+
+@pytest.mark.parametrize("case", ONE_LANE)
+def test_verify_on_the_attempt_lane_matches_a_fresh_lane(case, monkeypatch):
+    f, b, perturbations = ONE_LANE[case]
+    a = f.as_operator().compose(b)
+    _, states = _lanes(monkeypatch)
+    factor_left(a, root_choice=W2)
+    state = states[0]
+    assert isinstance(state, LevelState)
+    for e in (LPDO(), *perturbations):
+        got, want = verify(f, b + e, a, "left", state), verify(f, b + e, a)
+        assert got == want == f.as_operator().compose(e)
+        assert {jk: str(c) for jk, c in got.coeffs.items()} == \
+            {jk: str(c) for jk, c in want.coeffs.items()}
 
 
 # --------------------------------------------------------------------------

@@ -512,7 +512,9 @@ class TestCharPolyReadOnce:
             a = FirstOrderFactor.from_root(w, rand_poly(rng, 1)).as_operator().compose(b)
             if a.order != n or a.coeff(n, 0).is_zero():
                 continue
-            state = factorize.LevelState(a, w, None, solve_top(a, w))
+            state = factorize.LevelState(a, w, None)
+            assert {jk: state.reduce(v) for jk, v in state.solved.items()} == solve_top(a, w)
+            assert state.at_root
             assert state.reduce(state.dp) == char_poly(a).derivative_at(w)
             checked += 1
 

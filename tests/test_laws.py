@@ -1,7 +1,8 @@
-"""Laws of printing and of changes of variables, over operators whose
-coefficients mix rationals, sqrt(2), a parameter a and monomial
-denominators: the plain form parses back to the operator, and change_vars
-by M and then by M^-1 is the identity."""
+"""Laws of printing, of changes of variables and of factoring, over
+operators whose coefficients mix rationals, sqrt(2), a parameter a and
+monomial denominators: the plain form parses back to the operator,
+change_vars by M and then by M^-1 is the identity, and a planted product
+(Dx - w*Dy + p3) o B factors back into its two parts at a simple root w."""
 
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpdo.expr import RatExpr as R
-from lpdo.operator import LPDO, matrix_inverse
+from lpdo.factorize import OutcomeStatus, factor_left
+from lpdo.operator import LPDO, FirstOrderFactor, matrix_inverse
 from lpdo.parser import parse
 from lpdo.printer import operator_str
 
@@ -54,3 +56,38 @@ def test_change_vars_then_the_inverse_is_the_identity(op, entries):
     assume(m11 * m22 != m12 * m21)
     m = ((m11, m12), (m21, m22))
     assert op.change_vars(m).change_vars(matrix_inverse(m)) == op
+
+
+PLANTED_DENOMINATORS = (R.ONE, X, Y, X * Y)
+
+
+@st.composite
+def planted_coefficients(draw):
+    num = R.ZERO
+    for t in (R.ONE, X, Y):
+        num = num + R.from_fraction(draw(FRACTIONS)) * t
+    return num / draw(st.sampled_from(PLANTED_DENOMINATORS))
+
+
+@st.composite
+def planted_products(draw):
+    """(w, p3, B) with B of order 1-3 and b_{n-1,0} != 0, so that the
+    product has order 2-4 and needs no normalization."""
+    n = draw(st.integers(1, 3))
+    coeffs = {(j, k): draw(planted_coefficients())
+              for j in range(n + 1) for k in range(n + 1 - j) if draw(st.booleans())}
+    lead = draw(planted_coefficients())
+    coeffs[(n, 0)] = lead if not lead.is_zero() else R.ONE
+    return R.from_fraction(draw(FRACTIONS)), draw(planted_coefficients()), LPDO(coeffs)
+
+
+@LAW
+@given(planted_products())
+def test_a_planted_product_factors_back_at_a_simple_root(case):
+    w, p3, b = case
+    n = b.order
+    assume(not sum((b.coeff(n - k, k) * w ** (n - k) for k in range(n + 1)), R.ZERO).is_zero())
+    factor = FirstOrderFactor.from_root(w, p3)
+    out = factor_left(factor.as_operator().compose(b), root_choice=w)
+    assert out.status is OutcomeStatus.FACTORED and out.certified
+    assert out.factor == factor and out.cofactor == b

@@ -1,11 +1,14 @@
-"""The printed outcomes of round 0 of `roundtrip` and `generic` at seed 0,
-pinned byte for byte.
+"""The printed outcomes of round 0 of `roundtrip`, `generic` and `catalog` at
+seed 0, pinned byte for byte.
 
-perfbench/workloads.py builds the inputs; every operation's status, factor,
-cofactor, residuals and extensions are printed and compared with
-tests/data/outcomes_seed0.txt.  A change to the arithmetic that moves any
-canonical form, or the order of the residuals, fails here.  After a change
-that is meant to move an output, regenerate the file with
+perfbench/workloads.py builds the inputs.  Every operation whose result is a
+FactorizationOutcome (all of `roundtrip` and `generic`; in `catalog` the
+rational-function denominators, radicals, parameters and normalizations) has
+its status, factor, cofactor, extensions, residuals and Riccati constraints
+printed and compared with tests/data/outcomes_seed0.txt.  A change to the
+arithmetic that moves any canonical form, or the order of the residuals,
+fails here.  After a change that is meant to move an output, regenerate the
+file with
 
     PYTHONPATH=src python tests/test_output_pin.py > tests/data/outcomes_seed0.txt
 """
@@ -13,6 +16,8 @@ that is meant to move an output, regenerate the file with
 import importlib.util
 import sys
 from pathlib import Path
+
+import lpdo
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = ROOT / "tests" / "data" / "outcomes_seed0.txt"
@@ -33,15 +38,23 @@ def _workloads():
 def render() -> str:
     workloads = _workloads()
     lines = []
-    for name in ("roundtrip", "generic"):
-        for i, op in enumerate(workloads.make(name, 0).round(0)):
-            out = op.run()
+    sys.path.insert(0, str(ROOT / "perfbench"))  # catalog imports workloads by name
+    try:
+        ops = [(name, i, op) for name in ("roundtrip", "generic", "catalog")
+               for i, op in enumerate(workloads.make(name, 0).round(0))]
+        results = [(name, i, op, op.run()) for name, i, op in ops]
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for name, i, op, out in results:
+        if isinstance(out, lpdo.FactorizationOutcome):
             lines += [f"{name} {i}: {op.label}",
                       f"  status: {out.status.value}",
                       f"  factor: {out.factor}",
                       f"  cofactor: {out.cofactor}",
                       f"  extensions: {out.extensions}"]
             lines += [f"  residual: {r}" for r in out.residuals]
+            if out.riccati is not None:
+                lines += [f"  constraint: {c}" for c in out.riccati.constraints]
     return "\n".join(lines) + "\n"
 
 
