@@ -15,16 +15,18 @@ Three layers:
   Poly        -- a sparse multivariate polynomial over ConstScalar: a map
                  from packed int monomial keys on its own symbol tuple to
                  coefficients, under a graded-lexicographic term order.
+                 Rational coefficients are stored as int numerators over
+                 one positive integer denominator.
   RatExpr     -- a reduced fraction of two Polys with a monic denominator.
 
 Every RatExpr operation is kept reduced through poly_gcd, which returns
 the monic gcd (leading coefficient 1 under the graded-lex order) along one
 of two lanes, after splitting off the common monomial part:
 
-  integer lane -- when every coefficient of both inputs is rational.  The
-                  denominators are cleared and GCDHEU (Char, Geddes and
-                  Gonnet 1989) runs on sparse integer polynomials, accepting
-                  a candidate only when it divides both inputs exactly.
+  integer lane -- when every coefficient of both inputs is rational.
+                  GCDHEU (Char, Geddes and Gonnet 1989) runs on the int
+                  numerators, accepting a candidate only when it divides
+                  both inputs exactly.
   PRS lane     -- when a coefficient carries a radical, or in the rare case
                   that GCDHEU gives up: content/primitive-part recursion
                   with a subresultant remainder sequence over ConstScalar.
@@ -36,14 +38,12 @@ divisor with integer content above 1 need not divide over Z even when the
 quotient over Q exists), radical ones by the same lexicographic division
 over ConstScalar.
 
-Only this module knows the monomial format (see "monomials: packed keys"):
-a bit field per symbol, so a product of monomials is a sum of keys, and an
-exponent past 16383 raises OverflowError.  The integer lane's type IntPoly
-holds a Poly's keys with int coefficients over one positive integer
-denominator, with +, -, *, exact division, GCDHEU and the x/y-derivatives
-done on ints.  It is also the numerator type of the factorization engine's
-descent, which reduces its values on it and builds a Poly only for a
-canonical result.
+Only this module knows the Poly format (see "monomials: packed keys" and
+Poly): a bit field per symbol, so a product of monomials is a sum of keys,
+and an exponent past 16383 raises OverflowError; the coefficients are
+either ints over one denominator or ConstScalars.  Sums, products, exact
+division and derivatives of rational Polys run on the ints, which is what
+the factorization engine's descent computes with.
 
 Symbols other than x and y are named by strings.  A plain name is a
 parameter: it commutes with x and y and differentiates to zero.  A name
@@ -222,6 +222,9 @@ class ConstScalar:
 
     def is_zero(self) -> bool:
         return not self._coords
+
+    def __bool__(self) -> bool:
+        return bool(self._coords)
 
     def is_rational(self) -> bool:
         c = self._coords
@@ -490,6 +493,8 @@ def _merge(s: tuple, t: tuple) -> tuple:
         return s
     if len(s) == 2:
         return t
+    if s == t and tuple(map(type, s)) == tuple(map(type, t)):  # the same kinds too
+        return s
     names = {p: p for p in s[2:]}
     for q in t[2:]:
         if isinstance(names.setdefault(q, q), Unknown) != isinstance(q, Unknown):
@@ -500,7 +505,7 @@ def _merge(s: tuple, t: tuple) -> tuple:
 def _rekey(packed: dict, old: tuple, new: tuple) -> dict:
     """The terms packed, keyed on the symbols old, keyed on new instead; new
     holds every symbol that a key uses."""
-    if old is new or len(old) == 2:
+    if old is new or len(old) == 2 or old == new:
         return packed
     moves = [(_W * i, _W * new.index(s)) for i, s in enumerate(old) if i > 1 and s in new]
     if all(a == b for a, b in moves):
@@ -514,27 +519,61 @@ def _rekey(packed: dict, old: tuple, new: tuple) -> dict:
     return out
 
 
-def _canon(syms: tuple, packed: dict) -> "Poly":
-    """The Poly of packed on syms, without the symbols after y it does not use."""
-    if len(syms) > 2:
+def _canon(syms: tuple, packed: dict, den: int | None, scan: bool = True) -> "Poly":
+    """The canonical Poly of packed over den on syms: ConstScalars (den None)
+    become ints over the lcm of their denominators when all are rational,
+    and ints lose their common factor with den.  scan drops the symbols after
+    y that packed does not use; a product of nonzero Polys uses them all."""
+    if den is None:
+        if all(c.is_rational() for c in packed.values()):
+            rats = {e: c.rational_value() for e, c in packed.items()}
+            den = lcm(*(q.denominator for q in rats.values()))
+            packed = {e: q.numerator * (den // q.denominator) for e, q in rats.items()}
+    elif den != 1:
+        g = gcd(den, *packed.values())
+        if g != 1:
+            den //= g
+            packed = {e: c // g for e, c in packed.items()}
+    if scan and len(syms) > 2:
         o = reduce(or_, packed, 0)
         used = tuple(s for i, s in enumerate(syms) if i < 2 or o >> _W * i & _MASK)
         if len(used) < len(syms):
             packed, syms = _rekey(packed, syms, used), used
     p = Poly.__new__(Poly)
-    p.syms, p.packed = syms, packed
+    p.syms, p.packed, p.den = syms, packed, den
     return p
 
 
+def _scalars(p: "Poly") -> dict[int, ConstScalar]:
+    """The terms of p with ConstScalar coefficients."""
+    if p.den is None:
+        return p.packed
+    return {e: _rational(Fraction(c, p.den)) for e, c in p.packed.items()}
+
+
 def _joint(a: "Poly", b: "Poly") -> tuple[tuple, dict, dict]:
-    """The symbol tuple of a and b together, and the terms of each on it."""
-    u = _merge(a.syms, b.syms)
-    return u, _rekey(a.packed, a.syms, u), _rekey(b.packed, b.syms, u)
+    """The symbol tuple of a and b together and the terms of each on it:
+    the int numerators when both are rational, else the ConstScalar
+    coefficients of both."""
+    s, t = a.syms, b.syms
+    fa, fb = a.packed, b.packed
+    if (a.den is None) != (b.den is None):
+        fa, fb = _scalars(a), _scalars(b)
+    if s is t:
+        return s, fa, fb
+    u = _merge(s, t)
+    return u, _rekey(fa, s, u), _rekey(fb, t, u)
 
 
 def _lead(p: "Poly") -> int:
     """The key of the leading term under the graded-lex order."""
     return max(p.packed, key=_ranker(len(p.syms)))
+
+
+def _lc(p: "Poly") -> ConstScalar:
+    """The coefficient of the leading term."""
+    c = p.packed[_lead(p)]
+    return c if p.den is None else _rational(Fraction(c, p.den))
 
 
 def _mono_gcd(keys, n: int) -> int:
@@ -556,27 +595,33 @@ class Poly:
     """Sparse multivariate polynomial over ConstScalar: packed maps the key
     of each monomial on the symbol tuple syms to its nonzero coefficient.
 
-    terms is the same polynomial keyed by ((symbol, exponent), ...) tuples,
-    a view for readers outside the package."""
+    The coefficients come in one of two kinds.  When all are rational,
+    packed holds int numerators over the integer den > 0, with
+    gcd(den, *numerators) == 1; when one carries a radical, packed holds
+    ConstScalars and den is None.  Either way the form is canonical, so
+    equality and hashing are structural.
 
-    __slots__ = ("syms", "packed")
+    terms is the same polynomial keyed by ((symbol, exponent), ...) tuples
+    with ConstScalar coefficients, a view for readers outside the package."""
+
+    __slots__ = ("syms", "packed", "den")
 
     def __init__(self, syms: tuple[str, ...] = _XY,
                  packed: dict[int, ConstScalar] | None = None):
-        """The terms packed, keyed on syms (x, y, then other symbols in
-        alphabetical order); zero terms and unused symbols are dropped, and
-        an exponent past _EXP_MAX raises OverflowError."""
+        """The ConstScalar terms packed, keyed on syms (x, y, then other
+        symbols in alphabetical order); zero terms and unused symbols are
+        dropped, and an exponent past _EXP_MAX raises OverflowError."""
         packed = {e: c for e, c in (packed or {}).items() if not c.is_zero()}
         if packed and (_carries(reduce(or_, packed)) or max(packed) >> _W * len(syms)):
             raise OverflowError(f"an exponent passes {_EXP_MAX} or a key has fields past {syms}")
-        p = _canon(tuple(syms), packed)
-        self.syms, self.packed = p.syms, p.packed
+        p = _canon(tuple(syms), packed, None)
+        self.syms, self.packed, self.den = p.syms, p.packed, p.den
 
     # -- constructors
 
     @classmethod
     def const(cls, c: ConstScalar) -> "Poly":
-        return Poly.ZERO if c.is_zero() else _canon(_XY, {0: c})
+        return Poly.ZERO if c.is_zero() else _canon(_XY, {0: c}, None)
 
     @classmethod
     def rational(cls, q) -> "Poly":
@@ -590,8 +635,8 @@ class Poly:
         if not exp:
             return Poly.ONE
         if name in _XY:
-            return _canon(_XY, {exp << _W * (name == "y"): ConstScalar.ONE})
-        return _canon(_XY + (name,), {exp << 2 * _W: ConstScalar.ONE})
+            return _canon(_XY, {exp << _W * (name == "y"): 1}, 1)
+        return _canon(_XY + (name,), {exp << 2 * _W: 1}, 1)
 
     ZERO: "Poly"
     ONE: "Poly"
@@ -608,12 +653,12 @@ class Poly:
         if not self.packed:
             return ConstScalar.ZERO
         if self.is_const():
-            return self.packed[0]
+            return _lc(self)
         raise ValueError(f"{self} is not constant")
 
     @property
     def terms(self) -> dict[tuple[tuple[str, int], ...], ConstScalar]:
-        return {tuple(_fields(e, self.syms)): c for e, c in self.packed.items()}
+        return {tuple(_fields(e, self.syms)): c for e, c in _scalars(self).items()}
 
     def symbols(self) -> set[str]:
         o = reduce(or_, self.packed, 0)
@@ -627,61 +672,95 @@ class Poly:
         """The leading monomial under the graded-lex order, and its coefficient."""
         if not self.packed:
             raise ValueError("leading term of zero polynomial")
-        e = _lead(self)
-        return _canon(self.syms, {e: ConstScalar.ONE}), self.packed[e]
+        return _canon(self.syms, {_lead(self): 1}, 1), _lc(self)
 
     def radicals(self) -> set[int]:
         out: set[int] = set()
-        for c in self.packed.values():
+        for c in _scalars(self).values():
             out |= c.radicals()
         return out
 
+    def denominator(self) -> int:
+        """The least positive integer whose multiple of self has integer
+        coefficients."""
+        if self.den is not None:
+            return self.den
+        return lcm(*(q.denominator for c in self.packed.values() for q in c._coords.values()))
+
     # -- ring operations
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other."""
         syms, a, b = _joint(self, other)
-        out = dict(a)
+        d1, d2 = self.den, other.den
+        if d1 is None or d2 is None:
+            out = dict(a)
+            for e, c in b.items():
+                s = out.get(e, ConstScalar.ZERO) + (c if sign > 0 else -c)
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+            return _canon(syms, out, None)
+        d = d1 if d1 == d2 else lcm(d1, d2)  # over the lcm of the denominators
+        f1, f2 = d // d1, sign * (d // d2)
+        out = dict(a) if f1 == 1 else {e: c * f1 for e, c in a.items()}
+        get = out.get
         for e, c in b.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                del out[e]
-            else:
+            s = get(e, 0) + c * f2
+            if s:
                 out[e] = s
-        return _canon(syms, out)
+            else:
+                del out[e]
+        return _canon(syms, out, d)
 
-    def __neg__(self) -> "Poly":
-        return _canon(self.syms, {e: -c for e, c in self.packed.items()})
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + -other
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Poly":
+        return _canon(self.syms, {e: -c for e, c in self.packed.items()}, self.den, False)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.packed or not other.packed:
             return Poly.ZERO
         syms, a, b = _joint(self, other)
-        out: dict[int, ConstScalar] = {}
+        rational = self.den is not None and other.den is not None
+        den = self.den * other.den if rational else None
+        if len(a) == 1 and 0 in a:
+            a, b = b, a
+        if len(b) == 1 and 0 in b:  # a constant factor scales
+            k = b[0]
+            return _canon(syms, {e: c * k for e, c in a.items()}, den, False)
+        out = {}
+        get, zero = out.get, 0 if rational else ConstScalar.ZERO
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                out[e] = get(e, zero) + c1 * c2
+        out = {e: c for e, c in out.items() if c}
         if out and _carries(reduce(or_, out)):
             raise OverflowError(f"an exponent of a product passes {_EXP_MAX}")
-        return _canon(syms, out)
+        return _canon(syms, out, den, False)
 
     def scale(self, c: ConstScalar) -> "Poly":
         if c.is_zero():
             return Poly.ZERO
-        return _canon(self.syms, {e: q * c for e, q in self.packed.items()})
+        if self.den is not None and c.is_rational():
+            return self.scale_rational(c.rational_value())
+        return _canon(self.syms, {e: q * c for e, q in _scalars(self).items()}, None, False)
 
     def scale_rational(self, q) -> "Poly":
-        return self.scale(ConstScalar.from_rational(q))
+        """self times the int or Fraction q."""
+        if not q:
+            return Poly.ZERO
+        if self.den is None:
+            return self.scale(ConstScalar.from_rational(q))
+        n = q.numerator
+        return _canon(self.syms, {e: c * n for e, c in self.packed.items()},
+                      self.den * q.denominator, False)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -696,13 +775,13 @@ class Poly:
         if v not in self.syms:
             return Poly.ZERO
         shift = _W * self.syms.index(v)
-        one = 1 << shift
+        one, rational = 1 << shift, self.den is not None
         out = {}
         for e, c in self.packed.items():
             k = e >> shift & _MASK
             if k:
-                out[e - one] = c.scale(k)
-        return _canon(self.syms, out)
+                out[e - one] = c * k if rational else c.scale(k)
+        return _canon(self.syms, out, self.den)
 
     def diff(self, var: str) -> "Poly":
         """d/dvar for var x or y: the partial in var, plus, for each unknown
@@ -721,27 +800,38 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_const():
             return self.scale(other.const_value().inverse())
-        syms = _merge(self.syms, other.syms)
-        f, g = IntPoly.from_poly(self, syms), IntPoly.from_poly(other, syms)
-        if f is not None and g is not None:  # over Z by the primitive part of other
-            return f.exact_div(g).to_poly(syms)
-        q = _zp_quo(_rekey(self.packed, self.syms, syms), _rekey(other.packed, other.syms, syms))
+        syms, f, g = _joint(self, other)
+        den = None
+        if self.den is not None and other.den is not None:
+            # over Z by the primitive part of other: (F/d1) / (cg*G'/d2) = (F/G')*d2 / (d1*cg)
+            cg = gcd(*g.values())
+            if cg != 1:
+                g = {e: c // cg for e, c in g.items()}
+            den = self.den * cg
+        q = _zp_quo(f, g)
         if q is None:
             raise ValueError("inexact polynomial division")
-        return _canon(syms, q)
+        if den is not None and other.den != 1:
+            q = {e: c * other.den for e, c in q.items()}
+        return _canon(syms, q, den)
 
     def monic(self) -> "Poly":
         """Scale so the graded-lex leading coefficient is 1."""
         if not self.packed:
             return self
-        return self.scale(self.packed[_lead(self)].inverse())
+        c = self.packed[_lead(self)]
+        if self.den is None:
+            return self.scale(c.inverse())
+        if c < 0:  # (F/d) / (c/d) = F/c over the positive -c
+            return _canon(self.syms, {e: -v for e, v in self.packed.items()}, -c, False)
+        return _canon(self.syms, self.packed, c, False)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Poly) and self.packed == other.packed
-                and self.syms == other.syms)
+        return (isinstance(other, Poly) and self.den == other.den
+                and self.packed == other.packed and self.syms == other.syms)
 
     def __hash__(self) -> int:
-        return hash((self.syms, frozenset(self.packed.items())))
+        return hash((self.syms, self.den, frozenset(self.packed.items())))
 
     def __str__(self) -> str:
         return poly_str(self)
@@ -753,12 +843,6 @@ Poly.ZERO = Poly()
 Poly.ONE = Poly.rational(1)
 
 
-def symbol_tuple(polys) -> tuple[str, ...]:
-    """The symbol tuple of all the polys together, on which each of them can
-    be keyed (see IntPoly.from_poly)."""
-    return reduce(_merge, (p.syms for p in polys), _XY)
-
-
 # -- univariate views (used by the gcd machinery) ---------------------------
 
 def _univar(p: Poly, v: str) -> list[Poly]:
@@ -767,11 +851,10 @@ def _univar(p: Poly, v: str) -> list[Poly]:
         return [p]
     shift = _W * p.syms.index(v)
     keep = ~(_MASK << shift)
-    coeffs: list[dict[int, ConstScalar]] = [
-        {} for _ in range(max(e >> shift & _MASK for e in p.packed) + 1)]
+    coeffs: list[dict] = [{} for _ in range(max(e >> shift & _MASK for e in p.packed) + 1)]
     for e, c in p.packed.items():
         coeffs[e >> shift & _MASK][e & keep] = c
-    return [_canon(p.syms, t) for t in coeffs]
+    return [_canon(p.syms, t, p.den) for t in coeffs]
 
 
 def _from_univar(coeffs: list[Poly], v: str) -> Poly:
@@ -846,15 +929,16 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     ma, mb = _mono_gcd(fa, n), _mono_gcd(fb, n)
     mg = _mono_gcd((ma, mb), n)
     if len(fa) == 1 or len(fb) == 1:
-        return _canon(syms, {mg: ConstScalar.ONE})
+        return _canon(syms, {mg: 1}, 1)
+    da, db = (a.den, b.den) if (a.den is None) == (b.den is None) else (None, None)
     if ma:
-        a = _canon(syms, {e - ma: c for e, c in fa.items()})
+        a = _canon(syms, {e - ma: c for e, c in fa.items()}, da)
     if mb:
-        b = _canon(syms, {e - mb: c for e, c in fb.items()})
+        b = _canon(syms, {e - mb: c for e, c in fb.items()}, db)
     g = _int_gcd(a, b)
     if g is None:
         g = _prs_gcd(a, b)
-    return g * _canon(syms, {mg: ConstScalar.ONE}) if mg else g
+    return g * _canon(syms, {mg: 1}, 1) if mg else g
 
 
 def _prs_gcd(a: Poly, b: Poly) -> Poly:
@@ -908,7 +992,7 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
 
 # -- integer heuristic gcd ----------------------------------------------------
 
-ZPoly = dict[int, int]  # an integer polynomial: a Poly's packed keys to nonzero ints
+ZPoly = dict[int, int]  # an integer polynomial: a rational Poly's packed numerators
 
 # evaluation points tried per level before the heuristic gives up
 _HEU_TRIES = 6
@@ -917,10 +1001,11 @@ _HEU_TRIES = 6
 def _int_gcd(a: Poly, b: Poly) -> Poly | None:
     """Monic gcd of rational a and b by GCDHEU over Z; None when a
     coefficient carries a radical or the heuristic gives up."""
-    syms = _merge(a.syms, b.syms)
-    f, g = IntPoly.from_poly(a, syms), IntPoly.from_poly(b, syms)
-    h = None if f is None or g is None else f.gcd(g)
-    return None if h is None else h.to_poly(syms).monic()
+    if a.den is None or b.den is None:
+        return None
+    syms, f, g = _joint(a, b)
+    h = _heu_gcd(f, g)
+    return None if h is None else _canon(syms, h, 1).monic()
 
 
 def _heu_gcd(f: ZPoly, g: ZPoly) -> ZPoly | None:
@@ -1046,118 +1131,6 @@ def _zp_quo(f: dict, h: dict) -> dict | None:
     return quo
 
 
-class IntPoly:
-    """A rational polynomial as an integer polynomial over one positive
-    integer denominator: terms / den, the terms a ZPoly keyed on a symbol
-    tuple that the caller keeps.  It is neither reduced nor canonical;
-    to_poly gives the value back as a Poly."""
-
-    __slots__ = ("terms", "den")
-
-    def __init__(self, terms: ZPoly, den: int = 1):
-        self.terms = terms
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: Poly, syms: tuple[str, ...]) -> "IntPoly | None":
-        """p keyed on syms, a symbol tuple holding p's; None when a
-        coefficient is not rational."""
-        rats = {}
-        for e, c in _rekey(p.packed, p.syms, syms).items():
-            q = c._coords.get(1)
-            if q is None or len(c._coords) != 1:
-                return None
-            rats[e] = q
-        den = lcm(*(q.denominator for q in rats.values()))
-        return cls({e: q.numerator * (den // q.denominator) for e, q in rats.items()}, den)
-
-    def to_poly(self, syms: tuple[str, ...], unit: Fraction | int = 1) -> Poly:
-        """The value times unit, as a Poly on the symbol tuple syms."""
-        u, den = unit.numerator, self.den * unit.denominator
-        return _canon(syms, {e: _rational(Fraction(c * u, den)) for e, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
-
-    def _plus(self, other: "IntPoly", sign: int) -> "IntPoly":
-        """self + sign * other, over the lcm of the two denominators."""
-        d1, d2 = self.den, other.den
-        d = d1 if d1 == d2 else lcm(d1, d2)
-        f1, f2 = d // d1, sign * (d // d2)
-        out = dict(self.terms) if f1 == 1 else \
-            {e: c * f1 for e, c in self.terms.items()}
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c * f2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return IntPoly(out, d)
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self._plus(other, -1)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly({e: -c for e, c in self.terms.items()}, self.den)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.terms, other.terms
-        den = self.den * other.den
-        if len(a) == 1 and 0 in a:
-            a, b = b, a
-        if len(b) == 1 and 0 in b:  # a constant factor scales
-            k = b[0]
-            return IntPoly({e: c * k for e, c in a.items()}, den)
-        out: ZPoly = {}
-        get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        out = {e: c for e, c in out.items() if c}
-        if out and _carries(reduce(or_, out)):
-            raise OverflowError(f"an exponent of a product passes {_EXP_MAX}")
-        return IntPoly(out, den)
-
-    def exact_div(self, other: "IntPoly") -> "IntPoly":
-        """Exact quotient, over Z by the primitive part of other (Gauss's
-        lemma); raises ValueError when the division is not exact."""
-        cg = gcd(*other.terms.values())
-        q = _zp_quo(self.terms, {e: c // cg for e, c in other.terms.items()})
-        if q is None:
-            raise ValueError("inexact polynomial division")
-        return IntPoly({e: c * other.den for e, c in q.items()}, self.den * cg)
-
-    def gcd(self, other: "IntPoly") -> "IntPoly | None":
-        """The GCDHEU gcd over Z of the nonzero terms (the denominators left
-        out); None when the heuristic gives up."""
-        h = _heu_gcd(self.terms, other.terms)
-        return None if h is None else IntPoly(h)
-
-    def scale_rational(self, k: int) -> "IntPoly":
-        """The value times the integer k."""
-        if not k:
-            return IntPoly({}, 1)
-        return IntPoly({e: c * k for e, c in self.terms.items()}, self.den)
-
-    def diff(self, var: str) -> "IntPoly":
-        """d/dx or d/dy: the exponent is read off field 0 or 1, then lowered."""
-        shift = 0 if var == "x" else _W
-        one = 1 << shift
-        out: ZPoly = {}
-        for e, c in self.terms.items():
-            k = e >> shift & _MASK
-            if k:
-                out[e - one] = c * k
-        return IntPoly(out, self.den)
-
-
 # -- polynomial square root -------------------------------------------------
 
 def poly_sqrt(p: Poly) -> Poly | None:
@@ -1173,21 +1146,21 @@ def poly_sqrt(p: Poly) -> Poly | None:
     if lm & guard >> _W - 1:  # an odd exponent
         return None
     half = lm >> 1
-    c = p.packed[lm].sqrt()
+    c = _lc(p).sqrt()
     if c is None:
         return None
-    root = _canon(syms, {half: c})
+    root = _canon(syms, {half: c}, None)
     twice_inv = (c + c).inverse()
     last = rank(lm)
     try:  # the partial roots of a square square within the exponent bound
         rem = p - root * root
         while not rem.is_zero():
-            terms = _rekey(rem.packed, rem.syms, syms)
+            terms = _rekey(_scalars(rem), rem.syms, syms)
             rm = max(terms, key=rank)
             if rank(rm) >= last or (rm + guard - half) & guard != guard:
                 return None
             last = rank(rm)
-            root = root + _canon(syms, {rm - half: terms[rm] * twice_inv})
+            root = root + _canon(syms, {rm - half: terms[rm] * twice_inv}, None)
             rem = p - root * root
     except OverflowError:
         return None
@@ -1361,7 +1334,7 @@ class RatExpr:
             return cls.ZERO
         if den.is_const():
             return cls(num.scale(den.const_value().inverse()), Poly.ONE)
-        lc = den.packed[_lead(den)]
+        lc = _lc(den)
         if not (lc == ConstScalar.ONE):
             inv = lc.inverse()
             num = num.scale(inv)
@@ -1433,10 +1406,10 @@ class RatExpr:
             raise ValueError("denominator involves the grouping symbols")
         syms = self.num.syms
         inside = sum(_MASK << _W * i for i, s in enumerate(syms) if s in names)
-        groups: dict[int, dict[int, ConstScalar]] = {}
+        groups: dict[int, dict] = {}
         for e, c in self.num.packed.items():
             groups.setdefault(e & inside, {})[e & ~inside] = c
-        return {_canon(syms, {m: ConstScalar.ONE}): RatExpr._reduce(_canon(syms, t), self.den)
+        return {_canon(syms, {m: 1}, 1): RatExpr._reduce(_canon(syms, t, self.num.den), self.den)
                 for m, t in groups.items()}
 
     # -- comparison / hashing / display
@@ -1457,7 +1430,7 @@ class RatExpr:
 
 def _poly_substitute(p: Poly, assignments: dict[str, RatExpr]) -> RatExpr:
     out = RatExpr.ZERO
-    for e, c in p.packed.items():
+    for e, c in _scalars(p).items():
         term = RatExpr.from_const(c)
         for s, e in _fields(e, p.syms):
             rep = assignments.get(s)
@@ -1504,8 +1477,9 @@ def poly_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
     chunks: list[str] = []
-    for e in sorted(p.packed, key=_ranker(len(p.syms)), reverse=True):
-        txt, grouped = _coeff_str(p.packed[e])
+    coeffs = _scalars(p)
+    for e in sorted(coeffs, key=_ranker(len(p.syms)), reverse=True):
+        txt, grouped = _coeff_str(coeffs[e])
         neg = txt.startswith("-") and not grouped
         if neg:
             txt = txt[1:]

@@ -31,9 +31,8 @@ only by the root search and for a caller's root that is multiple.
 The lane, a LevelState, holds values N / Q^k over one common denominator,
 as in Bareiss's fraction-free elimination, with Q the squarefree part of the
 lcm of the denominators of w, p3 and op's coefficients: sums, products and
-derivatives need no gcd, and a value is zero exactly when N is.  N is an
-IntPoly (packed keys, int coefficients over one integer denominator) for
-rational inputs without unknown functions, else a Poly over ConstScalar.
+derivatives need no gcd, and a value is zero exactly when N is.  N is a
+Poly, whose rational coefficients are ints over one integer denominator.
 solve_p3 divides the b-sum by P'(w) exactly when the numerators allow, else
 reduces p3 and widens Q to cover its denominator.  The certificate, verify,
 lifts each printed coefficient of the factor and cofactor onto the
@@ -51,14 +50,12 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .expr import (
-    ConstScalar,
-    IntPoly,
     Poly,
     RatExpr,
     Unknown,
+    _int_gcd,
     jet_assignments,
     poly_gcd,
-    symbol_tuple,
 )
 from .operator import (
     LPDO,
@@ -183,17 +180,7 @@ def _squarefree_lcm(dens) -> Poly:
     return q.exact_div(g)
 
 
-# zero on either numerator lane: every operation tests is_zero first
-_ZERO = (Poly.ZERO, 0)
-
-
-def _int_syms(values: list[RatExpr]) -> tuple | None:
-    """The joint symbol tuple of the values when they take the IntPoly lane
-    (every coefficient rational, no unknown function or jet), else None."""
-    polys = [p for r in values for p in (r.num, r.den)]
-    syms = symbol_tuple(polys)
-    rational = all(c.is_rational() for p in polys for c in p.packed.values())
-    return syms if rational and not any(isinstance(v, Unknown) for v in syms) else None
+_ZERO = (Poly.ZERO, 0)  # every operation tests is_zero first
 
 
 class Lane:
@@ -204,37 +191,28 @@ class Lane:
     denominator of their sums, products and derivatives divides a power of
     Q.  So a value is zero exactly when its numerator is, and only values
     read out are reduced, against Q rather than Q^k.  The numerators are
-    IntPolys on the values' joint symbol tuple (_int_syms; the jets of an
-    unknown function are new symbols, not field shifts), or Polys."""
+    Polys: for rational values their arithmetic runs on int numerators over
+    one integer denominator, and the jets of an unknown function are
+    symbols of their own."""
 
     def __init__(self, values: list[RatExpr]):
-        syms = self._syms = _int_syms(values)
-        if syms is not None:
-            self._num = lambda p: IntPoly.from_poly(p, syms)
-            self._poly = lambda n, inv=ConstScalar.ONE: n.to_poly(syms, inv.rational_value())
-            self._gcd = IntPoly.gcd
-        else:
-            self._num = lambda p: p
-            self._poly = lambda n, inv=None: n if inv is None else n.scale(inv)
-            self._gcd = poly_gcd
         self._set_q(_squarefree_lcm(
             dict.fromkeys(r.den for r in values if not r.den.is_const())))
 
     def _set_q(self, q: Poly) -> None:
         self.q = q
-        self._powers = [self._num(Poly.ONE), self._num(q)]
-        self._monic: dict[int, tuple] = {}  # Q^k made monic, and 1/lc(Q^k)
+        self._powers = [Poly.ONE, q]
         self._dq: dict = {}  # d(Q) for each derivation d, by name
 
-    def power(self, k: int):
-        """Q^k as a numerator."""
+    def power(self, k: int) -> Poly:
+        """Q^k."""
         while len(self._powers) <= k:
             self._powers.append(self._powers[-1] * self._powers[1])
         return self._powers[k]
 
-    def _lift_den(self, d: Poly) -> tuple[object | None, int]:
-        """(Q^k / d, k) for the least k with d | Q^k, the cofactor as a
-        numerator, or None when it is 1.
+    def _lift_den(self, d: Poly) -> tuple[Poly | None, int]:
+        """(Q^k / d, k) for the least k with d | Q^k, the cofactor None
+        when it is 1.
 
         Each pass divides d by its gcd with the squarefree Q, which takes
         one copy of every irreducible factor the two share, so k is the
@@ -250,35 +228,26 @@ class Lane:
                 raise CertificateError(f"denominator {d} does not divide a power of {self.q}")
             rest = rest.exact_div(g)
             k += 1
-        return self.power(k).exact_div(self._num(d)), k
+        return self.power(k).exact_div(d), k
 
-    def holds(self, values: list[RatExpr]) -> bool:
-        """Whether the values fit the lane's numerators: on the IntPoly lane
-        they are rational and use only its symbols."""
-        syms = self._syms and _int_syms(values)  # not computed on the Poly lane
-        return self._syms is None or (syms is not None and set(syms) <= set(self._syms))
-
-    def lift(self, r: RatExpr) -> tuple[object, int]:
+    def lift(self, r: RatExpr) -> tuple[Poly, int]:
         co, k = self._lift_den(r.den)
-        n = self._num(r.num)
-        return (n if co is None else n * co), k
+        return (r.num if co is None else r.num * co), k
 
-    def reduce(self, u: tuple[object, int]) -> RatExpr:
+    def reduce(self, u: tuple[Poly, int]) -> RatExpr:
         """N / Q^k in canonical form: with Q squarefree it is reduced when
-        gcd(N, Q) is a unit, and then only its denominator is made monic."""
+        gcd(N, Q) is a unit, and then only its denominator is made monic.
+        Radical coefficients, or a gcd GCDHEU gives up on, take a RatExpr
+        reduction."""
         n, k = u
         if n.is_zero():
             return RatExpr.ZERO
         if not k:
-            return RatExpr(self._poly(n), Poly.ONE)
-        if k not in self._monic:  # lc(Q^k) = lc(Q)^k under the graded-lex order
-            inv = self.q.leading_term()[1].inverse() ** k
-            self._monic[k] = self._poly(self.power(k), inv), inv
-        den, inv = self._monic[k]
-        g = self._gcd(n, self._powers[1])
+            return RatExpr(n, Poly.ONE)
+        g = _int_gcd(n, self.q)
         if g is None or not g.is_const():
-            return RatExpr._reduce(self._poly(n), den)
-        return RatExpr(self._poly(n, inv), den)
+            return RatExpr._reduce(n, self.power(k))
+        return RatExpr._fast(n, self.power(k))
 
     def add(self, u, v):
         (n1, k1), (n2, k2) = u, v
@@ -326,8 +295,8 @@ class LevelState(Lane):
 
     def __init__(self, op: LPDO, omega: RatExpr, p3: RatExpr | None):
         super().__init__([omega, *([] if p3 is None else [p3]), *op.coeffs.values()])
-        self._a = self._num(omega.num)
-        self._b = None if omega.den.is_const() else self._num(omega.den)
+        self._a = omega.num
+        self._b = None if omega.den.is_const() else omega.den
         self._b_inv = self._lift_den(omega.den)  # 1/b as (Q^j / b, j)
         self.omega = self.lift(omega)
         self.p3 = None if p3 is None else self.lift(p3)
@@ -379,12 +348,9 @@ class LevelState(Lane):
             n = n * self.power(kv - ku)
         else:
             d = d * self.power(ku - kv)
-        g = self._gcd(n, d)  # reduced on the numerators, then converted once
-        if g is not None and not g.is_const():
-            n, d = n.exact_div(g), d.exact_div(g)
-        p3 = (RatExpr._reduce if g is None else RatExpr._fast)(self._poly(n), self._poly(d))
+        p3 = RatExpr._reduce(n, d)
         q = _squarefree_lcm([self.q, p3.den])
-        powers = [self.power(0), self._num(q.exact_div(self.q))]
+        powers = [self.power(0), q.exact_div(self.q)]
         self._set_q(q)
 
         def move(w):
@@ -466,7 +432,7 @@ def degenerate_constraints(op: LPDO, omega: RatExpr) -> RiccatiProblem:
 
 
 def _riccati_problem(op: LPDO, omega: RatExpr) -> RiccatiProblem:
-    """The descent with p3 a fresh unknown function, on a Poly lane of its own."""
+    """The descent with p3 a fresh unknown function, on a lane of its own."""
     name = _fresh_unknown(op)
     _, residuals = _run_descent(op, LevelState(op, omega, RatExpr.unknown(name)))
     constraints = tuple(_normalize_constraint(r, name)
@@ -711,14 +677,12 @@ def verify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO,
     state when given, the LevelState of the attempt at op that printed the
     factor and cofactor, whose coefficients stand for op's; else a Lane of
     the three operators.  Every printed coefficient is lifted onto it, and
-    one that does not fit the attempt's lane raises CertificateError."""
+    one whose denominator does not divide a power of its Q raises
+    CertificateError."""
     f = factor.as_operator()
-    printed = [*f.coeffs.values(), *cofactor.coeffs.values()]
     if state is None:
-        lane = Lane([*printed, *op.coeffs.values()])
+        lane = Lane([*f.coeffs.values(), *cofactor.coeffs.values(), *op.coeffs.values()])
         a = {jk: lane.lift(c) for jk, c in op.coeffs.items()}
-    elif not state.holds(printed):
-        raise CertificateError("a printed coefficient does not fit the attempt's lane")
     else:
         lane, a = state, state.coeffs
     fl, bl = ({jk: lane.lift(c) for jk, c in o.coeffs.items()} for o in (f, cofactor))

@@ -9,8 +9,6 @@ denominators are cleared so fractions print as (poly)/integer.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .expr import Poly, RatExpr, fraction_str, poly_str
 from .operator import LPDO
 from .charpoly import CharPoly, Root
@@ -24,7 +22,7 @@ from .factorize import FactorizationOutcome, FactorizationTree, OutcomeStatus
 def _cleared(r: RatExpr) -> tuple[Poly, Poly]:
     """num and den scaled by the lcm of the numerator's coefficient
     denominators, so that the numerator has integer coefficients."""
-    scale = lcm(*(q.denominator for c in r.num.packed.values() for q in c.coords.values()))
+    scale = r.num.denominator()
     if scale == 1:
         return r.num, r.den
     return r.num.scale_rational(scale), r.den.scale_rational(scale)

@@ -1,17 +1,18 @@
 """The common-denominator lane against reference loops that keep every value
-a reduced RatExpr, on both numerator lanes (IntPoly for rational inputs, Poly
-otherwise): the top level and the descent, solve_p3 and the certificate
-verify, also on an attempt's own lane.  Also the integer lane of
-Poly.exact_div."""
+a reduced RatExpr, with numerators of both coefficient kinds (int numerators
+over one denominator for rational inputs, ConstScalars where sqrt(2) enters):
+the top level and the descent, solve_p3 and the certificate verify, also on
+an attempt's own lane.  Also Poly.exact_div and Lane.reduce."""
 
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpdo import expr, factorize, parse, parse_function
-from lpdo.expr import ConstScalar, IntPoly, Poly, RatExpr as R, _W
+from lpdo.expr import ConstScalar, Poly, RatExpr as R, _W
 from lpdo.factorize import (
     CertificateError,
     DegenerateRoot,
@@ -66,21 +67,28 @@ def _oracle_descent(op, omega, p3, top):
     return solved, residuals
 
 
-def _descent(op, omega, p3, lane=None):
+def _kind(state):
+    """The coefficient kind of the state's numerators: "rational" when none
+    carries a radical, else "radical"."""
+    nums = [state.omega[0], *(n for n, _ in state.coeffs.values())]
+    return "radical" if any(n.radicals() for n in nums) else "rational"
+
+
+def _descent(op, omega, p3, kind=None):
     """The common-denominator descent, top level included, with the whole
-    cofactor map read back, zero residuals or not; lane, when given, is the
-    numerator type the state must hold."""
+    cofactor map read back, zero residuals or not; kind, when given, is the
+    coefficient kind of the state's numerators."""
     state = LevelState(op, omega, p3)
-    if lane is not None:
-        assert type(state.power(0)) is lane
+    if kind is not None:
+        assert _kind(state) == kind
     residuals = [solve_level(state, op, m) for m in range(op.order - 1, -1, -1)]
     return {jk: state.reduce(v) for jk, v in state.solved.items()}, residuals
 
 
-def _assert_same(op, omega, p3, lane=None):
+def _assert_same(op, omega, p3, kind=None):
     top = _oracle_top(op, omega)
     want_cof, want_res = _oracle_descent(op, omega, p3, top)
-    got_cof, got_res = _descent(op, omega, p3, lane)
+    got_cof, got_res = _descent(op, omega, p3, kind)
     assert got_res == want_res
     assert [str(r) for r in got_res] == [str(r) for r in want_res]
     assert got_cof == want_cof
@@ -121,7 +129,7 @@ def operators(draw, coefficients=coefficients, max_order=4):
 @PROPERTY
 @given(operators(), st.sampled_from(ROOTS), st.sampled_from(P3S))
 def test_descent_matches_the_ratexpr_loop(op, omega, p3):
-    _assert_same(op, omega, p3, IntPoly)
+    _assert_same(op, omega, p3, "rational")
 
 
 # non-integer rational coefficients and a plain parameter a beside x and y
@@ -147,7 +155,7 @@ def rational_coefficients(draw):
 @given(operators(rational_coefficients), st.sampled_from(Q_ROOTS),
        st.sampled_from(Q_P3S))
 def test_rational_coefficients_and_a_parameter_take_the_integer_lane(op, omega, p3):
-    _assert_same(op, omega, p3, IntPoly)
+    _assert_same(op, omega, p3, "rational")
 
 
 def test_rational_operator_state_holds_integer_numerators():
@@ -155,17 +163,17 @@ def test_rational_operator_state_holds_integer_numerators():
     omega = parse_function("-y/(y + 1)")
     state = LevelState(op, omega, A)
     solve_level(state, op, op.order - 1)
-    values = [state.omega, state.p3, *state.solved.values()]
-    assert all(type(n) is IntPoly and type(k) is int for n, k in values)
-    assert type(state.power(3)) is IntPoly
+    values = [state.omega, state.p3, *state.solved.values(), (state.power(3), 3)]
+    assert all(n.den is not None and type(k) is int for n, k in values)
+    assert all(type(c) is int for n, _ in values for c in n.packed.values())
 
 
 def test_sqrt2_coefficient_takes_the_poly_lane():
     s2 = R.sqrt_int(2)
     op = LPDO({(2, 0): R.ONE, (1, 1): s2 * X, (0, 2): -R.ONE / (X + Y),
                (1, 0): Y, (0, 0): s2 / (Y + R.ONE)})
-    _assert_same(op, X - Y, R.ONE / (X + Y), Poly)
-    _assert_same(op, s2, Y, Poly)
+    _assert_same(op, X - Y, R.ONE / (X + Y), "radical")
+    _assert_same(op, s2, Y, "radical")
 
 
 def test_differential_parameters_take_the_poly_lane():
@@ -175,13 +183,14 @@ def test_differential_parameters_take_the_poly_lane():
     a00 = (R.from_int(2) * grad(a10 + a01) + a10 * a10 - a01 * a01) * half * half
     op = LPDO({(2, 0): R.ONE, (0, 2): -R.ONE, (1, 0): a10, (0, 1): a01,
                (0, 0): a00})
-    _assert_same(op, -R.ONE, (a10 - a01) * half, Poly)
-    _assert_same(op, -R.ONE, a10 / (X + Y), Poly)
+    # the jets of a10 and a01 are symbols of the rational numerators
+    _assert_same(op, -R.ONE, (a10 - a01) * half, "rational")
+    _assert_same(op, -R.ONE, a10 / (X + Y), "rational")
 
 
 def test_degenerate_psi_path_matches_and_keeps_its_jets():
     op = parse("Dx^2 + x*Dx")
-    _assert_same(op, R.ZERO, R.unknown("psi"), Poly)
+    _assert_same(op, R.ZERO, R.unknown("psi"), "rational")
     _, residuals = _descent(op, R.ZERO, R.unknown("psi"))
     assert "psi_x" in residuals[-1].symbols()
 
@@ -219,7 +228,7 @@ def _oracle_p3(op, omega, top):
     return acc / dp
 
 
-def _assert_p3_same(op, omega, lane=None):
+def _assert_p3_same(op, omega, kind=None):
     """solve_p3 gives the reference p3, and the state it leaves carries that
     p3 (on a widened Q when the division left a new denominator) into the
     same descent.  Returns whether Q was widened."""
@@ -231,8 +240,8 @@ def _assert_p3_same(op, omega, lane=None):
             solve_p3(op, omega, top)
         return None
     state = LevelState(op, omega, None)
-    if lane is not None:
-        assert type(state.power(0)) is lane
+    if kind is not None:
+        assert _kind(state) == kind
     q = state.q
     got = solve_p3(op, omega, top, state)
     assert got == want and str(got) == str(want)
@@ -247,37 +256,37 @@ def _assert_p3_same(op, omega, lane=None):
 @PROPERTY
 @given(operators(), st.sampled_from(ROOTS))
 def test_solve_p3_matches_the_ratexpr_formula(op, omega):
-    _assert_p3_same(op, omega, IntPoly)
+    _assert_p3_same(op, omega, "rational")
 
 
 # some order-3 draws with these denominators take the lane descent 20 s
 @settings(PROPERTY, max_examples=25)
 @given(operators(rational_coefficients, max_order=2), st.sampled_from(Q_ROOTS))
 def test_solve_p3_with_rational_coefficients_and_a_parameter(op, omega):
-    _assert_p3_same(op, omega, IntPoly)
+    _assert_p3_same(op, omega, "rational")
 
 
 S2 = R.sqrt_int(2)
 PLANTED_B = LPDO({(1, 0): X + R.ONE, (0, 1): Y, (0, 0): X})
 
 
-@pytest.mark.parametrize("scale, lane", [(R.ONE, IntPoly), (S2, Poly)])
-def test_solve_p3_exact_division_keeps_q(scale, lane):
+@pytest.mark.parametrize("scale, kind", [(R.ONE, "rational"), (S2, "radical")])
+def test_solve_p3_exact_division_keeps_q(scale, kind):
     # P'(2) = P_B(2) = 2*(x + 1) + y divides the b-sum: p3 is x*y*scale
     factor = FirstOrderFactor.from_root(R.from_int(2), X * Y * scale)
     op = factor.as_operator().compose(PLANTED_B)
-    assert _assert_p3_same(op, R.from_int(2), lane) is False
+    assert _assert_p3_same(op, R.from_int(2), kind) is False
 
 
-@pytest.mark.parametrize("scale, lane", [(R.ONE, IntPoly), (S2, Poly)])
-def test_solve_p3_inexact_division_widens_q(scale, lane):
+@pytest.mark.parametrize("scale, kind", [(R.ONE, "rational"), (S2, "radical")])
+def test_solve_p3_inexact_division_widens_q(scale, kind):
     # the b-sum is not a multiple of P'(2) = 2*(x + 1) + y, and the root
     # -y/(y + 1) gives a Q of its own to widen
     op = PLANTED_B.compose(LPDO({(1, 0): R.ONE, (0, 1): scale, (0, 0): Y}))
     omega = parse_function("-y/(y + 1)")
     assert not _oracle_p3(op, omega, _oracle_top(op, omega)).den.is_const()
-    assert _assert_p3_same(op, omega, lane) is True
-    assert _assert_p3_same(op, R.from_int(2), lane) is True
+    assert _assert_p3_same(op, omega, kind) is True
+    assert _assert_p3_same(op, R.from_int(2), kind) is True
 
 
 def test_solve_p3_multiple_root_raises():
@@ -294,8 +303,8 @@ def test_solve_p3_multiple_root_raises():
 # --------------------------------------------------------------------------
 
 U = R.unknown("u")
-# one kind per example: rational (the IntPoly lane), sqrt(2) or the unknown
-# function u (the Poly lane)
+# one kind per example: rational, sqrt(2) (radical coefficients) or the
+# unknown function u
 KINDS = (R.ONE, S2, U, U.diff("x") + X)
 
 
@@ -342,7 +351,7 @@ def test_verify_matches_compose(case, side):
 W2 = R.from_int(2)
 # (factor, cofactor, perturbations of the cofactor that fit the attempt's
 # lane): Q = 1 throughout; Q = y + 1 from the operator, widened by p3's
-# denominator x + y; and a sqrt(2) coefficient on the Poly lane
+# denominator x + y; and a sqrt(2) coefficient, radical numerators
 ONE_LANE = {
     "q=1": (FirstOrderFactor.from_root(W2, X),
             LPDO({(2, 0): R.ONE, (0, 1): Y, (0, 0): R.ONE}),
@@ -397,7 +406,7 @@ def test_a_normalized_attempt_and_a_right_factor_certify_on_a_fresh_lane(monkeyp
 
 CORRUPTIONS = {
     "plus one": lambda c: c + R.ONE,
-    "a new symbol": lambda c: c * R.symbol("c"),  # off the integer lane's fields
+    "a new symbol": lambda c: c * R.symbol("c"),  # not a symbol of the lane's values
     "a new denominator": lambda c: c / (X + R.from_int(3)),
     "a factor of q": lambda c: c / (X + Y),
 }
@@ -428,12 +437,12 @@ def test_a_corrupted_printed_coefficient_fails_the_certificate(case, corrupt, mo
 
 def test_a_printed_symbol_off_the_integer_lane_fails_the_certificate(monkeypatch):
     # the lane's symbols are x, y, a: a printed c in place of a must not be
-    # read as a, whose field its key would take
+    # read as a, whose field its key would take, so the product differs
     f = FirstOrderFactor.from_root(W2, A * X)
     b = LPDO({(1, 0): R.ONE, (0, 0): A * Y})
     assert factor_left(f.as_operator().compose(b), root_choice=W2).cofactor == b
     _corrupt(monkeypatch, lambda c: c.substitute({"a": R.symbol("c")}))
-    with pytest.raises(CertificateError, match="does not fit"):
+    with pytest.raises(CertificateError, match="failed independent verification"):
         factor_left(f.as_operator().compose(b), root_choice=W2)
 
 
@@ -475,25 +484,30 @@ nonconstant = polys(rationals, 2, 4).filter(lambda p: not p.is_const())
 
 
 # --------------------------------------------------------------------------
-# IntPoly against Poly
+# rational coefficients against sympy, and the two kinds together
 # --------------------------------------------------------------------------
 
-def _int(p):
-    return IntPoly.from_poly(p, SYMS)
+def _sympy(p):
+    gens = sympy.symbols(SYMS)
+    return sum((sympy.Rational(c.rational_value().numerator, c.rational_value().denominator)
+                * sympy.Mul(*(gens[SYMS.index(s)] ** k for s, k in m))
+                for m, c in p.terms.items()), sympy.Integer(0))
 
 
 @PROPERTY
 @given(polys(rationals, 0), polys(rationals, 0), st.integers(-3, 3))
-def test_intpoly_arithmetic_matches_poly(p, q, k):
-    f, g = _int(p), _int(q)
-    assert (f + g).to_poly(SYMS) == p + q
-    assert (f - g).to_poly(SYMS) == p - q
-    assert (-f).to_poly(SYMS) == -p
-    assert (f * g).to_poly(SYMS) == p * q
-    assert f.scale_rational(k).to_poly(SYMS) == p.scale_rational(k)
-    assert f.diff("x").to_poly(SYMS) == p.diff("x")
-    assert f.diff("y").to_poly(SYMS) == p.diff("y")
-    assert (f - f).is_zero() and f.is_zero() == p.is_zero()
+def test_rational_arithmetic_matches_sympy(p, q, k):
+    f, g = _sympy(p), _sympy(q)
+    x, y = sympy.symbols("x y")
+    for got, want in [(p + q, f + g), (p - q, f - g), (-p, -f), (p * q, f * g),
+                      (p.scale_rational(k), k * f), (p.diff("x"), sympy.diff(f, x)),
+                      (p.diff("y"), sympy.diff(f, y))]:
+        assert sympy.expand(_sympy(got) - want) == 0
+    assert (p - p).is_zero() and (p - p) == Poly.ZERO
+    # through sqrt(2) and back: the same canonical Poly, rational kind again
+    s2q = q * Poly.const(ConstScalar.radical(2))
+    back = (p + s2q) - s2q
+    assert back == p and hash(back) == hash(p) and back.den == p.den is not None
 
 
 @PROPERTY
@@ -547,15 +561,15 @@ NEGATIVE = (R.from_fraction(Fraction(-1, 2)) * X - R.from_fraction(Fraction(1, 3
 
 
 def _lane(q, kind):
-    """A lane over x, y and a with numerators of the kind's lane (R.ONE:
-    IntPoly, S2: Poly) and Q = q."""
+    """A lane over x, y and a for values kind * a (R.ONE or S2), with
+    Q = q."""
     lane = Lane([kind * A])
     lane._set_q(q)
     return lane
 
 
 def _assert_reduces(lane, n, k):
-    got = lane.reduce((lane._num(n), k))
+    got = lane.reduce((n, k))
     want = R._reduce(n, lane.q ** k) if k else R._reduce(n, Poly.ONE)
     assert got == want and str(got) == str(want)
     return got
@@ -568,19 +582,32 @@ def test_lane_reduce_matches_ratexpr_reduce(n, k, q, kind):
     _assert_reduces(_lane(q, kind), n.scale(kind.const_value()), k)
 
 
-@pytest.mark.parametrize("kind, lane_type", [(R.ONE, IntPoly), (S2, Poly)])
+@pytest.mark.parametrize("kind, coefficients", [(R.ONE, "rational"), (S2, "radical")])
 @pytest.mark.parametrize("q", [TWO_FACTORS, NEGATIVE], ids=["two_factors", "negative_lc"])
-def test_lane_reduce_cases(kind, lane_type, q):
+def test_lane_reduce_cases(kind, coefficients, q):
     lane = _lane(q, kind)
-    assert type(lane.power(1)) is lane_type
     c = kind.const_value()
     unit = (X * Y + R.from_int(3)).num.scale(c)
     assert _assert_reduces(lane, unit, 0).den == Poly.ONE
     for k in (1, 2, 3):  # a unit gcd: the denominator is Q^k made monic
         got = _assert_reduces(lane, unit, k)
         assert got.den == (lane.q ** k).monic()
+        assert (got.num.den is None) == (coefficients == "radical")
     shared = (X + Y).num * unit  # one factor of the two-factor Q
     for k in (2, 3):
         got = _assert_reduces(lane, shared, k)
         if q is TWO_FACTORS:
             assert got.den == ((X + Y) ** (k - 1) * (X - R.ONE) ** k).num.monic()
+
+
+@pytest.mark.parametrize("case", ["gcdheu gives up", "gcd with q not a unit"])
+def test_lane_reduce_falls_back_over_the_unscaled_power_of_q(case, monkeypatch):
+    # N / Q^k reduced as a RatExpr must take Q^k itself, not Q^k made monic:
+    # with Q = -x/2 - y/3 + 1 the two differ by the factor (-1/2)^k
+    lane = _lane(NEGATIVE, R.ONE)
+    n, k = (X * Y + R.from_int(3)).num, 1
+    if case == "gcdheu gives up":
+        monkeypatch.setattr(expr, "_heu_gcd", lambda f, g: None)
+    else:
+        n, k = n * NEGATIVE, 2
+    assert str(lane.reduce((n, k))) == "(-2*x*y - 6)/(x + 2/3*y - 2)"

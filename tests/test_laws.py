@@ -2,7 +2,9 @@
 operators whose coefficients mix rationals, sqrt(2), a parameter a and
 monomial denominators: the plain form parses back to the operator,
 change_vars by M and then by M^-1 is the identity, and a planted product
-(Dx - w*Dy + p3) o B factors back into its two parts at a simple root w."""
+(Dx - w*Dy + p3) o B factors back into its two parts at a simple root w,
+also when its coefficients mix sqrt(2) and a parameter, so that one attempt
+computes with rational and radical coefficients together."""
 
 from fractions import Fraction
 
@@ -69,22 +71,43 @@ def planted_coefficients(draw):
     return num / draw(st.sampled_from(PLANTED_DENOMINATORS))
 
 
+RADICAL_TERMS = (R.ONE, X, Y, A, S2, S2 * X, A * Y)
+RADICAL_DENOMINATORS = (R.ONE, X, Y, X * Y, A)
+
+
 @st.composite
-def planted_products(draw):
+def radical_coefficients(draw):
+    num = R.ZERO
+    for t in draw(st.lists(st.sampled_from(RADICAL_TERMS), min_size=1, max_size=3, unique=True)):
+        num = num + R.from_fraction(draw(FRACTIONS)) * t
+    return num / draw(st.sampled_from(RADICAL_DENOMINATORS))
+
+
+@st.composite
+def planted_products(draw, coefficients=planted_coefficients):
     """(w, p3, B) with B of order 1-3 and b_{n-1,0} != 0, so that the
     product has order 2-4 and needs no normalization."""
     n = draw(st.integers(1, 3))
-    coeffs = {(j, k): draw(planted_coefficients())
+    coeffs = {(j, k): draw(coefficients())
               for j in range(n + 1) for k in range(n + 1 - j) if draw(st.booleans())}
-    lead = draw(planted_coefficients())
+    lead = draw(coefficients())
     coeffs[(n, 0)] = lead if not lead.is_zero() else R.ONE
-    return R.from_fraction(draw(FRACTIONS)), draw(planted_coefficients()), LPDO(coeffs)
+    return R.from_fraction(draw(FRACTIONS)), draw(coefficients()), LPDO(coeffs)
 
 
 @LAW
 @given(planted_products())
 def test_a_planted_product_factors_back_at_a_simple_root(case):
-    w, p3, b = case
+    _assert_factors_back(*case)
+
+
+@LAW
+@given(planted_products(radical_coefficients))
+def test_a_planted_product_over_sqrt2_and_a_parameter_factors_back(case):
+    _assert_factors_back(*case)
+
+
+def _assert_factors_back(w, p3, b):
     n = b.order
     assume(not sum((b.coeff(n - k, k) * w ** (n - k) for k in range(n + 1)), R.ZERO).is_zero())
     factor = FirstOrderFactor.from_root(w, p3)

@@ -1,15 +1,20 @@
-"""The packed monomial keys of Poly, and IntPoly, their integer view.
+"""The packed monomial keys of Poly, and its two coefficient kinds.
 
 Every key holds one bit field per symbol of its Poly's symbol tuple; these
-properties run over two to four symbols with rational coefficients: Poly's
-ring operations and derivatives agree with sympy, IntPoly's with Poly,
-exact division agrees with sympy, an inexact division raises (also when the
-divisor's leading monomial does not divide, which shows as a borrow into a
-guard bit), the GCDHEU gcd agrees with the subresultant PRS, and exponents
-at the field bound work while one past it raises OverflowError."""
+properties run over two to four symbols with rational coefficients, which a
+Poly stores as int numerators over one denominator: the ring operations and
+derivatives agree with sympy, and the same operations through radical
+coefficients (ConstScalars) give the same canonical Polys; exact division
+agrees with sympy, an inexact division raises (also when the divisor's
+leading monomial does not divide, which shows as a borrow into a guard
+bit), the GCDHEU gcd agrees with the subresultant PRS, and exponents at the
+field bound work while one past it raises OverflowError.  Only expr.py
+reads the format."""
 
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -17,13 +22,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpdo import expr
-from lpdo.expr import ConstScalar, IntPoly, Poly, RatExpr as R, _EXP_MAX, _W
+from lpdo.expr import ConstScalar, Poly, RatExpr as R, _EXP_MAX, _W
 from lpdo.factorize import Lane
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
 SYMBOLS = ("x", "y", "a", "b")
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+S2 = Poly.const(ConstScalar.radical(2))
 
 
 def _key(exponents) -> int:
@@ -69,20 +75,32 @@ def test_poly_ring_operations_and_derivatives_match_sympy(case, k):
     assert p.symbols() == {str(s) for s in f.free_symbols}
 
 
+def _same(got, want):
+    assert got == want and hash(got) == hash(want) and got.den == want.den
+
+
 @PROPERTY
 @given(cases(), st.integers(-3, 3))
 def test_ring_operations_and_derivatives_match_poly(case, k):
+    # the int numerators against the same values through sqrt(2), which
+    # makes their coefficients ConstScalars, and back
     syms, p, q = case
-    f, g = IntPoly.from_poly(p, syms), IntPoly.from_poly(q, syms)
-    assert f.to_poly(syms) == p
-    assert (f + g).to_poly(syms) == p + q
-    assert (f - g).to_poly(syms) == p - q
-    assert (f * g).to_poly(syms) == p * q
-    assert (g * f).to_poly(syms) == q * p
-    assert f.scale_rational(k).to_poly(syms) == p.scale_rational(k)
-    assert f.to_poly(syms, Fraction(-2, 3)) == p.scale_rational(Fraction(-2, 3))
+    assert p.den is not None and q.den is not None
+    f, g = p * S2, q * S2
+    assert f.is_zero() or f.den is None
+    _same(p + g - g, p)
+    _same(f + q - f, q)
+    _same((f + g) * S2, (p + q).scale_rational(2))
+    _same((f - g) * S2, (p - q).scale_rational(2))
+    _same(f * g, (p * q).scale_rational(2))
+    _same((g * f).exact_div(S2).exact_div(S2), q * p)
+    _same(f.scale_rational(k) * S2, p.scale_rational(2 * k))
+    _same(f.scale(S2.const_value().inverse()), p)
+    _same((f * S2).scale_rational(Fraction(-2, 3)), p.scale_rational(Fraction(-4, 3)))
+    for var in syms:
+        _same(f.partial(var) * S2, p.partial(var).scale_rational(2))
     for var in ("x", "y"):
-        assert f.diff(var).to_poly(syms) == p.diff(var)
+        _same(f.diff(var) - p.diff(var) * S2, Poly.ZERO)
 
 
 def test_keys_stand_when_a_symbol_joins_after_y():
@@ -94,16 +112,19 @@ def test_keys_stand_when_a_symbol_joins_after_y():
     assert (q - a).syms == ("x", "y")  # a symbol no term uses is dropped
     b = Poly.symbol("b")
     assert (a + b - a).syms == ("x", "y", "b")
-    assert (a + b - a).packed == {1 << 2 * _W: ConstScalar.ONE}
+    assert (a + b - a).packed == {1 << 2 * _W: 1} and (a + b - a).den == 1
 
 
 @PROPERTY
 @given(cases(min_terms=1))
 def test_exact_division_matches_poly(case):
+    # over Z on the int numerators, over ConstScalar when either side
+    # carries sqrt(2)
     syms, p, q = case
-    f, g = IntPoly.from_poly(p, syms), IntPoly.from_poly(q, syms)
-    assert (f * g).exact_div(g).to_poly(syms) == p
-    assert (p * q).exact_div(q) == p
+    _same((p * q).exact_div(q), p)
+    _same((p * q * S2).exact_div(q * S2), p)
+    _same((p * q * S2).exact_div(q), p * S2)
+    _same((p * q).exact_div(q * S2).scale_rational(2), p * S2)
 
 
 @PROPERTY
@@ -111,15 +132,14 @@ def test_exact_division_matches_poly(case):
 def test_division_is_exact_exactly_when_sympy_says_so(case):
     syms, p, q = case
     assume(not q.is_const())
-    f, g = IntPoly.from_poly(p, syms), IntPoly.from_poly(q, syms)
     _, r = sympy.div(_sympy(p), _sympy(q), *map(sympy.Symbol, syms))
     if r == 0:
-        assert (f.exact_div(g) * g).to_poly(syms) == p
+        assert p.exact_div(q) * q == p
     else:
         with pytest.raises(ValueError):
-            f.exact_div(g)
-        with pytest.raises(ValueError):
             p.exact_div(q)
+        with pytest.raises(ValueError):
+            (p * S2).exact_div(q)
 
 
 def test_a_leading_monomial_that_does_not_divide_is_a_borrow():
@@ -129,8 +149,6 @@ def test_a_leading_monomial_that_does_not_divide_is_a_borrow():
     x2y = 2 + (1 << _W)
     assert expr._zp_quo({2 << _W: 1}, {x2y: 1, 0: 1}) is None
     y2, g = _poly(syms, {(0, 2): 1}), _poly(syms, {(2, 1): 1, (0, 0): 1})
-    with pytest.raises(ValueError):
-        IntPoly.from_poly(y2, syms).exact_div(IntPoly.from_poly(g, syms))
     with pytest.raises(ValueError):
         y2.exact_div(g)
     with pytest.raises(ValueError):  # the same borrow over radical coefficients
@@ -154,25 +172,26 @@ def test_heuristic_gcd_matches_the_prs(case):
 def test_exponents_at_the_field_bound():
     syms = ("x", "y", "a")
     top = _poly(syms, {(_EXP_MAX, _EXP_MAX, _EXP_MAX): Fraction(3, 2), (0, 1, 0): 1})
-    f = IntPoly.from_poly(top, syms)
-    assert f.to_poly(syms) == top
-    assert f.diff("y").to_poly(syms) == top.diff("y")
+    assert top.terms == {(("x", _EXP_MAX), ("y", _EXP_MAX), ("a", _EXP_MAX)):
+                         ConstScalar.from_rational(Fraction(3, 2)),
+                         (("y", 1),): ConstScalar.ONE}
+    assert top.diff("y") == _poly(syms, {(_EXP_MAX, _EXP_MAX - 1, _EXP_MAX):
+                                         Fraction(3 * _EXP_MAX, 2), (0, 0, 0): 1})
     one_less = _poly(syms, {(_EXP_MAX - 1, 0, 0): 1})
     x = Poly.symbol("x")
     product = one_less * x
     assert product == Poly.symbol("x", _EXP_MAX)
     assert product.exact_div(x) == one_less
-    assert IntPoly.from_poly(product, syms).exact_div(
-        IntPoly.from_poly(x, syms)).to_poly(syms) == one_less
+    assert (product * S2).exact_div(x * S2) == one_less
     at_bound = R(_poly(("x", "y"), {(_EXP_MAX, 0): 1, (0, 1): 2}), Poly.ONE)
-    assert type(Lane([at_bound, R.ONE / (R.X + R.Y)]).power(1)) is IntPoly
+    assert Lane([at_bound, R.ONE / (R.X + R.Y)]).power(1) == (R.X + R.Y).num
     for var in range(3):  # a carry out of any field is caught
         e = [0, 0, 0]
         e[var] = 1
         with pytest.raises(OverflowError):
-            f * IntPoly.from_poly(_poly(syms, {tuple(e): 1}), syms)
-        with pytest.raises(OverflowError):
             top * _poly(syms, {tuple(e): 1})
+        with pytest.raises(OverflowError):
+            (top * S2) * _poly(syms, {tuple(e): 1})
 
 
 def test_one_past_the_bound_raises():
@@ -199,3 +218,13 @@ def test_a_quotient_past_the_bound_raises_at_once():
     with pytest.raises(OverflowError):
         (R.X ** (_EXP_MAX + 1) + R.from_int(2) * R.Y) / (R.X + R.Y)
     assert time.perf_counter() - start < 0.1
+
+
+def test_only_expr_reads_the_coefficient_format():
+    # the format of Poly and ConstScalar is private to expr.py: every other
+    # module goes through their methods and views
+    fields = re.compile(r"\.(packed|coords|_coords)\b")
+    src = Path(expr.__file__).parent
+    readers = [f.name for f in sorted(src.glob("*.py"))
+               if f.name != "expr.py" and fields.search(f.read_text())]
+    assert readers == []
