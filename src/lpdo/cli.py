@@ -12,6 +12,7 @@ when the argument is '-' or omitted).  Exit codes for `factor`:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -52,7 +53,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    default="plain")
 
 
-def _build() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused: parsing
+    keeps no state in it."""
     top = argparse.ArgumentParser(
         prog="lpdo",
         description="first-order factorization of linear PDE operators "
@@ -214,9 +218,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:

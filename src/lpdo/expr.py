@@ -289,6 +289,8 @@ class ConstScalar:
         q = Fraction(q)
         return ConstScalar({d: c * q for d, c in self._coords.items()})
 
+    __rmul__ = scale  # an int or Fraction times self
+
     def inverse(self) -> "ConstScalar":
         """Field inverse by conjugation over one generator at a time."""
         a = self._coords
@@ -587,6 +589,16 @@ def _mono_gcd(keys, n: int) -> int:
     return out
 
 
+def _groups(p: "Poly", names) -> dict[int, dict]:
+    """The terms of p by their monomial in the symbols names: the key of each
+    such monomial to the terms that carry it, with it divided out."""
+    inside = sum(_MASK << _W * i for i, s in enumerate(p.syms) if s in names)
+    groups: dict[int, dict] = {}
+    for e, c in p.packed.items():
+        groups.setdefault(e & inside, {})[e & ~inside] = c
+    return groups
+
+
 # --------------------------------------------------------------------------
 # Poly
 # --------------------------------------------------------------------------
@@ -621,11 +633,12 @@ class Poly:
 
     @classmethod
     def const(cls, c: ConstScalar) -> "Poly":
-        return Poly.ZERO if c.is_zero() else _canon(_XY, {0: c}, None)
+        return cls.rational(c.rational_value()) if c.is_rational() else _canon(_XY, {0: c}, None)
 
     @classmethod
     def rational(cls, q) -> "Poly":
-        return cls.const(ConstScalar.from_rational(q))
+        q = q if isinstance(q, (int, Fraction)) else Fraction(q)
+        return _canon(_XY, {0: q.numerator}, q.denominator, False) if q else Poly.ZERO
 
     @classmethod
     def symbol(cls, name: str, exp: int = 1) -> "Poly":
@@ -1369,12 +1382,15 @@ class RatExpr:
         return RatExpr._reduce(dn * e - self.num * h, self.den * e)
 
     def substitute(self, assignments: dict[str, "RatExpr"]) -> "RatExpr":
-        """Simultaneous substitution of expressions for symbols."""
-        num = _poly_substitute(self.num, assignments)
-        den = _poly_substitute(self.den, assignments)
+        """Simultaneous substitution of expressions for symbols: num and den
+        on the Poly layer, both times the same power of each value's
+        denominator, then one reduction."""
+        table, ks = {}, {s: max(_degree_in(self.num, s), _degree_in(self.den, s))
+                         for s, v in assignments.items() if not v.den.is_const()}
+        num, den = (_poly_substitute(p, assignments, table, ks) for p in (self.num, self.den))
         if den.is_zero():
             raise ZeroDivisionError("denominator vanishes under substitution")
-        return num / den
+        return RatExpr._reduce(num, den)
 
     def perfect_square_root(self) -> "RatExpr | None":
         """r with r*r == self when num and den are perfect squares.
@@ -1405,12 +1421,8 @@ class RatExpr:
         if self.den.symbols() & names:
             raise ValueError("denominator involves the grouping symbols")
         syms = self.num.syms
-        inside = sum(_MASK << _W * i for i, s in enumerate(syms) if s in names)
-        groups: dict[int, dict] = {}
-        for e, c in self.num.packed.items():
-            groups.setdefault(e & inside, {})[e & ~inside] = c
         return {_canon(syms, {m: 1}, 1): RatExpr._reduce(_canon(syms, t, self.num.den), self.den)
-                for m, t in groups.items()}
+                for m, t in _groups(self.num, names).items()}
 
     # -- comparison / hashing / display
 
@@ -1428,16 +1440,42 @@ class RatExpr:
     __repr__ = __str__
 
 
-def _poly_substitute(p: Poly, assignments: dict[str, RatExpr]) -> RatExpr:
-    out = RatExpr.ZERO
-    for e, c in _scalars(p).items():
-        term = RatExpr.from_const(c)
-        for s, e in _fields(e, p.syms):
-            rep = assignments.get(s)
-            base = rep if rep is not None else RatExpr.symbol(s)
-            term = term * base ** e
+def _poly_substitute(p: Poly, assignments: dict[str, RatExpr], table: dict,
+                     ks: dict[str, int]) -> Poly:
+    """p at the values assignments, times prod den_s^ks[s], where ks[s] is at
+    least the degree of p in s for each s whose value has a nonconstant
+    denominator.  The terms are grouped by their monomial in the assigned
+    symbols, and table[s] holds the powers (num^k, den^k) of the value of s,
+    taken once per substitution."""
+    fields = [(_W * i, s) for i, s in enumerate(p.syms) if s in assignments]
+    out = Poly.ZERO
+    for m, rest in _groups(p, assignments).items():
+        term = _canon(p.syms, rest, p.den)
+        exps = {s: m >> w & _MASK for w, s in fields}
+        for s, k in exps.items():
+            if k:
+                term = term * _value_power(table, s, assignments[s], k)[0]
+        for s, k in ks.items():
+            if k > exps.get(s, 0):
+                term = term * _value_power(table, s, assignments[s], k - exps.get(s, 0))[1]
         out = out + term
     return out
+
+
+def _value_power(table: dict, s: str, value: RatExpr, k: int) -> tuple[Poly, Poly]:
+    """(num^k, den^k) of value, the value of s, kept in table[s]."""
+    pw = table.setdefault(s, [(Poly.ONE, Poly.ONE)])
+    while len(pw) <= k:
+        pw.append((pw[-1][0] * value.num, pw[-1][1] * value.den))
+    return pw[k]
+
+
+def _degree_in(p: Poly, s: str) -> int:
+    """The degree of p in the symbol s."""
+    if s not in p.syms:
+        return 0
+    w = _W * p.syms.index(s)
+    return max((e >> w & _MASK for e in p.packed), default=0)
 
 
 def jet_assignments(base: str, candidate: RatExpr, symbols: set[str]) -> dict[str, RatExpr]:

@@ -18,12 +18,15 @@ problem and can verify or complete a supplied candidate, but does not
 solve differential equations beyond a small candidate search (zero,
 constants, linear forms) used by the recursive factorizer.
 
-Each root goes through one pipeline on one lane, `_attempt`: change
-variables when the pure-Dx coefficient vanishes (moving the root and any
-given p3 into the new coordinates), solve the top level, take p3 as given,
-from the division by P'(w), or leave it free on the Riccati path, run the
-descent, map the result back and certify it.  `factor_left`,
-`factor_all_roots` and the command line share one walk over the roots.  The
+When the pure-Dx coefficient vanishes, one call changes variables once:
+`_outcomes` builds the operator in the new coordinates and the maps of
+values into them and back (a linear map, see LPDO.change_vars) before its
+first attempt.  Each root then goes through one pipeline on one lane,
+`_attempt`: move the root and any given p3 into the new coordinates, solve
+the top level, take p3 as given, from the division by P'(w), or leave it
+free on the Riccati path, run the descent, map the result back and certify
+it.  `factor_left`, `factor_all_roots` and the command line share one walk
+over the roots.  The
 top level's Horner sums are the coefficients of P(W) / (W - w), one more
 step is the remainder P(w) and the sums at w give P'(w), so P_n is read
 only by the root search and for a caller's root that is multiple.
@@ -45,6 +48,7 @@ gcd(N, Q) is a unit, and then only its denominator is made monic.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from math import comb
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -62,6 +66,7 @@ from .operator import (
     FirstOrderFactor,
     SWAP_XY,
     _coordinate_substitution,
+    _pull_back,
     matrix_inverse,
     shear_matrix,
 )
@@ -486,26 +491,36 @@ def _not_a_root(root: Root) -> ValueError:
     return ValueError(f"{value} is not a root of the characteristic polynomial")
 
 
-def _attempt(op: LPDO, root: Root, matrix, p3: RatExpr | None) -> FactorizationOutcome:
+class _Normalization:
+    """One change of variables M for every attempt of a call: op in the
+    coordinates (u, v) = M (x, y), and the maps of values into them (new)
+    and back (old), each with its own table of powers."""
+
+    def __init__(self, op: LPDO, matrix):
+        self.matrix, self.inverse = matrix, matrix_inverse(matrix)
+        self.work = op.change_vars(matrix)
+        self.new, self.old = (partial(_pull_back, subs=_coordinate_substitution(m), table={})
+                              for m in (self.inverse, matrix))
+
+
+def _attempt(op: LPDO, root: Root, norm: _Normalization | None,
+             p3: RatExpr | None) -> FactorizationOutcome:
     """The factorization of op at one root: a left factor Dx - w*Dy + p3
     with the given p3, the p3 of a simple root, or the Riccati problem of a
     multiple one.
 
-    Under a normalization M the work runs on op in the coordinates
-    (u, v) = M (x, y): the root and p3 move there and the results move back.
+    Under a normalization the work runs on op in the new coordinates, built
+    once per call: the root and p3 move there and the results move back.
     """
-    if matrix is None and root.at_infinity:  # P_n has full degree: a Root given by the caller
-        matrix = SWAP_XY
     work, omega = op, root.value
-    if matrix is not None:
-        to_new = _coordinate_substitution(matrix_inverse(matrix))
-        work = op.change_vars(matrix)
-        moved = root_transform(root, matrix)
+    if norm is not None:
+        work = norm.work
+        moved = root_transform(root, norm.matrix)
         if moved.at_infinity:  # a direction where work's a_{n,0} is nonzero
             raise _not_a_root(root)
-        omega = moved.value.substitute(to_new)
+        omega = norm.new(moved.value)
         if p3 is not None:
-            p3 = p3.substitute(to_new)
+            p3 = norm.new(p3)
     state = LevelState(work, omega, p3)
     if not state.at_root:
         raise _not_a_root(root)
@@ -534,34 +549,36 @@ def _attempt(op: LPDO, root: Root, matrix, p3: RatExpr | None) -> FactorizationO
     factor = cofactor = None
     if cof is not None:
         factor, cofactor = FirstOrderFactor.from_root(omega, p3), LPDO(cof)
-    if matrix is not None:
-        back = _coordinate_substitution(matrix)
-        residuals = [r.substitute(back) for r in residuals]
+    if norm is not None:
+        residuals = [norm.old(r) for r in residuals]
         if factor is not None:
-            inv = matrix_inverse(matrix)
             f, u = FirstOrderFactor.from_operator(
-                factor.as_operator().change_vars(inv)).normalized()
+                factor.as_operator().change_vars(norm.inverse)).normalized()
             # u*f o B = (u*f*u^-1) o (u*B), and u*f*u^-1 = f - (p1*u_x + p2*u_y)/u
             shift = (f.p1 * u.diff("x") + f.p2 * u.diff("y")) / u
             factor = FirstOrderFactor(f.p1, f.p2, f.p3 - shift)
-            cofactor = cofactor.change_vars(inv).scale(u)
+            cofactor = cofactor.change_vars(norm.inverse).scale(u)
     if factor is not None:  # certified on the attempt's lane unless op was normalized
-        _certify(factor, cofactor, op, "left", state if matrix is None else None)
+        _certify(factor, cofactor, op, "left", state if norm is None else None)
     return FactorizationOutcome(
         status=status, root=root, factor=factor, cofactor=cofactor,
-        residuals=tuple(residuals), riccati=riccati, normalization=matrix,
+        residuals=tuple(residuals), riccati=riccati,
+        normalization=None if norm is None else norm.matrix,
         extensions=root.extensions, certified=factor is not None)
 
 
 def _outcomes(op: LPDO, root_choice, p3: RatExpr | None, max_shear: int | None):
     """One outcome per root tried: every root of P_n in the search's order,
     or the one chosen by index, Root or value; a lone UNSUPPORTED_ROOT
-    outcome when the search finds none."""
+    outcome when the search finds none.  The normalization is built once,
+    before the first attempt."""
     if op.order < 2:
         raise ValueError("factorization needs an operator of order >= 2")
     matrix = choose_normalization(op, max_shear)
     if isinstance(root_choice, Root):
         roots = [root_choice]
+        if matrix is None and root_choice.at_infinity:  # P_n has full degree
+            matrix = SWAP_XY
     elif root_choice is None or isinstance(root_choice, int):
         search = find_roots(char_poly(op))
         roots = list(search.roots)
@@ -574,8 +591,9 @@ def _outcomes(op: LPDO, root_choice, p3: RatExpr | None, max_shear: int | None):
                 status=OutcomeStatus.UNSUPPORTED_ROOT, unresolved=search.unresolved)
     else:  # a value: _attempt checks it and reads off its multiplicity
         roots = [Root(root_choice, 0)]
+    norm = None if matrix is None or not roots else _Normalization(op, matrix)
     for root in roots:
-        yield _attempt(op, root, matrix, p3)
+        yield _attempt(op, root, norm, p3)
 
 
 def _walk(op: LPDO, root_choice, p3: RatExpr | None, max_shear: int | None):

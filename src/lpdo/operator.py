@@ -10,9 +10,10 @@ form.  All values are immutable; operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 
-from .expr import ConstScalar, Poly, RatExpr
+from .expr import ConstScalar, Poly, RatExpr, _poly_substitute
 
 
 class LPDO:
@@ -110,19 +111,18 @@ class LPDO:
         out: dict[tuple[int, int], RatExpr] = {}
         for (j, k), a in self.coeffs.items():
             for (l, m), b in other.coeffs.items():
-                # precompute the derivative grid of b up to (j, k)
-                dxs = [b]
-                for _ in range(j):
-                    dxs.append(dxs[-1].diff("x"))
+                bx = b  # the x-derivative of b of order j - r
                 for r in range(j, -1, -1):
-                    base = dxs[j - r]
+                    if bx.is_zero():
+                        break
+                    base = bx
                     for s in range(k, -1, -1):
                         if base.is_zero():
                             break
-                        factor = comb(j, r) * comb(k, s)
                         term = a * base
-                        if factor != 1:
-                            term = term * RatExpr.from_int(factor)
+                        factor = comb(j, r) * comb(k, s)
+                        if factor != 1:  # an int keeps the fraction reduced and monic
+                            term = RatExpr(term.num.scale_rational(factor), term.den)
                         key = (r + l, s + m)
                         acc = out.get(key)
                         acc = term if acc is None else acc + term
@@ -130,7 +130,10 @@ class LPDO:
                             out.pop(key, None)
                         else:
                             out[key] = acc
-                        base = base.diff("y")
+                        if s:
+                            base = base.diff("y")
+                    if r:
+                        bx = bx.diff("x")
         return LPDO(out)
 
     def apply(self, f: RatExpr) -> RatExpr:
@@ -162,25 +165,29 @@ class LPDO:
 
         Derivatives transform as Dx -> M11 Dx + M21 Dy, Dy -> M12 Dx + M22 Dy
         and coefficients pull back through the inverse map, so the result of
-        applying M then M^-1 is the original operator.
+        applying M then M^-1 is the original operator.  The new derivatives
+        have constant coefficients, so they commute and a_jk Dx^j Dy^k goes
+        to a_jk(M^-1 (x, y)) (M11 Dx + M21 Dy)^j (M12 Dx + M22 Dy)^k,
+        expanded binomially.
         """
-        m11, m12, m21, m22 = _matrix_entries(matrix)
-        if not all(e.is_const() for e in (m11, m12, m21, m22)):
+        entries = _matrix_entries(matrix)
+        if not all(e.is_const() for e in entries):
             raise ValueError("change of variables must be constant")
-        subs = _coordinate_substitution(matrix_inverse(matrix))
-        new_dx = LPDO({(1, 0): m11, (0, 1): m21})
-        new_dy = LPDO({(1, 0): m12, (0, 1): m22})
-        dx_pow: list[LPDO] = [LPDO.function(RatExpr.ONE)]
-        dy_pow: list[LPDO] = [LPDO.function(RatExpr.ONE)]
-        out = LPDO.zero()
+        subs, table = _coordinate_substitution(matrix_inverse(matrix)), {}
+        m = [e.const_value() for e in entries]
+        if all(c.is_rational() for c in m):  # ints or Fractions, else ConstScalars
+            m = [q.numerator if q.denominator == 1 else q for q in (c.rational_value() for c in m)]
+        m11, m12, m21, m22 = m
+        out: dict[tuple[int, int], RatExpr] = {}
         for (j, k), a in self.coeffs.items():
-            while len(dx_pow) <= j:
-                dx_pow.append(dx_pow[-1].compose(new_dx))
-            while len(dy_pow) <= k:
-                dy_pow.append(dy_pow[-1].compose(new_dy))
-            term = dx_pow[j].compose(dy_pow[k]).scale(a.substitute(subs))
-            out = out + term
-        return out
+            a = _pull_back(a, subs, table)
+            for r, s in product(range(j + 1), range(k + 1)):
+                c = comb(j, r) * comb(k, s) * m11 ** r * m21 ** (j - r) * m12 ** s * m22 ** (k - s)
+                if c:  # a nonzero constant keeps the fraction reduced and monic
+                    num = a.num.scale(c) if isinstance(c, ConstScalar) else a.num.scale_rational(c)
+                    key, term = (r + s, j - r + k - s), RatExpr(num, a.den)
+                    out[key] = term if key not in out else out[key] + term
+        return LPDO(out)
 
     # -- comparison / display
 
@@ -211,6 +218,14 @@ def _as_ratexpr(v) -> RatExpr:
     if isinstance(v, Poly):
         return RatExpr.from_poly(v)
     return RatExpr.from_fraction(v)
+
+
+def _pull_back(r: RatExpr, subs: dict[str, RatExpr], table: dict) -> RatExpr:
+    """r.substitute(subs) for a linear change of the coordinates subs: an
+    invertible linear map is a ring automorphism, so the reduced fraction
+    stays reduced and only its denominator is made monic.  table holds the
+    powers of the values of subs."""
+    return RatExpr._fast(*(_poly_substitute(p, subs, table, {}) for p in (r.num, r.den)))
 
 
 def _coordinate_substitution(matrix) -> dict[str, RatExpr]:

@@ -22,6 +22,20 @@ C4 = ("Dx^2 - Dy^2 + a10*Dx + a01*Dy"
       " + (2*(a10_x + a10_y + a01_x + a01_y) + a10^2 - a01^2)/4")
 
 
+def test_main_called_again_prints_what_a_fresh_parser_prints(capsys):
+    # the parser is built on the first call and reused
+    runs = [["factor", A1], ["factor", "--side", "right", A1], ["charpoly", "Dx^2 - Dy^2"],
+            ["factor", "--format", "structured", A1], ["verify", "Dx", "Dy", "Dx*Dy"],
+            ["factor", "--bogus"], ["transpose", "x*Dx"]]
+    fresh = []
+    for argv in runs:
+        lpdo.cli._parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    again = [run(capsys, argv) for argv in runs + runs]
+    assert again == fresh + fresh
+    assert lpdo.cli._parser.cache_info().misses == 1
+
+
 class TestFactor:
     def test_factored_exit_zero(self, capsys):
         code, out, _ = run(capsys, ["factor", "--side", "left", A1])

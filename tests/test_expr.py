@@ -215,6 +215,63 @@ class TestSubstitute:
             f.substitute({"x": Y})
 
 
+A, S2 = R.symbol("a"), R.sqrt_int(2)
+SUB_TERMS = (R.ONE, X, Y, A, X * Y, X * X, A * Y, S2 * X)
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def sub_polys(draw, terms=SUB_TERMS, max_size=4):
+    out = R.ZERO
+    for t in draw(st.lists(st.sampled_from(terms), min_size=1, max_size=max_size, unique=True)):
+        out = out + R.from_fraction(draw(SMALL)) * t
+    return out
+
+
+@st.composite
+def sub_values(draw):
+    """A polynomial value, or a rational one with a nonconstant denominator."""
+    num = draw(sub_polys(terms=(R.ONE, X, Y, A, X * Y), max_size=3))
+    if draw(st.booleans()):
+        return num
+    den = draw(sub_polys(terms=(X, Y, A, X * Y, Y * Y), max_size=2))
+    return num / (den + R.ONE)
+
+
+def _sympy_of(r):
+    import sympy
+    return sympy.sympify(str(r).replace("^", "**"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(sub_polys(), sub_polys(), st.dictionaries(st.sampled_from("xya"), sub_values(), min_size=1))
+def test_substitute_matches_sympy(num, den, values):
+    import sympy
+    f = num / (den + R.from_int(5))
+    want = _sympy_of(f).subs({sympy.Symbol(s): _sympy_of(v) for s, v in values.items()},
+                             simultaneous=True)
+    try:
+        got = f.substitute(values)
+    except ZeroDivisionError:
+        assert sympy.simplify(_sympy_of(den + R.from_int(5)).subs(
+            {sympy.Symbol(s): _sympy_of(v) for s, v in values.items()}, simultaneous=True)) == 0
+        return
+    assert sympy.cancel(_sympy_of(got) - want) == 0
+    assert got == _termwise(f.num, values) / _termwise(f.den, values)
+    assert got == RatExpr._reduce(got.num, got.den)
+
+
+def _termwise(p, values):
+    """p at values by RatExpr products and sums, term by term."""
+    out = R.ZERO
+    for mono, c in p.terms.items():
+        term = R.from_const(c)
+        for s, k in mono:
+            term = term * values.get(s, R.symbol(s)) ** k
+        out = out + term
+    return out
+
+
 class TestPerfectSquareRoot:
     def test_polynomial_square(self):
         f = (X + Y) ** 2 / R.from_int(4)

@@ -1,7 +1,8 @@
 """Laws of printing, of changes of variables and of factoring, over
 operators whose coefficients mix rationals, sqrt(2), a parameter a and
 monomial denominators: the plain form parses back to the operator,
-change_vars by M and then by M^-1 is the identity, and a planted product
+change_vars by M and then by M^-1 is the identity and equals the change
+composed from powers of the new derivatives, and a planted product
 (Dx - w*Dy + p3) o B factors back into its two parts at a simple root w,
 also when its coefficients mix sqrt(2) and a parameter, so that one attempt
 computes with rational and radical coefficients together."""
@@ -58,6 +59,35 @@ def test_change_vars_then_the_inverse_is_the_identity(op, entries):
     assume(m11 * m22 != m12 * m21)
     m = ((m11, m12), (m21, m22))
     assert op.change_vars(m).change_vars(matrix_inverse(m)) == op
+
+
+def _change_vars_by_compose(op, m):
+    """change_vars as composed powers of the new Dx and Dy, each coefficient
+    substituted: the reference for the binomial expansion."""
+    (m11, m12), (m21, m22) = [[e if isinstance(e, R) else R.from_fraction(e) for e in row]
+                              for row in m]
+    (i11, i12), (i21, i22) = matrix_inverse(m)
+    subs = {"x": i11 * X + i12 * Y, "y": i21 * X + i22 * Y}
+    new_dx, new_dy = LPDO({(1, 0): m11, (0, 1): m21}), LPDO({(1, 0): m12, (0, 1): m22})
+    out = LPDO.zero()
+    for (j, k), a in op.coeffs.items():
+        term = LPDO.function(R.ONE)
+        for d in [new_dx] * j + [new_dy] * k:
+            term = term.compose(d)
+        out = out + term.scale(a.substitute(subs))
+    return out
+
+
+MATRICES = st.one_of(
+    st.tuples(ENTRIES, ENTRIES, ENTRIES, ENTRIES).filter(lambda e: e[0] * e[3] != e[1] * e[2])
+    .map(lambda e: ((e[0], e[1]), (e[2], e[3]))),
+    st.sampled_from((((1, S2), (0, 1)), ((1, 0), (-S2, 1)))))
+
+
+@LAW
+@given(operators(), MATRICES)
+def test_change_vars_is_the_composed_change(op, m):
+    assert op.change_vars(m) == _change_vars_by_compose(op, m)
 
 
 PLANTED_DENOMINATORS = (R.ONE, X, Y, X * Y)

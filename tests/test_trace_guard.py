@@ -95,3 +95,24 @@ def test_residuals_reduce_without_poly_gcd():
     assert out.status is lpdo.OutcomeStatus.CONDITIONS_FAIL
     assert len(out.nonzero_residuals()) == 3
     assert calls[1] <= calls[0]
+
+
+def test_a_normalized_call_changes_variables_once():
+    # the operator in the new coordinates is built once per call; each
+    # FACTORED outcome maps its factor and its cofactor back
+    layers = _layers()
+    for text, factored in [("Dx*Dy + x*Dx + x*Dy + x^2 + 1", 1),
+                           ("Dx*Dy^2 + x*Dy^2 + Dx*Dy + x*Dy + Dx + x", 1),
+                           ("(Dy + x)*(Dx - Dy + y)", 2),
+                           ("Dx*Dy + x*Dx + y*Dy + 7", 0)]:
+        tracer = layers.Tracer()
+        tracer.install()
+        try:
+            tracer.begin_op()
+            outs = lpdo.factor_all_roots(parse(text))
+            tracer.end_op()
+        finally:
+            tracer.uninstall()
+        assert len(outs) == 2 and all(o.normalization is not None for o in outs)
+        assert sum(o.status is lpdo.OutcomeStatus.FACTORED for o in outs) == factored
+        assert tracer.calls["operator.change_vars"] == 1 + 2 * factored
