@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .expr import _TRIAL_BOUND, RatExpr, _factor, _is_prime
-from .operator import LPDO, _matrix_entries
+from .operator import LPDO
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,6 @@ class CharPoly:
     def __post_init__(self):
         if len(self.coeffs) != self.n + 1:
             raise ValueError("characteristic polynomial needs n+1 coefficients")
-
-    def degree(self) -> int:
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return self.n - i
-        return -1
 
     def eval_at(self, omega: RatExpr) -> RatExpr:
         return _eval_list(self.coeffs, omega)
@@ -242,23 +236,3 @@ def _int_divisors(n: int) -> list[int]:
         out = [d * p ** i for d in out for i in range(e + 1)]
     return sorted(out)
 
-
-def root_transform(root: Root, matrix) -> Root:
-    """Image of a root under the change of variables (u, v) = M (x, y).
-
-    The symbol direction [w : 1] maps by the Moebius action
-    w' = (M22 w - M21) / (M11 - M12 w), with infinity handled projectively.
-    """
-    m11, m12, m21, m22 = _matrix_entries(matrix)
-    if root.at_infinity:
-        if m12.is_zero():
-            return root
-        value = -(m22 / m12)
-        return Root(value, root.multiplicity, extensions=root.extensions)
-    w = root.value
-    den = m11 - m12 * w
-    if den.is_zero():
-        return Root(None, root.multiplicity, at_infinity=True,
-                    extensions=root.extensions)
-    return Root((m22 * w - m21) / den, root.multiplicity,
-                extensions=root.extensions)

@@ -72,7 +72,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="candidate zero-order part for the degenerate path")
     f.add_argument("--recursive", action="store_true",
                    help="factor the cofactor recursively")
-    f.add_argument("--max-shear", type=int, default=None)
     _add_common(f)
 
     c = sub.add_parser("compose", help="compose operators left to right")
@@ -128,7 +127,7 @@ def _cmd_factor(args) -> int:
     p3 = parse_function(args.p3, params) if args.p3 is not None else None
 
     if args.recursive:
-        tree = factor_fully(op, args.max_shear)
+        tree = factor_fully(op)
         print(tree_str(tree, args.format))
         statuses = [outcome.status for outcome, _ in tree.branches]
         best = min(statuses, key=lambda s: _EXIT_BY_STATUS[s],
@@ -136,10 +135,9 @@ def _cmd_factor(args) -> int:
         return _EXIT_BY_STATUS[best]
 
     if args.side == "right":
-        outcomes = [factor_right(op, root_choice=root_choice, p3=p3,
-                                 max_shear=args.max_shear)]
+        outcomes = [factor_right(op, root_choice=root_choice, p3=p3)]
     else:
-        outcomes = list(_walk(op, root_choice, p3, args.max_shear))
+        outcomes = list(_walk(op, root_choice, p3))
     best = _preferred(outcomes)
     if root_choice is None and args.side == "left" and best.status not in (
             OutcomeStatus.FACTORED, OutcomeStatus.UNSUPPORTED_ROOT):

@@ -18,18 +18,18 @@ problem and can verify or complete a supplied candidate, but does not
 solve differential equations beyond a small candidate search (zero,
 constants, linear forms) used by the recursive factorizer.
 
-When the pure-Dx coefficient vanishes, one call changes variables once:
-`_outcomes` builds the operator in the new coordinates and the maps of
-values into them and back (a linear map, see LPDO.change_vars) before its
-first attempt.  Each root then goes through one pipeline on one lane,
-`_attempt`: move the root and any given p3 into the new coordinates, solve
-the top level, take p3 as given, from the division by P'(w), or leave it
-free on the Riccati path, run the descent, map the result back and certify
-it.  `factor_left`, `factor_all_roots` and the command line share one walk
-over the roots.  The
-top level's Horner sums are the coefficients of P(W) / (W - w), one more
-step is the remainder P(w) and the sums at w give P'(w), so P_n is read
-only by the root search and for a caller's root that is multiple.
+Nothing in the levels needs the pure-Dx coefficient a_{n,0} to be nonzero,
+so every finite root is worked on the operator as given.  Only the root at
+infinity, a factor led by Dy, changes variables: it is the root 0 of the
+operator with x and y exchanged, and the swap is its own inverse, so one
+renaming moves p3 there and the results back.  Each root goes through one
+pipeline on one lane, `_attempt`: solve the top level, take p3 as given,
+from the division by P'(w), or leave it free on the Riccati path, run the
+descent and certify the result.  `factor_left`, `factor_all_roots` and the
+command line share one walk over the roots.  The top level's Horner sums
+are the coefficients of P(W) / (W - w), one more step is the remainder
+P(w) and the sums at w give P'(w), so P_n is read only by the root search
+and for a caller's root that is multiple.
 
 The lane, a LevelState, holds values N / Q^k over one common denominator,
 as in Bareiss's fraction-free elimination, with Q the squarefree part of the
@@ -39,7 +39,7 @@ Poly, whose rational coefficients are ints over one integer denominator.
 solve_p3 divides the b-sum by P'(w) exactly when the numerators allow, else
 reduces p3 and widens Q to cover its denominator.  The certificate, verify,
 lifts each printed coefficient of the factor and cofactor onto the
-attempt's lane (a fresh one under a normalization or for a right factor),
+attempt's lane (a fresh one at a root at infinity or for a right factor),
 builds factor o cofactor by the Leibniz rule and subtracts op.  A value is
 read out once per output; Q is squarefree, so N / Q^k is reduced when
 gcd(N, Q) is a unit, and then only its denominator is made monic.
@@ -67,16 +67,12 @@ from .operator import (
     SWAP_XY,
     _coordinate_substitution,
     _pull_back,
-    matrix_inverse,
-    shear_matrix,
 )
 from .charpoly import (
     CharPoly,
     Root,
-    _eval_list,
     char_poly,
     find_roots,
-    root_transform,
 )
 
 
@@ -119,7 +115,7 @@ class FactorizationOutcome:
     cofactor: LPDO | None = None
     residuals: tuple[RatExpr, ...] = ()
     riccati: RiccatiProblem | None = None
-    normalization: tuple | None = None  # change of variables applied, if any
+    normalization: tuple | None = None  # SWAP_XY at a root at infinity, else None
     extensions: tuple[int, ...] = ()
     unresolved: tuple[RatExpr, ...] = ()
     certified: bool = False  # set once verify has found the product exact
@@ -147,7 +143,7 @@ def solve_top(op: LPDO, omega: RatExpr) -> dict[tuple[int, int], RatExpr]:
     LevelState of (op, omega) solves them, reduced."""
     state = LevelState(op, omega, None)
     if not state.at_root:
-        raise ValueError("omega is not a root of P_n, or a_{n,0} vanishes")
+        raise ValueError("omega is not a root of P_n")
     return {jk: state.reduce(v) for jk, v in state.solved.items()}
 
 
@@ -313,7 +309,7 @@ class LevelState(Lane):
                 self.solved[(n - 1 - k, k)] = acc
             self.dp = self.add(self.mul(self.dp, self.omega), acc)
         rem = self.add(self.mul(acc, self.omega), self.coeffs.get((0, n), _ZERO))
-        self.at_root = rem[0].is_zero() and (n, 0) in op.coeffs
+        self.at_root = rem[0].is_zero()
 
     def _d(self, n):
         """D = b*Dx - a*Dy for omega = a/b, so that L = D/b."""
@@ -430,16 +426,18 @@ def degenerate_constraints(op: LPDO, omega: RatExpr) -> RiccatiProblem:
     """
     state = LevelState(op, omega, None)
     if not state.at_root:
-        raise ValueError("omega is not a root of P_n, or a_{n,0} vanishes")
+        raise ValueError("omega is not a root of P_n")
     if not state.dp[0].is_zero():
         raise ValueError("root is simple: the algebraic path applies")
-    return _riccati_problem(op, omega)
+    return _riccati_problem(op, state)
 
 
-def _riccati_problem(op: LPDO, omega: RatExpr) -> RiccatiProblem:
-    """The descent with p3 a fresh unknown function, on a lane of its own."""
+def _riccati_problem(op: LPDO, state: LevelState) -> RiccatiProblem:
+    """The descent on state, the LevelState of op at its root, with p3 a
+    fresh unknown function: its denominator is 1, so the lane's Q holds."""
     name = _fresh_unknown(op)
-    _, residuals = _run_descent(op, LevelState(op, omega, RatExpr.unknown(name)))
+    state.p3 = state.lift(RatExpr.unknown(name))
+    _, residuals = _run_descent(op, state)
     constraints = tuple(_normalize_constraint(r, name)
                         for r in residuals[1:] if not r.is_zero())
     return RiccatiProblem(name, constraints, residuals[0])
@@ -457,32 +455,6 @@ def _normalize_constraint(residual: RatExpr, unknown: str) -> RatExpr:
 
 
 # --------------------------------------------------------------------------
-# normalization (making the pure-Dx leading coefficient nonzero)
-# --------------------------------------------------------------------------
-
-def choose_normalization(op: LPDO, max_shear: int | None = None):
-    """A constant change of variables with nonzero transformed a_{n,0}.
-
-    Tries the x-y swap first, then the shears (x, y) -> (x + c*y, y) for
-    c = 1, ..., max_shear (default n+1).  The order-n symbol vanishes on at
-    most n directions, so some candidate always succeeds.
-    """
-    n = op.order
-    if not op.coeff(n, 0).is_zero():
-        return None
-    if not op.coeff(0, n).is_zero():
-        return SWAP_XY
-    limit = max_shear if max_shear is not None else n + 1
-    # the transformed a_{n,0} is the symbol on the direction (1, c):
-    # sum over k of a_{n-k,k} c^k, a polynomial in c
-    in_c = [op.coeff(n - k, k) for k in range(n, -1, -1)]
-    for c in range(1, limit + 1):
-        if not _eval_list(in_c, RatExpr.from_int(c)).is_zero():
-            return shear_matrix(c)
-    raise ValueError("no admissible shear found within the bound")
-
-
-# --------------------------------------------------------------------------
 # the public engine
 # --------------------------------------------------------------------------
 
@@ -491,36 +463,22 @@ def _not_a_root(root: Root) -> ValueError:
     return ValueError(f"{value} is not a root of the characteristic polynomial")
 
 
-class _Normalization:
-    """One change of variables M for every attempt of a call: op in the
-    coordinates (u, v) = M (x, y), and the maps of values into them (new)
-    and back (old), each with its own table of powers."""
-
-    def __init__(self, op: LPDO, matrix):
-        self.matrix, self.inverse = matrix, matrix_inverse(matrix)
-        self.work = op.change_vars(matrix)
-        self.new, self.old = (partial(_pull_back, subs=_coordinate_substitution(m), table={})
-                              for m in (self.inverse, matrix))
-
-
-def _attempt(op: LPDO, root: Root, norm: _Normalization | None,
-             p3: RatExpr | None) -> FactorizationOutcome:
+def _attempt(op: LPDO, root: Root, p3: RatExpr | None) -> FactorizationOutcome:
     """The factorization of op at one root: a left factor Dx - w*Dy + p3
     with the given p3, the p3 of a simple root, or the Riccati problem of a
     multiple one.
 
-    Under a normalization the work runs on op in the new coordinates, built
-    once per call: the root and p3 move there and the results move back.
+    A root at infinity, a factor Dy + p3, is the root 0 of op with x and y
+    exchanged, built here, once per call: a call has at most one such root.
+    The swap is its own inverse, so one renaming moves p3 there and the
+    results back.
     """
-    work, omega = op, root.value
-    if norm is not None:
-        work = norm.work
-        moved = root_transform(root, norm.matrix)
-        if moved.at_infinity:  # a direction where work's a_{n,0} is nonzero
-            raise _not_a_root(root)
-        omega = norm.new(moved.value)
+    work, omega, swap = op, root.value, None
+    if root.at_infinity:
+        work, omega = op.change_vars(SWAP_XY), RatExpr.ZERO
+        swap = partial(_pull_back, subs=_coordinate_substitution(SWAP_XY), table={})
         if p3 is not None:
-            p3 = norm.new(p3)
+            p3 = swap(p3)
     state = LevelState(work, omega, p3)
     if not state.at_root:
         raise _not_a_root(root)
@@ -531,7 +489,7 @@ def _attempt(op: LPDO, root: Root, norm: _Normalization | None,
         try:
             p3 = solve_p3(work, omega, None, state)
         except DegenerateRoot:
-            riccati = _riccati_problem(work, omega)
+            riccati = _riccati_problem(work, state)
             cof, residuals = None, [riccati.necessary_precondition]
         else:
             cof, residuals = _run_descent(work, state)
@@ -549,36 +507,28 @@ def _attempt(op: LPDO, root: Root, norm: _Normalization | None,
     factor = cofactor = None
     if cof is not None:
         factor, cofactor = FirstOrderFactor.from_root(omega, p3), LPDO(cof)
-    if norm is not None:
-        residuals = [norm.old(r) for r in residuals]
-        if factor is not None:
-            f, u = FirstOrderFactor.from_operator(
-                factor.as_operator().change_vars(norm.inverse)).normalized()
-            # u*f o B = (u*f*u^-1) o (u*B), and u*f*u^-1 = f - (p1*u_x + p2*u_y)/u
-            shift = (f.p1 * u.diff("x") + f.p2 * u.diff("y")) / u
-            factor = FirstOrderFactor(f.p1, f.p2, f.p3 - shift)
-            cofactor = cofactor.change_vars(norm.inverse).scale(u)
-    if factor is not None:  # certified on the attempt's lane unless op was normalized
-        _certify(factor, cofactor, op, "left", state if norm is None else None)
+    if swap is not None:
+        residuals = [swap(r) for r in residuals]
+        if factor is not None:  # Dx + p3 there is Dy + p3 here
+            factor = FirstOrderFactor(RatExpr.ZERO, RatExpr.ONE, swap(p3))
+            cofactor = cofactor.change_vars(SWAP_XY)
+    if factor is not None:  # certified on the attempt's lane unless op was swapped
+        _certify(factor, cofactor, op, "left", state if swap is None else None)
     return FactorizationOutcome(
         status=status, root=root, factor=factor, cofactor=cofactor,
         residuals=tuple(residuals), riccati=riccati,
-        normalization=None if norm is None else norm.matrix,
+        normalization=None if swap is None else SWAP_XY,
         extensions=root.extensions, certified=factor is not None)
 
 
-def _outcomes(op: LPDO, root_choice, p3: RatExpr | None, max_shear: int | None):
+def _outcomes(op: LPDO, root_choice, p3: RatExpr | None):
     """One outcome per root tried: every root of P_n in the search's order,
     or the one chosen by index, Root or value; a lone UNSUPPORTED_ROOT
-    outcome when the search finds none.  The normalization is built once,
-    before the first attempt."""
+    outcome when the search finds none."""
     if op.order < 2:
         raise ValueError("factorization needs an operator of order >= 2")
-    matrix = choose_normalization(op, max_shear)
     if isinstance(root_choice, Root):
         roots = [root_choice]
-        if matrix is None and root_choice.at_infinity:  # P_n has full degree
-            matrix = SWAP_XY
     elif root_choice is None or isinstance(root_choice, int):
         search = find_roots(char_poly(op))
         roots = list(search.roots)
@@ -591,14 +541,13 @@ def _outcomes(op: LPDO, root_choice, p3: RatExpr | None, max_shear: int | None):
                 status=OutcomeStatus.UNSUPPORTED_ROOT, unresolved=search.unresolved)
     else:  # a value: _attempt checks it and reads off its multiplicity
         roots = [Root(root_choice, 0)]
-    norm = None if matrix is None or not roots else _Normalization(op, matrix)
     for root in roots:
-        yield _attempt(op, root, norm, p3)
+        yield _attempt(op, root, p3)
 
 
-def _walk(op: LPDO, root_choice, p3: RatExpr | None, max_shear: int | None):
+def _walk(op: LPDO, root_choice, p3: RatExpr | None):
     """factor_left's search: the outcomes up to the first FACTORED one."""
-    for out in _outcomes(op, root_choice, p3, max_shear):
+    for out in _outcomes(op, root_choice, p3):
         yield out
         if out.status is OutcomeStatus.FACTORED:
             return
@@ -614,13 +563,12 @@ def _preferred(outcomes: list[FactorizationOutcome]) -> FactorizationOutcome:
     return min(outcomes, key=lambda o: len(o.nonzero_residuals()))
 
 
-def factor_all_roots(op: LPDO, max_shear: int | None = None) -> list[FactorizationOutcome]:
+def factor_all_roots(op: LPDO) -> list[FactorizationOutcome]:
     """One factorization outcome per root of the characteristic polynomial."""
-    return list(_outcomes(op, None, None, max_shear))
+    return list(_outcomes(op, None, None))
 
 
-def factor_left(op: LPDO, root_choice=None, p3: RatExpr | None = None,
-                max_shear: int | None = None) -> FactorizationOutcome:
+def factor_left(op: LPDO, root_choice=None, p3: RatExpr | None = None) -> FactorizationOutcome:
     """Find a first-order left factor.
 
     With no root choice every root is tried in deterministic order and the
@@ -630,19 +578,17 @@ def factor_left(op: LPDO, root_choice=None, p3: RatExpr | None = None,
     search to that root; an explicit p3 candidate completes the degenerate
     path.
     """
-    return _preferred(list(_walk(op, root_choice, p3, max_shear)))
+    return _preferred(list(_walk(op, root_choice, p3)))
 
 
-def factor_right(op: LPDO, root_choice=None, p3: RatExpr | None = None,
-                 max_shear: int | None = None) -> FactorizationOutcome:
+def factor_right(op: LPDO, root_choice=None, p3: RatExpr | None = None) -> FactorizationOutcome:
     """First-order right factor via the formal transpose.
 
     A = C o F holds exactly when A^t = F^t o C^t, so the left engine runs
     on the transpose and both returned operators are transposed back (with
     a sign normalization keeping the factor's leading part monic).
     """
-    out = replace(factor_left(op.transpose(), root_choice=root_choice, p3=p3,
-                              max_shear=max_shear), side="right")
+    out = replace(factor_left(op.transpose(), root_choice=root_choice, p3=p3), side="right")
     if out.factor is None:
         return out
     factor = FirstOrderFactor.from_operator(-(out.factor.as_operator().transpose()))
@@ -651,10 +597,9 @@ def factor_right(op: LPDO, root_choice=None, p3: RatExpr | None = None,
     return replace(out, factor=factor, cofactor=cofactor)
 
 
-def complete_with_p3(op: LPDO, omega: RatExpr, candidate: RatExpr,
-                     max_shear: int | None = None) -> FactorizationOutcome:
+def complete_with_p3(op: LPDO, omega: RatExpr, candidate: RatExpr) -> FactorizationOutcome:
     """Finish a degenerate factorization with a user-supplied p3."""
-    return factor_left(op, omega, candidate, max_shear)
+    return factor_left(op, omega, candidate)
 
 
 def _compose(lane: Lane, a: dict, b: dict) -> dict:
@@ -821,7 +766,7 @@ class FactorizationTree:
         return out
 
 
-def factor_fully(op: LPDO, max_shear: int | None = None) -> FactorizationTree:
+def factor_fully(op: LPDO) -> FactorizationTree:
     """Recursively split off first-order left factors along every root.
 
     Degenerate roots are completed through the automatic candidate search
@@ -830,18 +775,18 @@ def factor_fully(op: LPDO, max_shear: int | None = None) -> FactorizationTree:
     if op.order <= 1:
         return FactorizationTree(op, ())
     branches = []
-    for outcome in factor_all_roots(op, max_shear):
+    for outcome in factor_all_roots(op):
         if outcome.status is OutcomeStatus.DEGENERATE:
             for cand in riccati_candidates(outcome.riccati):
                 if outcome.normalization is not None:
-                    # found in the normalized coordinates; p3 is given in op's
+                    # found in the swapped coordinates; p3 is given in op's
                     cand = cand.substitute(_coordinate_substitution(outcome.normalization))
-                done = factor_left(op, outcome.root, cand, max_shear)
+                done = factor_left(op, outcome.root, cand)
                 if done.status is OutcomeStatus.FACTORED:
                     outcome = done
                     break
         subtree = None
         if outcome.status is OutcomeStatus.FACTORED:
-            subtree = factor_fully(outcome.cofactor, max_shear)
+            subtree = factor_fully(outcome.cofactor)
         branches.append((outcome, subtree))
     return FactorizationTree(op, tuple(branches))

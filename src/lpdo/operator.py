@@ -241,12 +241,6 @@ def _coordinate_substitution(matrix) -> dict[str, RatExpr]:
 SWAP_XY = ((0, 1), (1, 0))
 
 
-def shear_matrix(c) -> tuple:
-    """First-row shear (x, y) -> (x + c*y, y); sends the pure-Dy direction
-    onto a mix containing Dx^n."""
-    return ((1, c), (0, 1))
-
-
 def matrix_inverse(matrix):
     m11, m12, m21, m22 = _matrix_entries(matrix)
     det = m11 * m22 - m12 * m21

@@ -6,7 +6,8 @@ import pytest
 
 from lpdo.expr import RatExpr
 from lpdo.operator import LPDO, FirstOrderFactor, SWAP_XY
-from lpdo.charpoly import CharPoly, char_poly, find_roots, root_transform
+from lpdo.charpoly import CharPoly, Root, char_poly, find_roots
+from lpdo.parser import parse, parse_function
 
 from conftest import rand_operator
 
@@ -79,6 +80,21 @@ class TestFindRoots:
         search = find_roots(p)
         assert {str(r.value) for r in search.roots} == {"-1", "0", "1"}
 
+    def test_rational_roots_beyond_plus_minus_one(self):
+        # the divisor pairs of the trailing and leading integer coefficients
+        search = find_roots(char_poly(parse("(3*Dx - 2*Dy)*(Dx - 5*Dy)*(Dx + 3*Dy)")))
+        assert [str(r) for r in search.roots] == [
+            "-3 (multiplicity 1)", "2/3 (multiplicity 1)", "5 (multiplicity 1)"]
+        assert not search.unresolved
+
+    def test_rational_root_then_a_complex_pair(self):
+        # 8*w^3 - 1 = (2*w - 1)(4*w^2 + 2*w + 1)
+        search = find_roots(char_poly(parse("8*Dx^3 - Dy^3")))
+        want = {parse_function(t): ext for t, ext in [
+            ("1/2", ()), ("-1/4 + 1/4*sqrt(-3)", (-3,)), ("-1/4 - 1/4*sqrt(-3)", (-3,))]}
+        assert {r.value: r.extensions for r in search.roots} == want
+        assert search.total_multiplicity() == 3 and not search.unresolved
+
     def test_unresolved_reported(self):
         # w^2 - x has no square root in the supported field
         p = CharPoly((ONE, R.ZERO, -X), 2)
@@ -121,24 +137,18 @@ class TestSymbolMultiplicativity:
 
 
 class TestRootTransform:
-    def test_swap_inverts_roots(self):
-        root = find_roots(CharPoly((ONE, R.ZERO, -R.from_int(4)), 2)).roots
-        images = {str(root_transform(r, SWAP_XY).value) for r in root}
-        assert images == {"1/2", "-1/2"}
-
     def test_swap_duality_with_infinity(self):
-        op = LPDO({(1, 1): ONE})
-        search = find_roots(char_poly(op))
-        swapped = find_roots(char_poly(op.change_vars(SWAP_XY)))
-        images = sorted(str(root_transform(r, SWAP_XY)) for r in search.roots)
-        direct = sorted(str(r) for r in swapped.roots)
-        assert images == direct
+        # exchanging x and y sends the direction [w : 1] to [1 : w]:
+        # w -> 1/w, with 0 and infinity exchanged
+        def image(r):
+            if r.at_infinity:
+                return Root(R.ZERO, r.multiplicity)
+            if r.value.is_zero():
+                return Root(None, r.multiplicity, at_infinity=True)
+            return Root(r.value.inverse(), r.multiplicity)
 
-    def test_shear_is_moebius(self):
-        p = CharPoly((ONE, R.ZERO, -ONE), 2)
-        m = ((1, 2), (0, 1))
-        for r in find_roots(p).roots:
-            image = root_transform(r, m)
-            # w' = w / (1 - 2w)
-            w = r.value
-            assert image.value == w / (ONE - R.from_int(2) * w)
+        for op in (LPDO({(1, 1): ONE}), LPDO({(1, 1): ONE, (0, 2): R.from_int(2)})):
+            search = find_roots(char_poly(op))
+            swapped = find_roots(char_poly(op.change_vars(SWAP_XY)))
+            images = sorted(str(image(r)) for r in search.roots)
+            assert images == sorted(str(r) for r in swapped.roots)

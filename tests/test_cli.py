@@ -75,6 +75,14 @@ class TestFactor:
         assert "factor: Dx + x" in out
         assert "cofactor: Dx" in out
 
+    def test_a_finite_root_without_a_pure_dx_term_is_not_normalized(self, capsys):
+        code, out, _ = run(capsys, ["factor", "Dx^2*Dy + x*Dx*Dy", "--root", "0"])
+        assert code == 3
+        assert "constraint: -x*psi + psi^2 + psi_x - 1 = 0" in out
+        assert "normalization:" not in out
+        code, out, _ = run(capsys, ["factor", "Dx^2*Dy + x*Dx*Dy", "--root", "0", "--p3", "x"])
+        assert code == 0 and "factor: Dx + x" in out
+
     def test_unsupported_root_exit_four(self, capsys):
         # characteristic polynomial w^2 - x has no supported root
         code, out, _ = run(capsys, ["factor", "Dx^2 - x*Dy^2"])

@@ -392,8 +392,10 @@ def test_a_factored_attempt_builds_one_lane(case, monkeypatch):
 
 def test_a_normalized_attempt_and_a_right_factor_certify_on_a_fresh_lane(monkeypatch):
     built, states = _lanes(monkeypatch)
-    out = factor_left(parse("(Dy + x)*(Dx + Dy + y)"))  # a_{2,0} = 0: normalized
-    assert out.status is OutcomeStatus.FACTORED and out.normalization is not None
+    # roots -1 and infinity; the root at infinity is worked with x and y swapped
+    out = factor_left(parse("(Dy + x)*(Dx + Dy + y)"), root_choice=1)
+    assert out.status is OutcomeStatus.FACTORED and out.root.at_infinity
+    assert out.normalization is not None and str(out.factor.as_operator()) == "Dy + x"
     assert out.certified and states == [None] and type(built[-1]) is Lane
     built.clear(), states.clear()
     out = factor_right(parse("(Dx + y)*(Dx - Dy + x)"))

@@ -10,13 +10,12 @@ import pytest
 import lpdo
 from lpdo import factorize
 from lpdo.expr import RatExpr
-from lpdo.operator import LPDO, FirstOrderFactor
+from lpdo.operator import LPDO, FirstOrderFactor, SWAP_XY
 from lpdo.charpoly import char_poly
 from lpdo.factorize import (
     CertificateError,
     DegenerateRoot,
     OutcomeStatus,
-    choose_normalization,
     complete_with_p3,
     degenerate_constraints,
     factor_all_roots,
@@ -90,9 +89,12 @@ class TestSolveTop:
         with pytest.raises(ValueError):
             solve_top(hyperbolic_family(ONE), R.from_int(5))
 
-    def test_rejects_zero_lead(self):
-        with pytest.raises(ValueError):
-            solve_top(cross_lead(R.symbol("g")), R.ZERO)
+    def test_zero_lead_at_a_root_and_a_non_root(self):
+        # P(W) = W, so at w = 0 the top level is P(W) / W = 1: p_{0,1} = 1
+        op = cross_lead(R.symbol("g"))
+        assert solve_top(op, R.ZERO) == {(0, 1): ONE}
+        with pytest.raises(ValueError, match="not a root"):
+            solve_top(op, ONE)
 
 
 class TestSolveP3:
@@ -318,6 +320,18 @@ class TestDegeneratePath:
         assert out.status is OutcomeStatus.DEGENERATE
         assert X in riccati_candidates(out.riccati)
 
+    def test_constraints_at_a_finite_root_are_in_the_callers_coordinates(self):
+        # no pure-Dx term: the double root 0 is worked on the operator as
+        # given, so its candidate is the p3 the caller passes
+        op = parse("Dx^2*Dy + x*Dx*Dy")
+        out = factor_left(op, root_choice=R.ZERO)
+        assert out.status is OutcomeStatus.DEGENERATE and out.normalization is None
+        assert [str(c) for c in out.riccati.constraints] == ["-x*psi + psi^2 + psi_x - 1"]
+        assert riccati_candidates(out.riccati) == [X]
+        done = factor_left(op, R.ZERO, X)
+        assert done.status is OutcomeStatus.FACTORED and done.certified
+        assert (str(done.factor), str(done.cofactor)) == ("Dx + x", "Dx*Dy")
+
 
 class TestFactorRight:
     def test_right_factor_of_plus_family(self):
@@ -426,17 +440,26 @@ class TestCertifiedFlag:
         assert outcome_structured(failed)["certified"] is False
 
 
+def _normalizations(op: LPDO) -> list:
+    """(root, normalization) of each outcome of factor_all_roots."""
+    return [("infinity" if o.root.at_infinity else str(o.root.value), o.normalization)
+            for o in factor_all_roots(op)]
+
+
 class TestNormalization:
+    """Exactly a root at infinity is worked with x and y swapped."""
+
     def test_swap_preferred(self):
         op = LPDO({(0, 2): ONE, (2, 0): R.ZERO, (0, 0): X})
-        assert choose_normalization(op) == ((0, 1), (1, 0))
+        assert _normalizations(op) == [("infinity", SWAP_XY)]
 
-    def test_shear_when_swap_fails(self):
-        m = choose_normalization(cross_lead(R.symbol("g")))
-        assert m == ((1, 1), (0, 1))
+    def test_swap_when_neither_pure_term(self):
+        # P(W) = W: the root 0 is worked as given, only infinity is swapped
+        assert _normalizations(cross_lead(R.symbol("g"))) == \
+            [("0", None), ("infinity", SWAP_XY)]
 
     def test_none_when_lead_present(self):
-        assert choose_normalization(hyperbolic_family(ONE)) is None
+        assert _normalizations(hyperbolic_family(ONE)) == [("-1", None), ("1", None)]
 
     def test_outcome_invariant_under_forced_shear(self):
         # factor the same operator directly and through a pre-applied shear
@@ -454,9 +477,8 @@ class TestNormalization:
 
 
 class TestNonConstantRootNormalized:
-    """A root w(x, y) worked in swapped coordinates: the root moves with the
-    coordinates, and mapping back conjugates the factor by its leading
-    coefficient u, since u*f o B = (u*f*u^-1) o (u*B)."""
+    """A root w(x, y) of an operator without a pure-Dx term is worked in the
+    operator's own coordinates, with no normalization."""
 
     @pytest.mark.parametrize("factor, cofactor", [("Dx + x*Dy", "Dy"),
                                                   ("Dx + x*Dy + y", "Dy + x")])
@@ -465,7 +487,7 @@ class TestNonConstantRootNormalized:
         out = factor_left(op)
         assert out.status is OutcomeStatus.FACTORED
         assert out.certified
-        assert out.normalization is not None
+        assert out.normalization is None
         assert out.factor.as_operator() == parse(factor)
         assert out.cofactor == parse(cofactor)
 

@@ -5,7 +5,8 @@ change_vars by M and then by M^-1 is the identity and equals the change
 composed from powers of the new derivatives, and a planted product
 (Dx - w*Dy + p3) o B factors back into its two parts at a simple root w,
 also when its coefficients mix sqrt(2) and a parameter, so that one attempt
-computes with rational and radical coefficients together."""
+computes with rational and radical coefficients together.  At the two roots
+of Dx*Dy + a*Dx + b*Dy + c the one residual is a Laplace invariant."""
 
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpdo.expr import RatExpr as R
-from lpdo.factorize import OutcomeStatus, factor_left
+from lpdo.factorize import OutcomeStatus, factor_all_roots, factor_left
 from lpdo.operator import LPDO, FirstOrderFactor, matrix_inverse
 from lpdo.parser import parse
 from lpdo.printer import operator_str
@@ -144,3 +145,35 @@ def _assert_factors_back(w, p3, b):
     out = factor_left(factor.as_operator().compose(b), root_choice=w)
     assert out.status is OutcomeStatus.FACTORED and out.certified
     assert out.factor == factor and out.cofactor == b
+
+
+@st.composite
+def laplace_operators(draw):
+    """(a, b, c) of Dx*Dy + a*Dx + b*Dy + c, with c drawn, or chosen so
+    that h = c - a_x - a*b or k = c - b_y - a*b vanishes; then the other
+    invariant differs from it unless a_x = b_y."""
+    a, b = draw(coefficients()), draw(coefficients())
+    c = draw(st.sampled_from(("h", "k", "free")))
+    if c == "h":
+        return a, b, a.diff("x") + a * b
+    if c == "k":
+        return a, b, b.diff("y") + a * b
+    return a, b, draw(coefficients())
+
+
+@LAW
+@given(laplace_operators())
+def test_the_residuals_of_a_hyperbolic_operator_are_its_laplace_invariants(abc):
+    # Dx*Dy + a*Dx + b*Dy + c = (Dx + b) o (Dy + a) + h = (Dy + a) o (Dx + b) + k
+    a, b, c = abc
+    op = LPDO({(1, 1): R.ONE, (1, 0): a, (0, 1): b, (0, 0): c})
+    h, k = c - a.diff("x") - a * b, c - b.diff("y") - a * b
+    at_zero, at_infinity = factor_all_roots(op)  # P(w) = w
+    assert at_zero.root.value == R.ZERO and at_infinity.root.at_infinity
+    dx_b, dy_a = LPDO({(1, 0): R.ONE, (0, 0): b}), LPDO({(0, 1): R.ONE, (0, 0): a})
+    for out, invariant, factor, cofactor in ((at_zero, h, dx_b, dy_a),
+                                             (at_infinity, k, dy_a, dx_b)):
+        assert out.residuals == (invariant,)
+        assert (out.status is OutcomeStatus.FACTORED) == invariant.is_zero()
+        if invariant.is_zero():
+            assert (out.factor.as_operator(), out.cofactor) == (factor, cofactor)

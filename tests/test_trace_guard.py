@@ -98,13 +98,15 @@ def test_residuals_reduce_without_poly_gcd():
 
 
 def test_a_normalized_call_changes_variables_once():
-    # the operator in the new coordinates is built once per call; each
-    # FACTORED outcome maps its factor and its cofactor back
+    # only the root at infinity changes variables: the swapped operator is
+    # built once, and a FACTORED outcome there maps its cofactor back; every
+    # finite root is worked on the operator as given
     layers = _layers()
-    for text, factored in [("Dx*Dy + x*Dx + x*Dy + x^2 + 1", 1),
-                           ("Dx*Dy^2 + x*Dy^2 + Dx*Dy + x*Dy + Dx + x", 1),
-                           ("(Dy + x)*(Dx - Dy + y)", 2),
-                           ("Dx*Dy + x*Dx + y*Dy + 7", 0)]:
+    for text, factored, changes in [("Dx*Dy + x*Dx + x*Dy + x^2 + 1", 1, 1),
+                                    ("Dx*Dy^2 + x*Dy^2 + Dx*Dy + x*Dy + Dx + x", 1, 1),
+                                    ("(Dy + x)*(Dx - Dy + y)", 2, 2),
+                                    ("Dx*Dy + x*Dx + y*Dy + 7", 0, 1),
+                                    ("(Dx + y)*(Dx - Dy + x)", 1, 0)]:
         tracer = layers.Tracer()
         tracer.install()
         try:
@@ -113,6 +115,7 @@ def test_a_normalized_call_changes_variables_once():
             tracer.end_op()
         finally:
             tracer.uninstall()
-        assert len(outs) == 2 and all(o.normalization is not None for o in outs)
+        assert len(outs) == 2
+        assert [o.normalization is not None for o in outs] == [o.root.at_infinity for o in outs]
         assert sum(o.status is lpdo.OutcomeStatus.FACTORED for o in outs) == factored
-        assert tracer.calls["operator.change_vars"] == 1 + 2 * factored
+        assert tracer.calls["operator.change_vars"] == changes
