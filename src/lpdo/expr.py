@@ -11,7 +11,8 @@ root adjoins whatever radical it needs.
 Three layers:
 
   ConstScalar -- an element of Q(sqrt(d1), ..., sqrt(dk)), stored as a map
-                 from square-free radical index to rational coordinate.
+                 from square-free radical index to int numerator, over
+                 one positive integer denominator.
   Poly        -- a sparse multivariate polynomial over ConstScalar: a map
                  from packed int monomial keys on its own symbol tuple to
                  coefficients, under a graded-lexicographic term order.
@@ -131,18 +132,10 @@ def _mul_radicals(a: int, b: int) -> tuple[int, int]:
     Convention: sqrt(d) for d < 0 means i*sqrt(-d) with i the principal
     square root of -1, so sqrt(-1)*sqrt(-1) = -1.
     """
-    ga, gb = _radical_generators(a), _radical_generators(b)
-    factor = 1
-    for g in ga & gb:
-        factor *= g
-    key = 1
-    neg = False
-    for g in ga ^ gb:
-        if g == -1:
-            neg = True
-        else:
-            key *= g
-    return factor, (-key if neg else key)
+    # a = g*a' and b = g*b' with a', b' coprime: the shared primes square out,
+    # and i*i = -1 when both are negative
+    g = gcd(a, b)
+    return (-g if a < 0 and b < 0 else g), (a // g) * (b // g)
 
 
 def _power(base, n: int, one):
@@ -187,25 +180,29 @@ class Unknown(str):
 class ConstScalar:
     """An element of Q(sqrt(d1), ..., sqrt(dk)).
 
-    Stored as {square-free index d: Fraction coordinate}; the index 1 holds
-    the rational part.  Distinct square-free radicals are linearly
-    independent over Q, so the representation (with zero coordinates
-    dropped) is unique and zero-testing is `not coords`.  No field is fixed
-    in advance: the radicals a value uses are the keys of its map.
+    Stored like a rational Poly: _coords maps each square-free index d to an
+    int numerator, over one positive int _den with gcd(_den, *numerators)
+    == 1; the index 1 holds the rational part.  Distinct square-free
+    radicals are linearly independent over Q, so the representation (with
+    zero coordinates dropped, and _den 1 for zero) is unique and
+    zero-testing is `not _coords`.  No field is fixed in advance: the
+    radicals a value uses are the keys of its map.
     """
 
-    __slots__ = ("_coords", "_hash")
+    __slots__ = ("_coords", "_den", "_hash")
 
-    def __init__(self, coords: dict[int, Fraction] | None = None):
-        self._coords = {d: q for d, q in (coords or {}).items() if q != 0}
-        self._hash: int | None = None
+    def __init__(self, coords: dict[int, Fraction | int] | None = None):
+        coords = {d: q for d, q in (coords or {}).items() if q}
+        den = lcm(*(q.denominator for q in coords.values()))
+        self._coords = {d: q.numerator * (den // q.denominator) for d, q in coords.items()}
+        self._den, self._hash = den, None
 
     # -- constructors
 
     @classmethod
     def from_rational(cls, q) -> "ConstScalar":
-        q = Fraction(q)
-        return cls({1: q}) if q else cls()
+        q = q if isinstance(q, (int, Fraction)) else Fraction(q)
+        return _scalar({1: q.numerator} if q else {}, q.denominator)
 
     @classmethod
     def radical(cls, d: int) -> "ConstScalar":
@@ -213,7 +210,7 @@ class ConstScalar:
         if d == 0:
             return cls()
         c, d = squarefree_decompose(d)
-        return cls({d: Fraction(c)})
+        return _scalar({d: c}, 1)
 
     ZERO: "ConstScalar"
     ONE: "ConstScalar"
@@ -233,61 +230,64 @@ class ConstScalar:
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self._coords.get(1, Fraction(0))
+        return Fraction(self._coords.get(1, 0), self._den)
 
     @property
     def coords(self) -> dict[int, Fraction]:
-        return dict(self._coords)
+        return {d: Fraction(n, self._den) for d, n in self._coords.items()}
 
     def radicals(self) -> set[int]:
         return {d for d in self._coords if d != 1}
 
     # -- ring operations
 
-    def __add__(self, other: "ConstScalar") -> "ConstScalar":
-        a, b = self._coords, other._coords
-        if len(a) == 1 == len(b) and 1 in a and 1 in b:
-            return _rational(a[1] + b[1])
-        out = dict(a)
-        for d, q in b.items():
-            s = out.get(d, Fraction(0)) + q
+    def _plus(self, other: "ConstScalar", sign: int) -> "ConstScalar":
+        """self + sign * other, over the lcm of the denominators."""
+        d1, d2 = self._den, other._den
+        d = d1 if d1 == d2 else lcm(d1, d2)
+        f1, f2 = d // d1, sign * (d // d2)
+        out = dict(self._coords) if f1 == 1 else {k: n * f1 for k, n in self._coords.items()}
+        get = out.get
+        for k, n in other._coords.items():
+            s = get(k, 0) + n * f2
             if s:
-                out[d] = s
+                out[k] = s
             else:
-                out.pop(d, None)
-        return ConstScalar(out)
+                del out[k]
+        return _scalar(out, d)
 
-    def __neg__(self) -> "ConstScalar":
-        neg = ConstScalar.__new__(ConstScalar)
-        neg._coords = {d: -q for d, q in self._coords.items()}
-        neg._hash = None
-        return neg
+    def __add__(self, other: "ConstScalar") -> "ConstScalar":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "ConstScalar") -> "ConstScalar":
-        a, b = self._coords, other._coords
-        if len(a) == 1 == len(b) and 1 in a and 1 in b:
-            return _rational(a[1] - b[1])
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "ConstScalar":
+        return _scalar({d: -n for d, n in self._coords.items()}, self._den)
 
     def __mul__(self, other: "ConstScalar") -> "ConstScalar":
         a, b = self._coords, other._coords
+        den = self._den * other._den
         if len(a) == 1 == len(b) and 1 in a and 1 in b:
-            # both rational and nonzero: the product is too
-            return _rational(a[1] * b[1])
-        out: dict[int, Fraction] = {}
-        for d1, q1 in a.items():
-            for d2, q2 in b.items():
+            return _scalar({1: a[1] * b[1]}, den)
+        out: dict[int, int] = {}
+        get = out.get
+        for d1, n1 in a.items():
+            for d2, n2 in b.items():
                 f, key = _mul_radicals(d1, d2)
-                s = out.get(key, Fraction(0)) + q1 * q2 * f
+                s = get(key, 0) + n1 * n2 * f
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
-        return ConstScalar(out)
+                    del out[key]
+        return _scalar(out, den)
 
     def scale(self, q) -> "ConstScalar":
-        q = Fraction(q)
-        return ConstScalar({d: c * q for d, c in self._coords.items()})
+        """self times the int or Fraction q."""
+        n = q.numerator
+        if not n:
+            return ConstScalar.ZERO
+        return _scalar({d: c * n for d, c in self._coords.items()}, self._den * q.denominator)
 
     __rmul__ = scale  # an int or Fraction times self
 
@@ -295,14 +295,15 @@ class ConstScalar:
         """Field inverse by conjugation over one generator at a time."""
         a = self._coords
         if len(a) == 1 and 1 in a:
-            return _rational(1 / a[1])
+            n = a[1]
+            return _scalar({1: self._den if n > 0 else -self._den}, abs(n))
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero constant")
         g = self._split_generator()
         u, v = self._split_by(g)
         # self = u + sqrt(g)*v with u, v free of the generator g
         norm = u * u - v * v.scale(g)
-        conj = ConstScalar({**u._coords}) - _radical_term(g) * v
+        conj = u - _radical_term(g) * v
         return conj * norm.inverse()
 
     def __truediv__(self, other: "ConstScalar") -> "ConstScalar":
@@ -322,14 +323,14 @@ class ConstScalar:
 
     def _split_by(self, g: int) -> tuple["ConstScalar", "ConstScalar"]:
         """self = u + sqrt(g) * v, with u and v not involving generator g."""
-        u: dict[int, Fraction] = {}
-        v: dict[int, Fraction] = {}
-        for d, q in self._coords.items():
+        u: dict[int, int] = {}
+        v: dict[int, int] = {}
+        for d, n in self._coords.items():
             if g in _radical_generators(d):
-                v[d // g] = q
+                v[d // g] = n
             else:
-                u[d] = q
-        return ConstScalar(u), ConstScalar(v)
+                u[d] = n
+        return _scalar(u, self._den), _scalar(v, self._den)
 
     # -- square roots
 
@@ -353,13 +354,12 @@ class ConstScalar:
         if self.is_zero():
             return ConstScalar.ZERO
         if self.is_rational():
-            q = self.rational_value()
-            cn, dn = squarefree_decompose(q.numerator)
-            cd, dd = squarefree_decompose(q.denominator)
+            cn, dn = squarefree_decompose(self._coords[1])
+            cd, dd = squarefree_decompose(self._den)
             f, key = _mul_radicals(dn, dd)
             if _radical_generators(key) & excluded:
                 return None
-            return ConstScalar({key: Fraction(cn * f, cd * dd)})
+            return _scalar({key: cn * f}, cd * dd)
         g = self._split_generator()
         u, v = self._split_by(g)
         excluded = excluded | {g}
@@ -380,11 +380,12 @@ class ConstScalar:
     # -- comparison / hashing / display
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ConstScalar) and self._coords == other._coords
+        return (isinstance(other, ConstScalar) and self._den == other._den
+                and self._coords == other._coords)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._coords.items()))
+            self._hash = hash((self._den, frozenset(self._coords.items())))
         return self._hash
 
     def __str__(self) -> str:
@@ -392,23 +393,28 @@ class ConstScalar:
             return "0"
         parts = []
         for d in sorted(self._coords, key=abs):
-            q = self._coords[d]
+            q = Fraction(self._coords[d], self._den)
             parts.append(_scalar_term_str(q, d, leading=not parts))
         return "".join(parts)
 
     __repr__ = __str__
 
 
-def _rational(q: Fraction) -> ConstScalar:
-    """The rational constant q, built without the zero filter."""
+def _scalar(coords: dict[int, int], den: int) -> ConstScalar:
+    """The constant of the nonzero int numerators coords over den > 0,
+    reduced by their common factor with den."""
+    if den != 1:
+        g = gcd(den, *coords.values())
+        if g != 1:
+            den //= g
+            coords = {d: n // g for d, n in coords.items()}
     c = ConstScalar.__new__(ConstScalar)
-    c._coords = {1: q} if q else {}
-    c._hash = None
+    c._coords, c._den, c._hash = coords, den, None
     return c
 
 
 def _radical_term(d: int) -> ConstScalar:
-    return ConstScalar({d: Fraction(1)})
+    return _scalar({d: 1}, 1)
 
 
 def _scalar_term_str(q: Fraction, d: int, leading: bool) -> str:
@@ -528,9 +534,8 @@ def _canon(syms: tuple, packed: dict, den: int | None, scan: bool = True) -> "Po
     y that packed does not use; a product of nonzero Polys uses them all."""
     if den is None:
         if all(c.is_rational() for c in packed.values()):
-            rats = {e: c.rational_value() for e, c in packed.items()}
-            den = lcm(*(q.denominator for q in rats.values()))
-            packed = {e: q.numerator * (den // q.denominator) for e, q in rats.items()}
+            den = lcm(*(c._den for c in packed.values()))
+            packed = {e: c._coords[1] * (den // c._den) for e, c in packed.items()}
     elif den != 1:
         g = gcd(den, *packed.values())
         if g != 1:
@@ -550,7 +555,7 @@ def _scalars(p: "Poly") -> dict[int, ConstScalar]:
     """The terms of p with ConstScalar coefficients."""
     if p.den is None:
         return p.packed
-    return {e: _rational(Fraction(c, p.den)) for e, c in p.packed.items()}
+    return {e: _scalar({1: c}, p.den) for e, c in p.packed.items()}
 
 
 def _joint(a: "Poly", b: "Poly") -> tuple[tuple, dict, dict]:
@@ -575,7 +580,7 @@ def _lead(p: "Poly") -> int:
 def _lc(p: "Poly") -> ConstScalar:
     """The coefficient of the leading term."""
     c = p.packed[_lead(p)]
-    return c if p.den is None else _rational(Fraction(c, p.den))
+    return c if p.den is None else _scalar({1: c}, p.den)
 
 
 def _mono_gcd(keys, n: int) -> int:
@@ -698,7 +703,7 @@ class Poly:
         coefficients."""
         if self.den is not None:
             return self.den
-        return lcm(*(q.denominator for c in self.packed.values() for q in c._coords.values()))
+        return lcm(*(c._den for c in self.packed.values()))
 
     # -- ring operations
 

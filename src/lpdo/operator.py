@@ -279,14 +279,5 @@ class FirstOrderFactor:
     def as_operator(self) -> LPDO:
         return LPDO({(1, 0): self.p1, (0, 1): self.p2, (0, 0): self.p3})
 
-    def normalized(self) -> tuple["FirstOrderFactor", RatExpr]:
-        """(normalized factor, unit): self = unit * normalized, unit a function."""
-        unit = self.p1 if not self.p1.is_zero() else self.p2
-        inv = unit.inverse()
-        return (
-            FirstOrderFactor(self.p1 * inv, self.p2 * inv, self.p3 * inv),
-            unit,
-        )
-
     def __str__(self) -> str:
         return str(self.as_operator())

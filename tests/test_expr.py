@@ -1,6 +1,7 @@
 """Exact arithmetic kernel: scalars, polynomials, rational functions."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,77 @@ def _const(coords: dict[int, int]) -> ConstScalar:
 # elements of Q(sqrt(2), sqrt(3), i) with small integer coordinates
 _scalars = st.dictionaries(st.sampled_from([1, 2, 3, 6, -1, -2, -3, -6]),
                            st.integers(-4, 4), max_size=4).map(_const)
+
+
+# the same field with coordinates n/m, m in 1..6, so that a denominator
+# above 1 is exercised
+_fractional = st.dictionaries(st.sampled_from([1, 2, 3, 6, -1, -2, -3, -6]),
+                              st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+                              max_size=4).map(ConstScalar)
+
+_SQUAREFREE = [d for d in range(-60, 61) if d and squarefree_decompose(d)[0] == 1]
+
+
+def test_radical_products_follow_the_squarefree_rule(monkeypatch):
+    # sqrt(a)*sqrt(b) = c*sqrt(d) for a*b = c^2*d, negated when both are
+    # negative (i*i = -1); the product itself factors no integer
+    want = {}
+    for a in _SQUAREFREE:
+        for b in _SQUAREFREE:
+            c, d = squarefree_decompose(a * b)
+            want[a, b] = (-c if a < 0 and b < 0 else c), d
+
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(expr, "_factor", no_factoring)
+    assert {ab: expr._mul_radicals(*ab) for ab in want} == want
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    a = ConstScalar({1: Fraction(1, 6), 2: Fraction(-3, 4), -3: 2})
+    b = ConstScalar({1: Fraction(5, 2), 6: Fraction(1, 3)})
+    want = [a + b, a - b, -a, a * b]
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(expr, "Fraction", no_fraction)
+    assert [a + b, a - b, -a, a * b] == want
+
+
+class TestFractionalCoordinates:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(_fractional, _fractional, _fractional)
+    def test_field_laws(self, a, b, c):
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) - b == a
+        if a:
+            assert a * a.inverse() == ConstScalar.ONE
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(_fractional)
+    def test_coords_round_trip(self, a):
+        coords = a.coords
+        assert all(type(q) is Fraction and q for q in coords.values())
+        assert ConstScalar(coords) == a
+        m = lcm(*(q.denominator for q in coords.values()))
+        assert ConstScalar({d: int(q * m) for d, q in coords.items()}) == a.scale(m)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(_fractional, _fractional)
+    def test_products_and_inverses_match_sympy(self, a, b):
+        import sympy
+
+        def sym(c):  # as perfbench/oracle.py converts a constant
+            return sum((sympy.Rational(q.numerator, q.denominator)
+                        * (1 if d == 1 else sympy.sqrt(d)) for d, q in c.coords.items()),
+                       sympy.Integer(0))
+
+        assert sympy.expand(sym(a * b) - sym(a) * sym(b)) == 0
+        if a:
+            assert sympy.expand(sym(a.inverse()) * sym(a)) == 1
 
 
 class TestSqrtDenesting:

@@ -161,9 +161,3 @@ class TestFirstOrderFactor:
     def test_round_trip_operator(self):
         f = FirstOrderFactor(ONE, -X, Y)
         assert FirstOrderFactor.from_operator(f.as_operator()) == f
-
-    def test_normalized(self):
-        f = FirstOrderFactor(R.from_int(2), X, Y)
-        norm, unit = f.normalized()
-        assert norm.p1.is_one()
-        assert unit == R.from_int(2)

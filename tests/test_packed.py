@@ -223,7 +223,7 @@ def test_a_quotient_past_the_bound_raises_at_once():
 def test_only_expr_reads_the_coefficient_format():
     # the format of Poly and ConstScalar is private to expr.py: every other
     # module goes through their methods and views
-    fields = re.compile(r"\.(packed|coords|_coords)\b")
+    fields = re.compile(r"\.(packed|coords|_coords|_den)\b")
     src = Path(expr.__file__).parent
     readers = [f.name for f in sorted(src.glob("*.py"))
                if f.name != "expr.py" and fields.search(f.read_text())]
