@@ -34,11 +34,8 @@ class CharPoly:
     def eval_at(self, omega: RatExpr) -> RatExpr:
         return _eval_list(self.coeffs, omega)
 
-    def derivative_coeffs(self) -> tuple[RatExpr, ...]:
-        return tuple(_derivative_list(self.coeffs))
-
     def derivative_at(self, omega: RatExpr) -> RatExpr:
-        return _eval_list(self.derivative_coeffs(), omega)
+        return _eval_list(_derivative_list(self.coeffs), omega)
 
     def multiplicity_of(self, omega: RatExpr) -> int:
         """Largest m with P(omega) = P'(omega) = ... = P^(m-1)(omega) = 0."""

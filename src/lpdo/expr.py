@@ -785,6 +785,12 @@ class Poly:
             raise ValueError("negative power of a polynomial")
         return _power(self, n, Poly.ONE)
 
+    def swap_xy(self) -> "Poly":
+        """self with x and y exchanged: the fields 0 and 1 of each key."""
+        low = (1 << 2 * _W) - 1
+        return _canon(self.syms, {e & ~low | (e & _MASK) << _W | e >> _W & _MASK: c
+                                  for e, c in self.packed.items()}, self.den, False)
+
     # -- calculus
 
     def partial(self, v: str) -> "Poly":
@@ -1396,6 +1402,12 @@ class RatExpr:
         if den.is_zero():
             raise ZeroDivisionError("denominator vanishes under substitution")
         return RatExpr._reduce(num, den)
+
+    def swap_xy(self) -> "RatExpr":
+        """self with x and y exchanged.  The swap is a ring automorphism, so
+        the fraction stays reduced; only the leading term of its denominator
+        can move, and _fast makes it monic again."""
+        return RatExpr._fast(self.num.swap_xy(), self.den.swap_xy())
 
     def perfect_square_root(self) -> "RatExpr | None":
         """r with r*r == self when num and den are perfect squares.

@@ -48,7 +48,6 @@ gcd(N, Q) is a unit, and then only its denominator is made monic.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from math import comb
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -65,8 +64,6 @@ from .operator import (
     LPDO,
     FirstOrderFactor,
     SWAP_XY,
-    _coordinate_substitution,
-    _pull_back,
 )
 from .charpoly import (
     CharPoly,
@@ -147,14 +144,13 @@ def solve_top(op: LPDO, omega: RatExpr) -> dict[tuple[int, int], RatExpr]:
     return {jk: state.reduce(v) for jk, v in state.solved.items()}
 
 
-def solve_p3(op: LPDO, omega: RatExpr, top: dict[tuple[int, int], RatExpr] | None,
-             state: "LevelState | None" = None) -> RatExpr:
+def solve_p3(op: LPDO, omega: RatExpr, state: "LevelState | None" = None) -> RatExpr:
     """p3 = (b_{n-1,0} w^(n-1) + ... + b_{0,n-1}) / P'(w) for a simple root,
     where b_{n-1-k,k} = a_{n-1-k,k} - L(p_{n-1-k,k}) over the top level p.
 
     The sums run on state, the LevelState of (op, omega), built here when
-    not given; it solves the top level itself, so top (solve_top(op, omega)
-    or None) is not read.  The state keeps p3 for the descent."""
+    not given; it solves the top level itself.  The state keeps p3 for the
+    descent."""
     s = state or LevelState(op, omega, None)
     if s.dp[0].is_zero():
         raise DegenerateRoot(
@@ -475,8 +471,7 @@ def _attempt(op: LPDO, root: Root, p3: RatExpr | None) -> FactorizationOutcome:
     """
     work, omega, swap = op, root.value, None
     if root.at_infinity:
-        work, omega = op.change_vars(SWAP_XY), RatExpr.ZERO
-        swap = partial(_pull_back, subs=_coordinate_substitution(SWAP_XY), table={})
+        work, omega, swap = op.change_vars(), RatExpr.ZERO, RatExpr.swap_xy
         if p3 is not None:
             p3 = swap(p3)
     state = LevelState(work, omega, p3)
@@ -487,7 +482,7 @@ def _attempt(op: LPDO, root: Root, p3: RatExpr | None) -> FactorizationOutcome:
         cof, residuals = _run_descent(work, state)
     else:
         try:
-            p3 = solve_p3(work, omega, None, state)
+            p3 = solve_p3(work, omega, state)
         except DegenerateRoot:
             riccati = _riccati_problem(work, state)
             cof, residuals = None, [riccati.necessary_precondition]
@@ -511,7 +506,7 @@ def _attempt(op: LPDO, root: Root, p3: RatExpr | None) -> FactorizationOutcome:
         residuals = [swap(r) for r in residuals]
         if factor is not None:  # Dx + p3 there is Dy + p3 here
             factor = FirstOrderFactor(RatExpr.ZERO, RatExpr.ONE, swap(p3))
-            cofactor = cofactor.change_vars(SWAP_XY)
+            cofactor = cofactor.change_vars()
     if factor is not None:  # certified on the attempt's lane unless op was swapped
         _certify(factor, cofactor, op, "left", state if swap is None else None)
     return FactorizationOutcome(
@@ -780,7 +775,7 @@ def factor_fully(op: LPDO) -> FactorizationTree:
             for cand in riccati_candidates(outcome.riccati):
                 if outcome.normalization is not None:
                     # found in the swapped coordinates; p3 is given in op's
-                    cand = cand.substitute(_coordinate_substitution(outcome.normalization))
+                    cand = cand.swap_xy()
                 done = factor_left(op, outcome.root, cand)
                 if done.status is OutcomeStatus.FACTORED:
                     outcome = done

@@ -4,16 +4,17 @@ An LPDO is a finite sum  sum a_jk(x, y) Dx^j Dy^k  kept in normal form:
 all coefficients stand to the left of the derivatives and no zero
 coefficient is stored.  Composition moves coefficients through derivatives
 by the Leibniz rule, so the product of two normal forms is again a normal
-form.  All values are immutable; operations are pure.
+form.  The one change of variables is the exchange of x and y, with which
+the engine works a root at infinity.  All values are immutable; operations
+are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 
-from .expr import ConstScalar, Poly, RatExpr, _poly_substitute
+from .expr import RatExpr
 
 
 class LPDO:
@@ -58,10 +59,6 @@ class LPDO:
 
     def coeff(self, j: int, k: int) -> RatExpr:
         return self.coeffs.get((j, k), RatExpr.ZERO)
-
-    def level(self, m: int) -> dict[tuple[int, int], RatExpr]:
-        """Coefficients of total derivative order m."""
-        return {jk: c for jk, c in self.coeffs.items() if jk[0] + jk[1] == m}
 
     def sorted_coeffs(self) -> list[tuple[tuple[int, int], RatExpr]]:
         """Deterministic term order: total order descending, then x-power
@@ -159,35 +156,10 @@ class LPDO:
             out = out + term
         return out
 
-    def change_vars(self, matrix) -> "LPDO":
-        """Rewrite in coordinates (u, v) = M (x, y) for a constant invertible
-        M, renaming (u, v) back to (x, y).
-
-        Derivatives transform as Dx -> M11 Dx + M21 Dy, Dy -> M12 Dx + M22 Dy
-        and coefficients pull back through the inverse map, so the result of
-        applying M then M^-1 is the original operator.  The new derivatives
-        have constant coefficients, so they commute and a_jk Dx^j Dy^k goes
-        to a_jk(M^-1 (x, y)) (M11 Dx + M21 Dy)^j (M12 Dx + M22 Dy)^k,
-        expanded binomially.
-        """
-        entries = _matrix_entries(matrix)
-        if not all(e.is_const() for e in entries):
-            raise ValueError("change of variables must be constant")
-        subs, table = _coordinate_substitution(matrix_inverse(matrix)), {}
-        m = [e.const_value() for e in entries]
-        if all(c.is_rational() for c in m):  # ints or Fractions, else ConstScalars
-            m = [q.numerator if q.denominator == 1 else q for q in (c.rational_value() for c in m)]
-        m11, m12, m21, m22 = m
-        out: dict[tuple[int, int], RatExpr] = {}
-        for (j, k), a in self.coeffs.items():
-            a = _pull_back(a, subs, table)
-            for r, s in product(range(j + 1), range(k + 1)):
-                c = comb(j, r) * comb(k, s) * m11 ** r * m21 ** (j - r) * m12 ** s * m22 ** (k - s)
-                if c:  # a nonzero constant keeps the fraction reduced and monic
-                    num = a.num.scale(c) if isinstance(c, ConstScalar) else a.num.scale_rational(c)
-                    key, term = (r + s, j - r + k - s), RatExpr(num, a.den)
-                    out[key] = term if key not in out else out[key] + term
-        return LPDO(out)
+    def change_vars(self) -> "LPDO":
+        """The operator with x and y exchanged: a_jk(x, y) Dx^j Dy^k becomes
+        a_jk(y, x) Dx^k Dy^j.  The swap is its own inverse."""
+        return LPDO({(k, j): a.swap_xy() for (j, k), a in self.coeffs.items()})
 
     # -- comparison / display
 
@@ -205,49 +177,9 @@ class LPDO:
     __repr__ = __str__
 
 
-def _matrix_entries(matrix) -> tuple[RatExpr, RatExpr, RatExpr, RatExpr]:
-    (a, b), (c, d) = matrix
-    return tuple(_as_ratexpr(e) for e in (a, b, c, d))
-
-
-def _as_ratexpr(v) -> RatExpr:
-    if isinstance(v, RatExpr):
-        return v
-    if isinstance(v, ConstScalar):
-        return RatExpr.from_const(v)
-    if isinstance(v, Poly):
-        return RatExpr.from_poly(v)
-    return RatExpr.from_fraction(v)
-
-
-def _pull_back(r: RatExpr, subs: dict[str, RatExpr], table: dict) -> RatExpr:
-    """r.substitute(subs) for a linear change of the coordinates subs: an
-    invertible linear map is a ring automorphism, so the reduced fraction
-    stays reduced and only its denominator is made monic.  table holds the
-    powers of the values of subs."""
-    return RatExpr._fast(*(_poly_substitute(p, subs, table, {}) for p in (r.num, r.den)))
-
-
-def _coordinate_substitution(matrix) -> dict[str, RatExpr]:
-    """Substitution expressing a function of the new coordinates in the old
-    ones: (u, v) = M (x, y)."""
-    m11, m12, m21, m22 = _matrix_entries(matrix)
-    return {
-        "x": m11 * RatExpr.X + m12 * RatExpr.Y,
-        "y": m21 * RatExpr.X + m22 * RatExpr.Y,
-    }
-
-
+# change_vars in the form (u, v) = M (x, y): the normalization of an outcome
+# at a root at infinity
 SWAP_XY = ((0, 1), (1, 0))
-
-
-def matrix_inverse(matrix):
-    m11, m12, m21, m22 = _matrix_entries(matrix)
-    det = m11 * m22 - m12 * m21
-    if det.is_zero():
-        raise ValueError("singular matrix")
-    inv = det.inverse()
-    return ((m22 * inv, -(m12 * inv)), (-(m21 * inv), m11 * inv))
 
 
 @dataclass(frozen=True)

@@ -52,3 +52,24 @@ def rand_operator(rng, order, density=0.7, max_deg=1):
         op = LPDO(coeffs)
         if op.order == order:
             return op
+
+
+def change_vars_by_compose(op, m, inverse):
+    """op in the coordinates (u, v) = M (x, y) renamed back to (x, y), for
+    the constant matrix m with the given inverse: each coefficient
+    substituted through the inverse, times the composed powers of the new
+    derivatives Dx -> m11 Dx + m21 Dy and Dy -> m12 Dx + m22 Dy."""
+    from lpdo.operator import LPDO
+
+    X, Y = RatExpr.X, RatExpr.Y
+    (m11, m12), (m21, m22), (i11, i12), (i21, i22) = \
+        [[RatExpr.from_fraction(e) for e in row] for row in m + inverse]
+    subs = {"x": i11 * X + i12 * Y, "y": i21 * X + i22 * Y}
+    new_dx, new_dy = LPDO({(1, 0): m11, (0, 1): m21}), LPDO({(1, 0): m12, (0, 1): m22})
+    out = LPDO.zero()
+    for (j, k), a in op.coeffs.items():
+        term = LPDO.function(RatExpr.ONE)
+        for d in [new_dx] * j + [new_dy] * k:
+            term = term.compose(d)
+        out = out + term.scale(a.substitute(subs))
+    return out

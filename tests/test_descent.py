@@ -237,13 +237,13 @@ def _assert_p3_same(op, omega, kind=None):
         want = _oracle_p3(op, omega, top)
     except DegenerateRoot:
         with pytest.raises(DegenerateRoot):
-            solve_p3(op, omega, top)
+            solve_p3(op, omega)
         return None
     state = LevelState(op, omega, None)
     if kind is not None:
         assert _kind(state) == kind
     q = state.q
-    got = solve_p3(op, omega, top, state)
+    got = solve_p3(op, omega, state)
     assert got == want and str(got) == str(want)
     assert state.reduce(state.p3) == want
     want_cof, want_res = _oracle_descent(op, omega, want, top)
@@ -293,7 +293,7 @@ def test_solve_p3_multiple_root_raises():
     op = LPDO({(2, 0): R.ONE, (1, 1): -R.from_int(2) * X, (0, 2): X * X, (0, 0): Y})
     top = _oracle_top(op, X)
     with pytest.raises(DegenerateRoot):
-        solve_p3(op, X, top)
+        solve_p3(op, X)
     with pytest.raises(DegenerateRoot):
         _oracle_p3(op, X, top)
 

@@ -29,7 +29,7 @@ from lpdo.factorize import (
 )
 from lpdo.parser import parse
 
-from conftest import rand_operator, rand_poly
+from conftest import change_vars_by_compose, rand_operator, rand_poly
 
 R = RatExpr
 X, Y = R.X, R.Y
@@ -100,12 +100,12 @@ class TestSolveTop:
 class TestSolveP3:
     def test_known_pair_of_roots(self):
         op = hyperbolic_family(ONE)
-        assert solve_p3(op, -ONE, solve_top(op, -ONE)) == (Y - X) * HALF
-        assert solve_p3(op, ONE, solve_top(op, ONE)) == (Y + X) * HALF
+        assert solve_p3(op, -ONE) == (Y - X) * HALF
+        assert solve_p3(op, ONE) == (Y + X) * HALF
 
     def test_constant_coefficients(self):
         op = LPDO({(2, 0): ONE, (0, 2): -ONE})
-        assert solve_p3(op, ONE, solve_top(op, ONE)).is_zero()
+        assert solve_p3(op, ONE).is_zero()
 
     def test_order_two_closed_form(self, rng):
         # same value as the displayed order-2 quotient:
@@ -128,12 +128,12 @@ class TestSolveP3:
 
             denom = R.from_int(2) * a20 * w0 + a11
             closed = (w0 * a10 + a01 - w0 * L(a20) - L(a20 * w0 + a11)) / denom
-            assert solve_p3(op, w0, solve_top(op, w0)) == closed
+            assert solve_p3(op, w0) == closed
 
     def test_degenerate_signals(self):
         op = LPDO({(2, 0): ONE, (1, 0): X})
         with pytest.raises(DegenerateRoot):
-            solve_p3(op, R.ZERO, solve_top(op, R.ZERO))
+            solve_p3(op, R.ZERO)
 
 
 class TestLevelResiduals:
@@ -463,14 +463,13 @@ class TestNormalization:
 
     def test_outcome_invariant_under_forced_shear(self):
         # factor the same operator directly and through a pre-applied shear
+        shear, unshear = ((1, 2), (0, 1)), ((1, -2), (0, 1))
         op = hyperbolic_family(ONE)
         direct = factor_left(op)
-        sheared = op.change_vars(((1, 2), (0, 1)))
-        via = factor_left(sheared)
+        via = factor_left(change_vars_by_compose(op, shear, unshear))
         assert via.status is OutcomeStatus.FACTORED
-        back_f = via.factor.as_operator().change_vars(
-            ((1, -2), (0, 1)))
-        back_c = via.cofactor.change_vars(((1, -2), (0, 1)))
+        back_f = change_vars_by_compose(via.factor.as_operator(), unshear, shear)
+        back_c = change_vars_by_compose(via.cofactor, unshear, shear)
         unit = back_f.coeff(1, 0)  # the factor's p1
         assert back_f.scale(unit.inverse()) == direct.factor.as_operator()
         assert back_c.scale(unit) == direct.cofactor
@@ -516,12 +515,12 @@ class TestCharPolyReadOnce:
     def test_level_solves_do_not_read_it(self, monkeypatch):
         calls = self._count(monkeypatch)
         op = hyperbolic_family(ONE)
-        assert solve_p3(op, -ONE, solve_top(op, -ONE)) == (Y - X) * HALF
+        assert solve_p3(op, -ONE) == (Y - X) * HALF
         with pytest.raises(ValueError, match="not a root"):
             solve_top(op, R.from_int(5))
         lodo = LPDO({(2, 0): ONE, (1, 0): X})
         with pytest.raises(DegenerateRoot):
-            solve_p3(lodo, R.ZERO, solve_top(lodo, R.ZERO))
+            solve_p3(lodo, R.ZERO)
         assert calls == []
 
     def test_top_level_gives_the_derivative_at_the_root(self, rng):

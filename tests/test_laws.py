@@ -1,23 +1,26 @@
-"""Laws of printing, of changes of variables and of factoring, over
+"""Laws of printing, of the exchange of x and y and of factoring, over
 operators whose coefficients mix rationals, sqrt(2), a parameter a and
-monomial denominators: the plain form parses back to the operator,
-change_vars by M and then by M^-1 is the identity and equals the change
-composed from powers of the new derivatives, and a planted product
-(Dx - w*Dy + p3) o B factors back into its two parts at a simple root w,
-also when its coefficients mix sqrt(2) and a parameter, so that one attempt
-computes with rational and radical coefficients together.  At the two roots
-of Dx*Dy + a*Dx + b*Dy + c the one residual is a Laplace invariant."""
-
-from fractions import Fraction
+monomial denominators: the plain form parses back to the operator;
+change_vars, the swap, is its own inverse, equals the substitution
+x <-> y with the derivatives exchanged, equals the change composed from
+powers of the new derivatives and commutes with compose; a planted
+product (Dx - w*Dy + p3) o B factors back into its two parts at a simple
+root w, also when its coefficients mix sqrt(2) and a parameter, so that
+one attempt computes with rational and radical coefficients together, and
+so does (Dy + p3) o B at the root at infinity.  At the two roots of
+Dx*Dy + a*Dx + b*Dy + c the one residual is a Laplace invariant."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lpdo.charpoly import Root
 from lpdo.expr import RatExpr as R
 from lpdo.factorize import OutcomeStatus, factor_all_roots, factor_left
-from lpdo.operator import LPDO, FirstOrderFactor, matrix_inverse
+from lpdo.operator import LPDO, SWAP_XY, FirstOrderFactor
 from lpdo.parser import parse
 from lpdo.printer import operator_str
+
+from conftest import change_vars_by_compose
 
 LAW = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -44,9 +47,6 @@ def operators(draw):
     return LPDO({jk: draw(coefficients()) for jk in chosen})
 
 
-ENTRIES = st.sampled_from(tuple(map(Fraction, (0, 1, -1, 2, "1/2", "-3/2"))))
-
-
 @LAW
 @given(operators())
 def test_the_plain_form_parses_back(op):
@@ -54,41 +54,36 @@ def test_the_plain_form_parses_back(op):
 
 
 @LAW
-@given(operators(), st.tuples(ENTRIES, ENTRIES, ENTRIES, ENTRIES))
-def test_change_vars_then_the_inverse_is_the_identity(op, entries):
-    m11, m12, m21, m22 = entries
-    assume(m11 * m22 != m12 * m21)
-    m = ((m11, m12), (m21, m22))
-    assert op.change_vars(m).change_vars(matrix_inverse(m)) == op
+@given(operators())
+def test_change_vars_then_the_inverse_is_the_identity(op):
+    assert op.change_vars().change_vars() == op
 
 
-def _change_vars_by_compose(op, m):
-    """change_vars as composed powers of the new Dx and Dy, each coefficient
-    substituted: the reference for the binomial expansion."""
-    (m11, m12), (m21, m22) = [[e if isinstance(e, R) else R.from_fraction(e) for e in row]
-                              for row in m]
-    (i11, i12), (i21, i22) = matrix_inverse(m)
-    subs = {"x": i11 * X + i12 * Y, "y": i21 * X + i22 * Y}
-    new_dx, new_dy = LPDO({(1, 0): m11, (0, 1): m21}), LPDO({(1, 0): m12, (0, 1): m22})
-    out = LPDO.zero()
-    for (j, k), a in op.coeffs.items():
-        term = LPDO.function(R.ONE)
-        for d in [new_dx] * j + [new_dy] * k:
-            term = term.compose(d)
-        out = out + term.scale(a.substitute(subs))
-    return out
-
-
-MATRICES = st.one_of(
-    st.tuples(ENTRIES, ENTRIES, ENTRIES, ENTRIES).filter(lambda e: e[0] * e[3] != e[1] * e[2])
-    .map(lambda e: ((e[0], e[1]), (e[2], e[3]))),
-    st.sampled_from((((1, S2), (0, 1)), ((1, 0), (-S2, 1)))))
+# the swap moves the leading term of these denominators
+SWAP_DENOMINATORS = (R.ONE, X + R.from_int(2) * Y, S2 * X + Y + A, X * X + A * Y)
 
 
 @LAW
-@given(operators(), MATRICES)
-def test_change_vars_is_the_composed_change(op, m):
-    assert op.change_vars(m) == _change_vars_by_compose(op, m)
+@given(operators(), st.sampled_from(SWAP_DENOMINATORS))
+def test_the_swap_is_the_substitution_of_x_and_y(op, den):
+    # the strings catch a denominator that the swap left not monic
+    op = op.scale(den.inverse())
+    want = {(k, j): c.substitute({"x": Y, "y": X}) for (j, k), c in op.coeffs.items()}
+    got = op.change_vars()
+    assert got == LPDO(want)
+    assert {jk: str(c) for jk, c in got.coeffs.items()} == {jk: str(c) for jk, c in want.items()}
+
+
+@LAW
+@given(operators())
+def test_change_vars_is_the_composed_change(op):
+    assert op.change_vars() == change_vars_by_compose(op, SWAP_XY, SWAP_XY)
+
+
+@LAW
+@given(operators(), operators())
+def test_the_swap_commutes_with_compose(a, b):
+    assert a.compose(b).change_vars() == a.change_vars().compose(b.change_vars())
 
 
 PLANTED_DENOMINATORS = (R.ONE, X, Y, X * Y)
@@ -116,8 +111,8 @@ def radical_coefficients(draw):
 
 @st.composite
 def planted_products(draw, coefficients=planted_coefficients):
-    """(w, p3, B) with B of order 1-3 and b_{n-1,0} != 0, so that the
-    product has order 2-4 and needs no normalization."""
+    """(w, p3, B) with B of order 1-3 and b_{n,0} != 0, so that the
+    product has order 2-4 and infinity is a simple root of (Dy + p3) o B."""
     n = draw(st.integers(1, 3))
     coeffs = {(j, k): draw(coefficients())
               for j in range(n + 1) for k in range(n + 1 - j) if draw(st.booleans())}
@@ -144,6 +139,17 @@ def _assert_factors_back(w, p3, b):
     factor = FirstOrderFactor.from_root(w, p3)
     out = factor_left(factor.as_operator().compose(b), root_choice=w)
     assert out.status is OutcomeStatus.FACTORED and out.certified
+    assert out.factor == factor and out.cofactor == b
+
+
+@LAW
+@given(planted_products(coefficients))
+def test_a_planted_product_factors_back_at_the_root_at_infinity(case):
+    _, p3, b = case
+    factor = FirstOrderFactor(R.ZERO, R.ONE, p3)
+    out = factor_left(factor.as_operator().compose(b), root_choice=Root(None, 1, at_infinity=True))
+    assert out.status is OutcomeStatus.FACTORED and out.certified
+    assert out.root.at_infinity and out.normalization == SWAP_XY
     assert out.factor == factor and out.cofactor == b
 
 

@@ -79,7 +79,7 @@ def test_residuals_reduce_without_poly_gcd():
     fz = lpdo.factorize
 
     def p3_step():
-        fz.solve_p3(op, w, None, fz.LevelState(op, w, None))
+        fz.solve_p3(op, w, fz.LevelState(op, w, None))
 
     calls = []
     for run in (p3_step, lambda: lpdo.factor_left(op, root_choice=w)):
