@@ -48,6 +48,13 @@ class CharPoly:
             coeffs = _derivative_list(coeffs)
         return m
 
+    def extensions_of(self, omega: RatExpr) -> tuple[int, ...]:
+        """The radicals of omega that no coefficient has, sorted by |d|."""
+        ext = omega.radicals()
+        if ext:  # a rational omega needs no coefficient read
+            ext = ext.difference(*(c.radicals() for c in self.coeffs))
+        return tuple(sorted(ext, key=abs))
+
 
 @dataclass(frozen=True)
 class Root:
@@ -113,11 +120,8 @@ def find_roots(p: CharPoly) -> RootSearch:
     values: list[RatExpr] = []
     unresolved: tuple[RatExpr, ...] = ()
 
-    zero_mult = 0
     while len(work) > 1 and work[-1].is_zero():
         work.pop()
-        zero_mult += 1
-    if zero_mult:
         values.append(RatExpr.ZERO)
 
     while len(work) > 1:
@@ -143,15 +147,13 @@ def find_roots(p: CharPoly) -> RootSearch:
         values.append(found)
         work = _deflate(work, found)
 
-    known = set().union(*(c.radicals() for c in p.coeffs))
     roots = []
     seen: set[RatExpr] = set()
     for v in values:
         if v in seen:
             continue
         seen.add(v)
-        ext = tuple(sorted(v.radicals() - known, key=abs))
-        roots.append(Root(v, p.multiplicity_of(v), extensions=ext))
+        roots.append(Root(v, p.multiplicity_of(v), extensions=p.extensions_of(v)))
     roots.sort(key=Root.sort_key)
     if degree_drop > 0:
         roots.append(Root(None, degree_drop, at_infinity=True))

@@ -116,6 +116,12 @@ def _print_operator(op: LPDO, fmt: str) -> None:
 
 
 def _cmd_factor(args) -> int:
+    if args.recursive:  # a tree of left factors over every root, as plain or latex text
+        for flag, given in (("--side right", args.side == "right"),
+                            ("--root", args.root is not None), ("--p3", args.p3 is not None),
+                            ("--format structured", args.format == "structured")):
+            if given:
+                raise ValueError(f"--recursive cannot be combined with {flag}")
     params = _params(args)
     op = _read_operator(args.operator, params)
     root_choice = None
@@ -197,7 +203,8 @@ def _cmd_charpoly(args) -> int:
         }
         print(json.dumps(doc, indent=2))
         return 0
-    print(f"P({'w'}) = {charpoly_str(p, args.format)}")
+    var = r"\omega" if args.format == "latex" else "w"
+    print(f"P({var}) = {charpoly_str(p, args.format)}")
     for r in search.roots:
         print(f"root: {r}")
     if search.unresolved:

@@ -968,14 +968,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def _prs_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd of non-constant a and b via content/primitive-part
     recursion with a subresultant remainder sequence in one variable."""
-    # quick mutual-divisibility test catches powers of a shared factor
-    small, large = (a, b) if len(a.packed) <= len(b.packed) else (b, a)
-    try:
-        large.exact_div(small)
-    except ValueError:
-        pass
-    else:
-        return small.monic()
     syms, pa, pb = _joint(a, b)
     o = reduce(or_, pa) | reduce(or_, pb)
     v = syms[((o & -o).bit_length() - 1) // _W]  # the first symbol in use
@@ -1001,11 +993,7 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
         divisor = g * (h ** delta)
         F, G = G, [c.exact_div(divisor) for c in R]
         g = F[-1]
-        if delta == 0:
-            pass
-        elif delta == 1:
-            h = g
-        else:
+        if delta:
             h = (g ** delta).exact_div(h ** (delta - 1))
     if len(G) - 1 == 0:
         return cont.monic()

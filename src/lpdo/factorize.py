@@ -480,19 +480,19 @@ def _attempt(op: LPDO, root: Root, p3: RatExpr | None) -> FactorizationOutcome:
     riccati = None
     if p3 is not None:
         cof, residuals = _run_descent(work, state)
+    elif state.dp[0].is_zero():  # a multiple root: p3 stays free
+        riccati = _riccati_problem(work, state)
+        cof, residuals = None, [riccati.necessary_precondition]
     else:
-        try:
-            p3 = solve_p3(work, omega, state)
-        except DegenerateRoot:
-            riccati = _riccati_problem(work, state)
-            cof, residuals = None, [riccati.necessary_precondition]
-        else:
-            cof, residuals = _run_descent(work, state)
-            if not residuals.pop(0).is_zero():
-                raise CertificateError("p3 level must close exactly for a simple root")
+        p3 = solve_p3(work, omega, state)
+        cof, residuals = _run_descent(work, state)
+        if not residuals.pop(0).is_zero():
+            raise CertificateError("p3 level must close exactly for a simple root")
     if not root.multiplicity:  # a value from the caller: simple unless P'(w) = 0
-        root = replace(root, multiplicity=char_poly(op).multiplicity_of(
-            root.value) if state.dp[0].is_zero() else 1)
+        multiple = state.dp[0].is_zero()
+        p = char_poly(op) if multiple or root.value.radicals() else None
+        root = replace(root, multiplicity=p.multiplicity_of(root.value) if multiple else 1,
+                       extensions=p.extensions_of(root.value) if p else ())
     if riccati is None:
         status = OutcomeStatus.CONDITIONS_FAIL if cof is None else OutcomeStatus.FACTORED
     elif residuals[0].is_zero():
@@ -534,7 +534,7 @@ def _outcomes(op: LPDO, root_choice, p3: RatExpr | None):
         elif not roots:
             yield FactorizationOutcome(
                 status=OutcomeStatus.UNSUPPORTED_ROOT, unresolved=search.unresolved)
-    else:  # a value: _attempt checks it and reads off its multiplicity
+    else:  # a value: _attempt checks it and reads off its multiplicity and extensions
         roots = [Root(root_choice, 0)]
     for root in roots:
         yield _attempt(op, root, p3)
@@ -662,14 +662,10 @@ def _certify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO, side: str,
 # --------------------------------------------------------------------------
 
 def _const_roots(values: list[RatExpr]) -> list[RatExpr]:
-    """Roots of a univariate constant-coefficient polynomial given by a
-    descending coefficient list, via the characteristic machinery."""
-    while values and values[0].is_zero():
-        values.pop(0)
-    if len(values) <= 1:
-        return []
+    """Roots of a univariate constant-coefficient polynomial of degree >= 1
+    given by a descending coefficient list, the first nonzero."""
     search = find_roots(CharPoly(tuple(values), len(values) - 1))
-    return [r.value for r in search.roots if not r.at_infinity]
+    return [r.value for r in search.roots]
 
 
 def _solve_small_system(equations: list[RatExpr], unknowns: list[str],
@@ -692,7 +688,7 @@ def _solve_small_system(equations: list[RatExpr], unknowns: list[str],
                   for d in range(max(m.degree() for m in groups), -1, -1)]
         if any(not c.is_const() for c in coeffs):
             continue
-        for value in _const_roots(list(coeffs)):
+        for value in _const_roots(coeffs):
             reduced = [e.substitute({u: value}) for e in eqs]
             got = _solve_small_system(reduced, unknowns, {**assignment, u: value})
             if got is not None:

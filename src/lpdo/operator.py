@@ -103,34 +103,25 @@ class LPDO:
         """Normal form of self applied after other (self o other).
 
         Dx^j Dy^k moves through a coefficient b by the Leibniz rule:
-        Dx^j Dy^k o b = sum C(j,r) C(k,s) (d^(j-r)x d^(k-s)y b) Dx^r Dy^s.
+        Dx^j Dy^k o b = sum C(j,i) C(k,s) (d^i x d^s y b) Dx^(j-i) Dy^(k-s).
+        Each derivative of a coefficient of other is taken once.
         """
         out: dict[tuple[int, int], RatExpr] = {}
-        for (j, k), a in self.coeffs.items():
-            for (l, m), b in other.coeffs.items():
-                bx = b  # the x-derivative of b of order j - r
-                for r in range(j, -1, -1):
-                    if bx.is_zero():
-                        break
-                    base = bx
-                    for s in range(k, -1, -1):
-                        if base.is_zero():
-                            break
-                        term = a * base
-                        factor = comb(j, r) * comb(k, s)
+        for (l, m), b in other.coeffs.items():
+            grid = {(0, 0): b}  # d^i/dx^i d^s/dy^s b by (i, s)
+            for (j, k), a in self.coeffs.items():
+                for i in range(j + 1):
+                    for s in range(k + 1):
+                        d = grid.get((i, s))
+                        if d is None:  # the loops have put its predecessor in grid
+                            d = grid[i, s] = (grid[i, s - 1].diff("y") if s
+                                              else grid[i - 1, 0].diff("x"))
+                        term = a * d
+                        factor = comb(j, i) * comb(k, s)
                         if factor != 1:  # an int keeps the fraction reduced and monic
                             term = RatExpr(term.num.scale_rational(factor), term.den)
-                        key = (r + l, s + m)
-                        acc = out.get(key)
-                        acc = term if acc is None else acc + term
-                        if acc.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = acc
-                        if s:
-                            base = base.diff("y")
-                    if r:
-                        bx = bx.diff("x")
+                        key = (j - i + l, k - s + m)
+                        out[key] = out[key] + term if key in out else term
         return LPDO(out)
 
     def apply(self, f: RatExpr) -> RatExpr:

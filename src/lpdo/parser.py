@@ -72,36 +72,32 @@ def _normalize_source(text: str) -> str:
 
 
 class _Token:
-    __slots__ = ("kind", "text", "line", "column")
+    __slots__ = ("kind", "text", "offset")  # offset into the text after _normalize_source
 
-    def __init__(self, kind, text, line, column):
+    def __init__(self, kind, text, offset):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.column = column
+        self.offset = offset
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The line and column, both from 1, of text[offset]."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[_Token]:
     out = []
-    line, col = 1, 1
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         chunk = m.group()
         if kind == "ws":
-            for ch in chunk:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
             continue
         if kind == "other":
-            raise ParseError(f"unexpected character {chunk!r}", line, col)
+            raise ParseError(f"unexpected character {chunk!r}", *_position(text, m.start()))
         if kind == "op" and chunk == "**":
             chunk = "^"
-        out.append(_Token(kind, chunk, line, col))
-        col += len(m.group())
-    out.append(_Token("eof", "", line, col))
+        out.append(_Token(kind, chunk, m.start()))
+    out.append(_Token("eof", "", len(text)))
     return out
 
 
@@ -129,8 +125,9 @@ def _symbols(params: set[str]) -> dict[str, RatExpr]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], params: set[str]):
-        self.tokens = tokens
+    def __init__(self, text: str, params: set[str]):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.symbols = _symbols(params)
         self.depth = 0
@@ -155,7 +152,7 @@ class _Parser:
 
     def fail(self, message: str, t: _Token | None = None):
         t = t or self.token
-        raise ParseError(message, t.line, t.column)
+        raise ParseError(message, *_position(self.text, t.offset))
 
     def bounded(self, degree: int, terms: int, t: _Token):
         if degree > MAX_DEGREE:
@@ -276,20 +273,16 @@ class _Parser:
                 return LPDO.function(RatExpr.sqrt_int(-1))
             if name in self.symbols:
                 return LPDO.function(self.symbols[name])
-            raise ParseError(
-                f"unknown symbol {name!r} (declare parameters with --params)",
-                t.line, t.column)
+            self.fail(f"unknown symbol {name!r} (declare parameters with --params)", t)
         self.fail(f"unexpected token {t.text!r}" if t.text else "unexpected end of input")
 
 
 def parse(text: str, params: set[str] | frozenset[str] | None = None) -> LPDO:
     """Parse operator text into a normal-form LPDO."""
-    tokens = _tokenize(_normalize_source(text))
-    parser = _Parser(tokens, set(params or ()))
+    parser = _Parser(_normalize_source(text), set(params or ()))
     value = parser.expression()
-    t = parser.token
-    if t.kind != "eof":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.column)
+    if parser.token.kind != "eof":
+        parser.fail(f"unexpected trailing input {parser.token.text!r}")
     return value
 
 

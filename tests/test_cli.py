@@ -150,6 +150,26 @@ class TestFactor:
         assert code == 0
         assert "first-order leaf" in out
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--side", "right"], "--side right"), (["--root", "0"], "--root"),
+        (["--root", "-1"], "--root"), (["--p3", "x"], "--p3"),
+        (["--format", "structured"], "--format structured")])
+    def test_recursive_refuses_what_it_would_ignore(self, capsys, flags, named):
+        code, out, err = run(capsys, ["factor", "--recursive", *flags, "(Dx+1)*(Dx+Dy)"])
+        assert (code, out) == (1, "")
+        assert err == f"error: --recursive cannot be combined with {named}\n"
+
+    def test_recursive_takes_the_left_side_and_latex(self, capsys):
+        code, out, _ = run(capsys, ["factor", "--recursive", "--side", "left",
+                                    "--format", "latex", "(Dx+1)*(Dx+Dy)"])
+        assert code == 0
+        assert out.startswith(r"operator: \partial_x^{2}")
+
+    def test_a_radical_root_value_reports_its_extension(self, capsys):
+        code, out, _ = run(capsys, ["factor", "--root", "sqrt(2)", "Dx^2 - 2*Dy^2"])
+        assert code == 0
+        assert "root: sqrt(2) (multiplicity 1)\nextensions adjoined: sqrt(2)\n" in out
+
     def test_structured_format(self, capsys):
         code, out, _ = run(capsys, ["factor", "--format", "structured", A1])
         assert code == 0
@@ -216,6 +236,11 @@ class TestOtherCommands:
         assert code == 0
         assert "P(w) = w^2 - 1" in out
         assert "root: -1 (multiplicity 1)" in out
+
+    def test_charpoly_latex_names_one_variable(self, capsys):
+        code, out, _ = run(capsys, ["charpoly", "--format", "latex", A1])
+        assert code == 0
+        assert out.splitlines()[0] == r"P(\omega) = \omega^{2} - 1"
 
     def test_charpoly_structured(self, capsys):
         code, out, _ = run(capsys, ["charpoly", "--format", "structured",

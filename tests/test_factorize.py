@@ -512,6 +512,19 @@ class TestCharPolyReadOnce:
         assert out.root.multiplicity == 1
         assert calls == []  # root and simple: read off solve_top and P'(w)
 
+    @pytest.mark.parametrize("text", ["Dx^2 - 2*Dy^2", "(Dx - sqrt(2)*Dy)*(Dx + Dy + x)"])
+    def test_a_radical_root_value_carries_the_extensions_the_search_gives(
+            self, monkeypatch, text):
+        # Root.extensions: the radicals of the value that P's coefficients lack
+        op, s2 = parse(text), R.sqrt_int(2)
+        (searched,) = [out for out in factor_all_roots(op) if out.root.value == s2]
+        calls = self._count(monkeypatch)
+        out = factor_left(op, root_choice=s2)
+        assert out.status is OutcomeStatus.FACTORED
+        assert out.root == searched.root and out.extensions == searched.extensions
+        assert out.extensions == ((2,) if text.startswith("Dx^2") else ())
+        assert len(calls) == 1
+
     def test_level_solves_do_not_read_it(self, monkeypatch):
         calls = self._count(monkeypatch)
         op = hyperbolic_family(ONE)

@@ -8,7 +8,9 @@ product (Dx - w*Dy + p3) o B factors back into its two parts at a simple
 root w, also when its coefficients mix sqrt(2) and a parameter, so that
 one attempt computes with rational and radical coefficients together, and
 so does (Dy + p3) o B at the root at infinity.  At the two roots of
-Dx*Dy + a*Dx + b*Dy + c the one residual is a Laplace invariant."""
+Dx*Dy + a*Dx + b*Dy + c the one residual is a Laplace invariant.  A gauge
+r^-1 o A o r keeps the first residual at a simple root, and moves a left
+factor by the log-derivative of r and its cofactor by the same gauge."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -133,9 +135,14 @@ def test_a_planted_product_over_sqrt2_and_a_parameter_factors_back(case):
     _assert_factors_back(*case)
 
 
-def _assert_factors_back(w, p3, b):
+def _assume_simple(w, b):
+    """P'(w) for (Dx - w*Dy + p3) o B is B's symbol at w: nonzero at a simple root."""
     n = b.order
     assume(not sum((b.coeff(n - k, k) * w ** (n - k) for k in range(n + 1)), R.ZERO).is_zero())
+
+
+def _assert_factors_back(w, p3, b):
+    _assume_simple(w, b)
     factor = FirstOrderFactor.from_root(w, p3)
     out = factor_left(factor.as_operator().compose(b), root_choice=w)
     assert out.status is OutcomeStatus.FACTORED and out.certified
@@ -183,3 +190,44 @@ def test_the_residuals_of_a_hyperbolic_operator_are_its_laplace_invariants(abc):
         assert (out.status is OutcomeStatus.FACTORED) == invariant.is_zero()
         if invariant.is_zero():
             assert (out.factor.as_operator(), out.cofactor) == (factor, cofactor)
+
+
+GAUGE_TERMS = (R.ONE, X, Y, X * X, X * Y, Y * Y)
+
+
+@st.composite
+def gauged_operators(draw):
+    """(w, p3, B, E, r): the operator (Dx - w*Dy + p3) o B + E, with E zero
+    half the time and else of an order below the product's, and the gauge
+    r, a nonzero quadratic, half the time over a linear polynomial."""
+    w, p3, b = draw(planted_products())
+    n = b.order + 1
+    e = LPDO({(j, k): draw(planted_coefficients()) for j in range(n) for k in range(n - j)
+              if draw(st.booleans())}) if draw(st.booleans()) else LPDO.zero()
+    r = sum((R.from_fraction(draw(FRACTIONS)) * t for t in GAUGE_TERMS), R.ZERO)
+    r = r if not r.is_zero() else X
+    if draw(st.booleans()):
+        den = sum((R.from_fraction(draw(FRACTIONS)) * t for t in (R.ONE, X, Y)), R.ZERO)
+        r = r / den if not den.is_zero() else r
+    return w, p3, b, e, r
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(gauged_operators())
+def test_a_gauge_keeps_the_first_residual_and_moves_the_factor_by_its_log_derivative(case):
+    # r^-1 o (Dx - w*Dy + p3) o r = Dx - w*Dy + p3 + L(r)/r with L = Dx - w*Dy;
+    # the residuals below the first are not invariant and are not compared
+    w, p3, b, e, r = case
+    _assume_simple(w, b)
+    op = FirstOrderFactor.from_root(w, p3).as_operator().compose(b) + e
+    conjugate = LPDO.function(r.inverse()).compose
+    out, gauged = (factor_left(a, root_choice=w)
+                   for a in (op, conjugate(op).compose(LPDO.function(r))))
+    assert gauged.residuals[0] == out.residuals[0]
+    assert gauged.status is out.status
+    if e.is_zero():  # a planted product
+        assert out.status is OutcomeStatus.FACTORED
+    if out.status is OutcomeStatus.FACTORED:
+        log_derivative = (r.diff("x") - w * r.diff("y")) / r
+        assert gauged.factor == FirstOrderFactor.from_root(w, out.factor.p3 + log_derivative)
+        assert gauged.cofactor == conjugate(out.cofactor).compose(LPDO.function(r))

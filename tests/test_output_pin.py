@@ -11,6 +11,10 @@ fails here.  After a change that is meant to move an output, regenerate the
 file with
 
     PYTHONPATH=src python tests/test_output_pin.py > tests/data/outcomes_seed0.txt
+
+`python tests/test_output_pin.py SEED ROUNDS` prints the same text for
+another seed and the first ROUNDS rounds (defaults 0 and 1, the pinned
+ones), so that two checkouts compare with one diff.
 """
 
 import importlib.util
@@ -35,13 +39,14 @@ def _workloads():
     return module
 
 
-def render() -> str:
+def render(seed: int = 0, rounds: int = 1) -> str:
     workloads = _workloads()
     lines = []
     sys.path.insert(0, str(ROOT / "perfbench"))  # catalog imports workloads by name
     try:
-        ops = [(name, i, op) for name in ("roundtrip", "generic", "catalog")
-               for i, op in enumerate(workloads.make(name, 0).round(0))]
+        made = {name: workloads.make(name, seed) for name in ("roundtrip", "generic", "catalog")}
+        ops = [(name, i, op) for name, w in made.items()
+               for i, op in enumerate(op for r in range(rounds) for op in w.round(r))]
         results = [(name, i, op, op.run()) for name, i, op in ops]
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
@@ -63,4 +68,4 @@ def test_round_zero_outcomes_match_the_pinned_text():
 
 
 if __name__ == "__main__":
-    sys.stdout.write(render())
+    sys.stdout.write(render(*map(int, sys.argv[1:3])))

@@ -88,6 +88,19 @@ class TestErrors:
         assert err.value.line == 1
         assert err.value.column == 6
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("Dx^2\n + 1\n\t+ ∂y·x − qq", "unknown symbol 'qq' (declare parameters with --params)",
+         3, 11),
+        ("Dx\n\t∂x − 1 )", "unexpected trailing input 'Dx'", 2, 2),
+        ("Dx\r\n+\t∂y·x − 1 $", "unexpected character '$'", 2, 12),
+    ])
+    def test_position_on_a_later_line_counts_a_tab_and_an_alias_as_one(
+            self, text, message, line, column):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line, err.value.column) == (
+            f"{message} (line {line}, column {column})", line, column)
+
     def test_declared_parameter_accepted(self):
         assert parse("qq*Dy", {"qq"}) == LPDO({(0, 1): R.symbol("qq")})
 
