@@ -37,18 +37,18 @@ lcm of the denominators of w, p3 and op's coefficients: sums, products and
 derivatives need no gcd, and a value is zero exactly when N is.  N is a
 Poly, whose rational coefficients are ints over one integer denominator.
 solve_p3 divides the b-sum by P'(w) exactly when the numerators allow, else
-reduces p3 and widens Q to cover its denominator.  The certificate, verify,
-lifts each printed coefficient of the factor and cofactor onto the
-attempt's lane (a fresh one at a root at infinity or for a right factor),
-builds factor o cofactor by the Leibniz rule and subtracts op.  A value is
-read out once per output; Q is squarefree, so N / Q^k is reduced when
-gcd(N, Q) is a unit, and then only its denominator is made monic.
+reduces p3 and widens Q to cover its denominator.  A value is read out
+once per output; Q is squarefree, so N / Q^k is reduced when gcd(N, Q) is
+a unit, and then only its denominator is made monic; else the common
+factor is divided out one gcd with a factor of Q at a time.  The
+certificate, verify, is independent of the lane: LPDO.compose builds
+factor o cofactor from the printed values, and canonical forms make its
+comparison with op exact.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -126,8 +126,9 @@ class DegenerateRoot(Exception):
 
 
 class CertificateError(ArithmeticError):
-    """Raised when a FACTORED result fails its exact check, or has a value
-    its lane cannot hold: an engine fault, never a property of the input."""
+    """Raised when a FACTORED result fails its exact check, or when a lane
+    is asked to hold a value whose denominator its Q does not cover: an
+    engine fault, never a property of the input."""
 
 
 # --------------------------------------------------------------------------
@@ -199,7 +200,7 @@ class Lane:
     def _set_q(self, q: Poly) -> None:
         self.q = q
         self._powers = [Poly.ONE, q]
-        self._dq: dict = {}  # d(Q) for each derivation d, by name
+        self._dq = None  # D(Q) for LevelState.L, computed once per Q
 
     def power(self, k: int) -> Poly:
         """Q^k."""
@@ -221,7 +222,7 @@ class Lane:
         k, rest = 0, d
         while not rest.is_const():
             g = poly_gcd(rest, self.q)
-            if g.is_const():  # only a printed value can be off its attempt's lane
+            if g.is_const():  # a factor of d outside Q, which no pass can peel off
                 raise CertificateError(f"denominator {d} does not divide a power of {self.q}")
             rest = rest.exact_div(g)
             k += 1
@@ -234,17 +235,23 @@ class Lane:
     def reduce(self, u: tuple[Poly, int]) -> RatExpr:
         """N / Q^k in canonical form: with Q squarefree it is reduced when
         gcd(N, Q) is a unit, and then only its denominator is made monic.
-        Radical coefficients, or a gcd GCDHEU gives up on, take a RatExpr
-        reduction."""
+        Else the common factor is g1*...*gm, m <= k, with g1 = gcd(N, Q)
+        and g(i+1) = gcd(N / (g1*...*gi), gi), each a gcd with a factor of
+        Q, and the denominator is Q^(k-m) times the Q / gi.  Radical
+        coefficients, or a gcd GCDHEU gives up on, take poly_gcd."""
         n, k = u
         if n.is_zero():
             return RatExpr.ZERO
         if not k:
             return RatExpr(n, Poly.ONE)
         g = _int_gcd(n, self.q)
-        if g is None or not g.is_const():
-            return RatExpr._reduce(n, self.power(k))
-        return RatExpr._fast(n, self.power(k))
+        if g is not None and g.is_const():
+            return RatExpr._fast(n, self.power(k))
+        g, den = (poly_gcd(n, self.q) if g is None else g), Poly.ONE
+        while k and not g.is_const():
+            n, den, k = n.exact_div(g), den * self.q.exact_div(g), k - 1
+            g = poly_gcd(n, g)
+        return RatExpr._fast(n, den * self.power(k))
 
     def add(self, u, v):
         (n1, k1), (n2, k2) = u, v
@@ -265,21 +272,6 @@ class Lane:
         if u[0].is_zero() or v[0].is_zero():
             return _ZERO
         return u[0] * v[0], u[1] + v[1]
-
-    def derive(self, u, d, name: str):
-        """d(N / Q^k) = (d(N)*Q - k*N*d(Q)) / Q^(k+1) for a derivation d of
-        the numerators; name keys the value d(Q), computed once."""
-        n, k = u
-        if not k:
-            return d(n), 0
-        dq = self._dq.get(name)
-        if dq is None:
-            dq = self._dq[name] = d(self.power(1))
-        return d(n) * self.power(1) - n.scale_rational(k) * dq, k + 1
-
-    def diff(self, u, var: str):
-        """The partial derivative by x or y."""
-        return self.derive(u, lambda n: n.diff(var), var)
 
 
 class LevelState(Lane):
@@ -317,9 +309,14 @@ class LevelState(Lane):
     def L(self, u):
         """The derivation f -> f_x - omega*f_y:
         L(N/Q^k) = (D(N)*Q - k*N*D(Q)) / (b * Q^(k+1)), and D(N)/b for k = 0."""
-        if u[0].is_zero():
+        n, k = u
+        if n.is_zero():
             return _ZERO
-        num, k = self.derive(u, self._d, "L")
+        num = self._d(n)
+        if k:
+            if self._dq is None:
+                self._dq = self._d(self.q)
+            num, k = num * self.q - n.scale_rational(k) * self._dq, k + 1
         b_inv, j = self._b_inv
         if b_inv is not None:
             num = num * b_inv
@@ -507,8 +504,8 @@ def _attempt(op: LPDO, root: Root, p3: RatExpr | None) -> FactorizationOutcome:
         if factor is not None:  # Dx + p3 there is Dy + p3 here
             factor = FirstOrderFactor(RatExpr.ZERO, RatExpr.ONE, swap(p3))
             cofactor = cofactor.change_vars()
-    if factor is not None:  # certified on the attempt's lane unless op was swapped
-        _certify(factor, cofactor, op, "left", state if swap is None else None)
+    if factor is not None:
+        _certify(factor, cofactor, op, "left")
     return FactorizationOutcome(
         status=status, root=root, factor=factor, cofactor=cofactor,
         residuals=tuple(residuals), riccati=riccati,
@@ -597,63 +594,21 @@ def complete_with_p3(op: LPDO, omega: RatExpr, candidate: RatExpr) -> Factorizat
     return factor_left(op, omega, candidate)
 
 
-def _compose(lane: Lane, a: dict, b: dict) -> dict:
-    """The coefficients of a o b, for operators given as {(j, k): value on
-    the lane}, by the Leibniz rule of LPDO.compose; each derivative of a
-    coefficient of b is taken once."""
-    grid = {}
-
-    def deriv(lm, i, s):
-        u = grid.get((lm, i, s))
-        if u is None:
-            u = grid[(lm, i, s)] = (
-                lane.diff(deriv(lm, i, s - 1), "y") if s else
-                lane.diff(deriv(lm, i - 1, 0), "x") if i else b[lm])
-        return u
-
-    out = {}
-    for (j, k), c in a.items():
-        for lm in b:
-            for r in range(j + 1):
-                for s in range(k + 1):
-                    t = lane.mul(c, deriv(lm, j - r, k - s))
-                    factor = comb(j, r) * comb(k, s)
-                    if factor != 1 and not t[0].is_zero():
-                        t = t[0].scale_rational(factor), t[1]
-                    key = (r + lm[0], s + lm[1])
-                    out[key] = lane.add(out.get(key, _ZERO), t)
-    return out
-
-
-def verify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO,
-           side: str = "left", state: LevelState | None = None) -> LPDO:
+def verify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO, side: str = "left") -> LPDO:
     """compose(factor, cofactor) - op (or the mirrored product for a right
     factor); the zero operator certifies the factorization.
 
-    The product is built on one lane, an exact identity of numerators, and
-    only the coefficients of a nonzero difference are reduced.  The lane is
-    state when given, the LevelState of the attempt at op that printed the
-    factor and cofactor, whose coefficients stand for op's; else a Lane of
-    the three operators.  Every printed coefficient is lifted onto it, and
-    one whose denominator does not divide a power of its Q raises
-    CertificateError."""
+    The product is LPDO.compose's, on exactly the printed values.  RatExpr
+    and LPDO forms are canonical, so a product equal to op is an exact
+    certificate, and only a product that differs is subtracted."""
     f = factor.as_operator()
-    if state is None:
-        lane = Lane([*f.coeffs.values(), *cofactor.coeffs.values(), *op.coeffs.values()])
-        a = {jk: lane.lift(c) for jk, c in op.coeffs.items()}
-    else:
-        lane, a = state, state.coeffs
-    fl, bl = ({jk: lane.lift(c) for jk, c in o.coeffs.items()} for o in (f, cofactor))
-    diff = _compose(lane, fl, bl) if side == "left" else _compose(lane, bl, fl)
-    for jk, u in a.items():
-        diff[jk] = lane.add(diff.get(jk, _ZERO), lane.neg(u))
-    return LPDO({jk: lane.reduce(u) for jk, u in diff.items() if not u[0].is_zero()})
+    product = f.compose(cofactor) if side == "left" else cofactor.compose(f)
+    return LPDO() if product == op else product - op
 
 
-def _certify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO, side: str,
-             state: LevelState | None = None) -> None:
-    """verify, looked up in this module, on state's lane when given."""
-    if not verify(factor, cofactor, op, side, state).is_zero():
+def _certify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO, side: str) -> None:
+    """verify, looked up in this module."""
+    if not verify(factor, cofactor, op, side).is_zero():
         raise CertificateError(f"{side} factorization failed independent verification")
 
 

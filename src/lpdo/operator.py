@@ -116,6 +116,8 @@ class LPDO:
                         if d is None:  # the loops have put its predecessor in grid
                             d = grid[i, s] = (grid[i, s - 1].diff("y") if s
                                               else grid[i - 1, 0].diff("x"))
+                        if d.is_zero():
+                            continue
                         term = a * d
                         factor = comb(j, i) * comb(k, s)
                         if factor != 1:  # an int keeps the fraction reduced and monic

@@ -210,6 +210,7 @@ def outcome_str(outcome: FactorizationOutcome, fmt: str = "plain") -> str:
 
         return json.dumps(outcome_structured(outcome), indent=2)
     render = operator_latex if fmt == "latex" else operator_str
+    show = ratexpr_latex if fmt == "latex" else ratexpr_display
     lines = [f"status: {outcome.status.value}", f"side: {outcome.side}"]
     if outcome.root is not None:
         lines.append(f"root: {outcome.root}")
@@ -223,15 +224,13 @@ def outcome_str(outcome: FactorizationOutcome, fmt: str = "plain") -> str:
         lines.append(f"factor: {render(outcome.factor.as_operator())}")
         lines.append(f"cofactor: {render(outcome.cofactor)}")
     if outcome.residuals:
-        shown = [ratexpr_display(r) if fmt != "latex" else ratexpr_latex(r)
-                 for r in outcome.residuals]
-        lines.append("residuals: " + "; ".join(shown))
+        lines.append("residuals: " + "; ".join(map(show, outcome.residuals)))
     if outcome.riccati is not None:
         lines.append(f"riccati unknown: {outcome.riccati.unknown}")
         for c in outcome.riccati.constraints:
-            lines.append(f"  constraint: {ratexpr_display(c)} = 0")
+            lines.append(f"  constraint: {show(c)} = 0")
         lines.append("  necessary precondition: "
-                     f"{ratexpr_display(outcome.riccati.necessary_precondition)} = 0")
+                     f"{show(outcome.riccati.necessary_precondition)} = 0")
     if outcome.unresolved:
         lines.append("unresolved characteristic factor: "
                      + ", ".join(str(c) for c in outcome.unresolved))
@@ -252,13 +251,14 @@ def charpoly_str(p: CharPoly, fmt: str = "plain") -> str:
         else:
             word = f"{var}^{power}" if fmt != "latex" else f"{var}^{{{power}}}"
         txt = ratexpr_display(c) if fmt != "latex" else ratexpr_latex(c)
-        terms.append(_term(txt, word))
+        terms.append(_term(txt, word, fmt == "latex"))
     return _signed_sum(terms) or "0"
 
 
 def tree_str(tree: FactorizationTree, fmt: str = "plain", depth: int = 0) -> str:
     pad = "  " * depth
     render = operator_latex if fmt == "latex" else operator_str
+    show = ratexpr_latex if fmt == "latex" else ratexpr_display
     lines = [f"{pad}operator: {render(tree.operator)}"]
     if tree.operator.order <= 1:
         lines.append(f"{pad}  (first-order leaf)")
@@ -269,12 +269,11 @@ def tree_str(tree: FactorizationTree, fmt: str = "plain", depth: int = 0) -> str
         if outcome.factor is not None:
             lines.append(f"{pad}    factor: {render(outcome.factor.as_operator())}")
         if outcome.status is OutcomeStatus.CONDITIONS_FAIL and outcome.residuals:
-            shown = "; ".join(ratexpr_display(r)
-                              for r in outcome.nonzero_residuals())
+            shown = "; ".join(map(show, outcome.nonzero_residuals()))
             lines.append(f"{pad}    residuals: {shown}")
         if outcome.riccati is not None:
             for c in outcome.riccati.constraints:
-                lines.append(f"{pad}    riccati constraint: {ratexpr_display(c)} = 0")
+                lines.append(f"{pad}    riccati constraint: {show(c)} = 0")
         if subtree is not None:
             lines.append(tree_str(subtree, fmt, depth + 2))
     return "\n".join(lines)

@@ -165,6 +165,20 @@ class TestFactor:
         assert code == 0
         assert out.startswith(r"operator: \partial_x^{2}")
 
+    def test_latex_constraints_are_latex(self, capsys):
+        code, out, _ = run(capsys, ["factor", "--format", "latex", "Dx^2 + x*Dx"])
+        assert code == 3
+        assert "  constraint: -x psi + psi^2 + psi_x - 1 = 0\n" in out
+        assert "  necessary precondition: 0 = 0\n" in out
+
+    def test_recursive_latex_residuals_are_latex(self, capsys):
+        code, out, _ = run(capsys, ["factor", "--recursive", "--format", "latex",
+                                    "(Dx+1)*(Dx+1)*(Dx+x*Dy)"])
+        assert code == 0
+        assert r"    residuals: \frac{-2 x - 6}{x}; \frac{2 x^2 + 12 x + 24}{x^3}" in out
+        assert r"        residuals: \frac{x + 2}{x^2}" in out
+        assert "*" not in out
+
     def test_a_radical_root_value_reports_its_extension(self, capsys):
         code, out, _ = run(capsys, ["factor", "--root", "sqrt(2)", "Dx^2 - 2*Dy^2"])
         assert code == 0
@@ -241,6 +255,13 @@ class TestOtherCommands:
         code, out, _ = run(capsys, ["charpoly", "--format", "latex", A1])
         assert code == 0
         assert out.splitlines()[0] == r"P(\omega) = \omega^{2} - 1"
+
+    def test_charpoly_latex_renders_function_coefficients(self, capsys):
+        code, out, _ = run(capsys, ["charpoly", "--format", "latex",
+                                    "x*Dx^2 + (x+y)*Dx*Dy - Dy^2"])
+        assert code == 0
+        assert out.splitlines()[0] == \
+            r"P(\omega) = x\omega^{2} + \left(x + y\right)\omega - 1"
 
     def test_charpoly_structured(self, capsys):
         code, out, _ = run(capsys, ["charpoly", "--format", "structured",

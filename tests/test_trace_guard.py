@@ -48,7 +48,7 @@ def test_tracer_counts_every_descent_level():
 
 
 def test_factored_attempt_traces_one_verify_and_one_p3():
-    # the spans that show where the lane certificate and p3 spend their time
+    # the spans that show where the certificate and p3 spend their time
     layers = _layers()
     op = parse("(Dx - 2*Dy + x)*(Dx^2 + y*Dy + 1)")
     tracer = layers.Tracer()
@@ -62,7 +62,7 @@ def test_factored_attempt_traces_one_verify_and_one_p3():
     assert out.status is lpdo.OutcomeStatus.FACTORED and out.certified
     assert tracer.calls["factorize.verify"] == 1
     assert tracer.calls["factorize.solve_p3"] == 1
-    assert tracer.calls["operator.compose"] == 0  # the certificate composes on the lane
+    assert tracer.calls["operator.compose"] == 1  # the certificate's product
     metrics = tracer.metrics([1.0], 0.0)
     assert metrics["factorize.verify.s"] > 0 and metrics["factorize.solve_p3.s"] > 0
     assert metrics["charpoly.char_poly.calls_per_op"] == 0
