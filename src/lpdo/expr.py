@@ -21,8 +21,9 @@ Three layers:
   RatExpr     -- a reduced fraction of two Polys with a monic denominator.
 
 Every RatExpr operation is kept reduced through poly_gcd, which returns
-the monic gcd (leading coefficient 1 under the graded-lex order) along one
-of two lanes, after splitting off the common monomial part:
+the monic gcd (leading coefficient 1 under the graded-lex order): by one
+trial division when an input has total degree 1, and so is irreducible,
+else along one of two lanes, after splitting off the common monomial part:
 
   integer lane -- when every coefficient of both inputs is rational.
                   GCDHEU (Char, Geddes and Gonnet 1989) runs on the int
@@ -32,7 +33,7 @@ of two lanes, after splitting off the common monomial part:
                   that GCDHEU gives up: content/primitive-part recursion
                   with a subresultant remainder sequence over ConstScalar.
 
-Both lanes give the same monic gcd, so canonical forms do not depend on
+All three give the same monic gcd, so canonical forms do not depend on
 which one ran.  Poly.exact_div has the same split: rational coefficients
 divide over Z by the primitive part of the divisor (by Gauss's lemma a
 divisor with integer content above 1 need not divide over Z even when the
@@ -925,8 +926,7 @@ def _content_pp(p: Poly, v: str) -> tuple[Poly, list[Poly]]:
     for c in coeffs:
         if not c.is_zero():
             cont = poly_gcd(cont, c)
-            if cont.is_const() and not cont.is_zero():
-                cont = Poly.ONE
+            if cont.is_const():  # a monic constant: 1
                 break
     if cont.is_zero():
         return Poly.ZERO, []
@@ -935,9 +935,11 @@ def _content_pp(p: Poly, v: str) -> tuple[Poly, list[Poly]]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd.  After the common monomial part is split off, rational
-    inputs go through the integer heuristic gcd and everything else (or a
-    case the heuristic gives up on) through the subresultant PRS."""
+    """Monic gcd.  An input of total degree 1 is irreducible: the gcd is
+    that input when it divides the other, else 1.  Otherwise, after the
+    common monomial part is split off, rational inputs go through the
+    integer heuristic gcd and the rest (or a case it gives up on) through
+    the subresultant PRS."""
     if a.is_zero():
         return b.monic()
     if b.is_zero():
@@ -947,6 +949,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     syms, fa, fb = _joint(a, b)
     if fa == fb:
         return a.monic()
+    for f, lin, other in ((fb, b, a), (fa, a, b)):
+        # total degree 1: every key is 0 or one field at exponent 1
+        if all(not e or not e & e - 1 and (e.bit_length() - 1) % _W == 0 for e in f):
+            try:
+                other.exact_div(lin)
+            except ValueError:
+                return Poly.ONE
+            return lin.monic()
     # strip the common monomial part first; it is the whole answer when
     # either argument is a single term
     n = len(syms)
@@ -959,9 +969,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a = _canon(syms, {e - ma: c for e, c in fa.items()}, da)
     if mb:
         b = _canon(syms, {e - mb: c for e, c in fb.items()}, db)
-    g = _int_gcd(a, b)
-    if g is None:
-        g = _prs_gcd(a, b)
+    g = _int_gcd(a, b) or _prs_gcd(a, b)
     return g * _canon(syms, {mg: 1}, 1) if mg else g
 
 

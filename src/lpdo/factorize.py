@@ -40,10 +40,11 @@ solve_p3 divides the b-sum by P'(w) exactly when the numerators allow, else
 reduces p3 and widens Q to cover its denominator.  A value is read out
 once per output; Q is squarefree, so N / Q^k is reduced when gcd(N, Q) is
 a unit, and then only its denominator is made monic; else the common
-factor is divided out one gcd with a factor of Q at a time.  The
-certificate, verify, is independent of the lane: LPDO.compose builds
-factor o cofactor from the printed values, and canonical forms make its
-comparison with op exact.
+factor is divided out one gcd with a factor of Q at a time.  When Q has
+total degree 1, as P'(w) has on linear coefficients and a constant w, each
+of these gcds is one trial division.  The certificate, verify, is
+independent of the lane: LPDO.compose builds factor o cofactor from the
+printed values, and canonical forms make its comparison with op exact.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .expr import (
     Poly,
     RatExpr,
     Unknown,
-    _int_gcd,
     jet_assignments,
     poly_gcd,
 )
@@ -237,17 +237,16 @@ class Lane:
         gcd(N, Q) is a unit, and then only its denominator is made monic.
         Else the common factor is g1*...*gm, m <= k, with g1 = gcd(N, Q)
         and g(i+1) = gcd(N / (g1*...*gi), gi), each a gcd with a factor of
-        Q, and the denominator is Q^(k-m) times the Q / gi.  Radical
-        coefficients, or a gcd GCDHEU gives up on, take poly_gcd."""
+        Q, and the denominator is Q^(k-m) times the Q / gi.  When Q has
+        total degree 1, poly_gcd settles each gcd by one trial division."""
         n, k = u
         if n.is_zero():
             return RatExpr.ZERO
         if not k:
             return RatExpr(n, Poly.ONE)
-        g = _int_gcd(n, self.q)
-        if g is not None and g.is_const():
+        g, den = poly_gcd(n, self.q), Poly.ONE
+        if g.is_const():
             return RatExpr._fast(n, self.power(k))
-        g, den = (poly_gcd(n, self.q) if g is None else g), Poly.ONE
         while k and not g.is_const():
             n, den, k = n.exact_div(g), den * self.q.exact_div(g), k - 1
             g = poly_gcd(n, g)

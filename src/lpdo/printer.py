@@ -9,6 +9,8 @@ denominators are cleared so fractions print as (poly)/integer.
 
 from __future__ import annotations
 
+import re
+
 from .expr import Poly, RatExpr, fraction_str, poly_str
 from .operator import LPDO
 from .charpoly import CharPoly, Root
@@ -102,19 +104,10 @@ def ratexpr_latex(r: RatExpr) -> str:
 
 
 def _poly_latex(p: Poly) -> str:
-    s = poly_str(p)
-    s = s.replace("*", " ")
-    out = []
-    i = 0
-    while i < len(s):
-        if s.startswith("sqrt(", i):
-            close = s.index(")", i)
-            out.append(r"\sqrt{" + s[i + 5:close] + "}")
-            i = close + 1
-        else:
-            out.append(s[i])
-            i += 1
-    return "".join(out)
+    """poly_str in LaTeX: products by a space, radicals under \\sqrt, and an
+    exponent or subscript of two or more characters braced (x^{10}, psi_{xx})."""
+    s = re.sub(r"sqrt\(([^)]*)\)", r"\\sqrt{\1}", poly_str(p).replace("*", " "))
+    return re.sub(r"([_^])(\w{2,})", r"\1{\2}", s)
 
 
 def operator_latex(op: LPDO) -> str:

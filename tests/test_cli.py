@@ -171,6 +171,15 @@ class TestFactor:
         assert "  constraint: -x psi + psi^2 + psi_x - 1 = 0\n" in out
         assert "  necessary precondition: 0 = 0\n" in out
 
+    @pytest.mark.parametrize("text, constraint", [
+        ("Dx^3 + Dx^2 + x^10",
+         "-x^{10} + psi^3 - psi^2 + 3 psi psi_x - psi_x + psi_{xx} = 0"),
+        ("Dx^2 + Dx + x^12", "x^{12} + psi^2 - psi + psi_x = 0")])
+    def test_latex_braces_long_exponents_and_subscripts(self, capsys, text, constraint):
+        code, out, _ = run(capsys, ["factor", "--format", "latex", text])
+        assert code == 3
+        assert f"  constraint: {constraint}\n" in out
+
     def test_recursive_latex_residuals_are_latex(self, capsys):
         code, out, _ = run(capsys, ["factor", "--recursive", "--format", "latex",
                                     "(Dx+1)*(Dx+1)*(Dx+x*Dy)"])

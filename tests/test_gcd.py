@@ -1,5 +1,6 @@
 """Properties of poly_gcd on random rational polynomials in x, y and a
-parameter with a planted common factor, with sympy as the oracle."""
+parameter with a planted common factor, and on a polynomial of total
+degree 1 against another, with sympy as the oracle."""
 
 from fractions import Fraction
 
@@ -32,14 +33,14 @@ def polys(min_terms: int, max_terms: int):
 planted = st.tuples(polys(1, 4), polys(1, 4), polys(2, 3))
 
 
-def _sympy(p: Poly):
+def _sympy(p: Poly, domain="QQ"):
     gens = dict(zip(SYMS, sympy.symbols(SYMS)))
     value = 0
     for m, c in p.terms.items():
-        q = c.rational_value()
-        value += sympy.Rational(q.numerator, q.denominator) * sympy.Mul(
-            *(gens[s] ** k for s, k in m))
-    return sympy.Poly(value, *gens.values(), domain="QQ")
+        coeff = sum(sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(d)
+                    for d, q in c.coords.items())
+        value += coeff * sympy.Mul(*(gens[s] ** k for s, k in m))
+    return sympy.Poly(value, *gens.values(), domain=domain)
 
 
 def _divides(g: Poly, f: Poly) -> bool:
@@ -104,3 +105,63 @@ def test_radical_coefficients_take_the_prs(monkeypatch):
     assert expr._int_gcd(f, g) is None
     assert poly_gcd(f, g) == common
     assert calls
+
+
+# -- a polynomial of total degree 1 against another -------------------------
+
+QQ_SQRT2 = sympy.QQ.algebraic_field(sympy.sqrt(2))
+small = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+
+def linears(fields: tuple[str, ...], required: str | None = None, radical: bool = False):
+    """c0 + the sum of c_s * s over fields, of total degree 1; c_required is
+    nonzero, and with radical some c carries sqrt(2)."""
+    names = ("1",) + fields
+    parts = st.tuples(small, small if radical else st.just(Fraction(0)))
+    coeffs = st.tuples(*[parts] * len(names)).map(lambda cs: dict(zip(names, cs)))
+
+    def usable(cs):
+        return (any(any(cs[s]) for s in fields) and (required is None or any(cs[required]))
+                and (not radical or any(r for _, r in cs.values())))
+
+    def build(cs):
+        keys = {"1": 0, **{s: 1 << _W * SYMS.index(s) for s in fields}}
+        return Poly(SYMS, {keys[s]: ConstScalar({1: q, 2: r}) for s, (q, r) in cs.items()
+                           if q or r})
+    return coeffs.filter(usable).map(build)
+
+
+def _check_against_sympy(lin: Poly, f: Poly, times: bool, domain="QQ"):
+    # half the time the other operand is a multiple of lin; either way the
+    # gcd is lin or 1, in either argument order
+    other = lin * f if times else f
+    want = sympy.gcd(_sympy(lin, domain), _sympy(other, domain)).monic()
+    assert _sympy(poly_gcd(lin, other), domain) == want
+    assert _sympy(poly_gcd(other, lin), domain) == want
+
+
+@PROPERTY
+@given(linears(("x", "y")), polys(1, 4), st.booleans())
+def test_degree_one_gcd_matches_sympy(lin, f, times):
+    _check_against_sympy(lin, f, times)
+
+
+@PROPERTY
+@given(linears(("x", "y", "a"), required="a"), polys(1, 4), st.booleans())
+def test_degree_one_gcd_with_a_parameter_matches_sympy(lin, f, times):
+    _check_against_sympy(lin, f, times)
+
+
+@PROPERTY
+@given(linears(("x", "y"), radical=True), polys(1, 4), st.booleans())
+def test_degree_one_gcd_with_a_radical_matches_sympy(lin, f, times):
+    _check_against_sympy(lin, f, times, QQ_SQRT2)
+
+
+def test_proportional_degree_one_operands():
+    x, y = Poly.symbol("x"), Poly.symbol("y")
+    lin = x.scale_rational(2) - y.scale_rational(4) + Poly.rational(6)
+    want = x - y.scale_rational(2) + Poly.rational(3)
+    for other in (lin.scale_rational(Fraction(-3, 2)), lin * Poly.const(ConstScalar.radical(2))):
+        assert poly_gcd(lin, other) == want
+        assert poly_gcd(other, lin) == want

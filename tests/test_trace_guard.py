@@ -2,7 +2,8 @@
 
 perfbench/layers.py is loaded from its path and used as it is, so renaming
 or reshaping a traced entry point fails here rather than in a traced
-benchmark run."""
+benchmark run.  One more test pins which gcd machinery a generic-style
+descent runs."""
 
 import importlib.util
 import json
@@ -68,33 +69,28 @@ def test_factored_attempt_traces_one_verify_and_one_p3():
     assert metrics["charpoly.char_poly.calls_per_op"] == 0
 
 
-def test_residuals_reduce_without_poly_gcd():
+def test_residuals_reduce_without_a_heuristic_gcd(monkeypatch):
     # a generic-style operator: linear coefficients, the simple integer root
-    # 1, no factor.  Its residuals are reduced against the squarefree Q on
-    # the lane's own numerators, so poly_gcd runs only for p3's step.
-    layers = _layers()
+    # 1, no factor.  Q is P'(1), of total degree 1, so every gcd against it
+    # is one trial division: neither GCDHEU nor the PRS runs
     op = parse("(x + 2)*Dx^4 + (y - 1)*Dx^3*Dy + 2*x*Dx^2*Dy^2 + (y + 1)*Dx*Dy^3"
                " - (3*x + 2*y + 2)*Dy^4 + (x - y)*Dx^2 + (2*y + 1)*Dx*Dy + x*Dy + y - 3")
-    w = lpdo.RatExpr.ONE
-    fz = lpdo.factorize
+    calls = {"_int_gcd": 0, "_prs_gcd": 0}
 
-    def p3_step():
-        fz.solve_p3(op, w, fz.LevelState(op, w, None))
+    def counted(name):
+        original = getattr(lpdo.expr, name)
 
-    calls = []
-    for run in (p3_step, lambda: lpdo.factor_left(op, root_choice=w)):
-        tracer = layers.Tracer()
-        tracer.install()
-        try:
-            tracer.begin_op()
-            out = run()
-            tracer.end_op()
-        finally:
-            tracer.uninstall()
-        calls.append(tracer.calls["expr.poly_gcd"])
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lpdo.expr, name, counted(name))
+    out = lpdo.factor_left(op, root_choice=lpdo.RatExpr.ONE)
     assert out.status is lpdo.OutcomeStatus.CONDITIONS_FAIL
     assert len(out.nonzero_residuals()) == 3
-    assert calls[1] <= calls[0]
+    assert calls == {"_int_gcd": 0, "_prs_gcd": 0}
 
 
 def test_a_normalized_call_changes_variables_once():
