@@ -74,9 +74,12 @@ class Root:
             return (1, "")
         return (0, str(self.value))
 
-    def __str__(self) -> str:
-        body = "infinity" if self.at_infinity else str(self.value)
+    def text(self, show=str) -> str:
+        """The root as text, its value printed by show."""
+        body = "infinity" if self.at_infinity else show(self.value)
         return f"{body} (multiplicity {self.multiplicity})"
+
+    __str__ = text
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .printer import (
     operator_structured,
     outcome_str,
     outcome_structured,
+    ratexpr_latex,
     tree_str,
 )
 
@@ -205,11 +206,11 @@ def _cmd_charpoly(args) -> int:
         return 0
     var = r"\omega" if args.format == "latex" else "w"
     print(f"P({var}) = {charpoly_str(p, args.format)}")
+    value = ratexpr_latex if args.format == "latex" else str
     for r in search.roots:
-        print(f"root: {r}")
+        print(f"root: {r.text(value)}")
     if search.unresolved:
-        print("unresolved factor coefficients: "
-              + ", ".join(str(c) for c in search.unresolved))
+        print("unresolved factor coefficients: " + ", ".join(map(value, search.unresolved)))
     return 0
 
 

@@ -458,6 +458,7 @@ ConstScalar.ONE = ConstScalar.from_rational(1)
 _W = 15  # the keys of x and y alone stay one-digit CPython ints
 _EXP_MAX = (1 << _W - 1) - 1
 _MASK = (1 << _W) - 1
+_Y = 1 << _W  # the key of y
 _XY = ("x", "y")
 
 
@@ -816,6 +817,23 @@ class Poly:
             if isinstance(u, Unknown):
                 out = out + self.partial(u) * Poly.symbol(u.diff(var))
         return out
+
+    def diff_along(self, c) -> "Poly":
+        """self.diff("x") - c*self.diff("y") for an int or Fraction c, in one
+        pass over the terms when no unknown function adds chain-rule terms."""
+        if any(isinstance(u, Unknown) for u in self.syms[2:]):
+            return self.diff("x") - self.diff("y").scale_rational(c)
+        rational, out = self.den is not None, {}
+        fx, fy = (c.denominator, c.numerator) if rational else (1, c)  # over den * fx
+        get, zero = out.get, 0 if rational else ConstScalar.ZERO
+        for e, v in self.packed.items():
+            kx, ky = e & _MASK, e >> _W & _MASK
+            if kx:
+                out[e - 1] = get(e - 1, zero) + kx * fx * v
+            if ky and fy:
+                out[e - _Y] = get(e - _Y, zero) - ky * fy * v
+        return _canon(self.syms, {e: v for e, v in out.items() if v},
+                      self.den * fx if rational else None)
 
     # -- division and gcd
 

@@ -159,7 +159,7 @@ def solve_p3(op: LPDO, omega: RatExpr, state: "LevelState | None" = None) -> Rat
     n, acc = op.order, _ZERO
     for k in range(n):
         jk = (n - 1 - k, k)
-        b = s.add(s.coeffs.get(jk, _ZERO), s.neg(s.L(s.solved.get(jk, _ZERO))))
+        b = s.sub(s.coeffs.get(jk, _ZERO), s.L(s.solved.get(jk, _ZERO)))
         acc = s.add(s.mul(acc, s.omega), b)
     return s.divide_p3(acc, s.dp)
 
@@ -174,8 +174,8 @@ def _squarefree_lcm(dens) -> Poly:
     for v in sorted(q.symbols()):  # q over gcd(q, dq/dv for every symbol v)
         g = poly_gcd(g, q.partial(v))
         if g.is_const():
-            return q
-    return q.exact_div(g)
+            break
+    return q if g.is_const() else q.exact_div(g)  # no division when every d is constant
 
 
 _ZERO = (Poly.ZERO, 0)  # every operation tests is_zero first
@@ -189,9 +189,9 @@ class Lane:
     denominator of their sums, products and derivatives divides a power of
     Q.  So a value is zero exactly when its numerator is, and only values
     read out are reduced, against Q rather than Q^k.  The numerators are
-    Polys: for rational values their arithmetic runs on int numerators over
-    one integer denominator, and the jets of an unknown function are
-    symbols of their own."""
+    Polys, with int numerators for rational values and the jets of an
+    unknown function as symbols; add and sub align the powers of Q and then
+    take one Poly sum or difference."""
 
     def __init__(self, values: list[RatExpr]):
         self._set_q(_squarefree_lcm(
@@ -252,20 +252,21 @@ class Lane:
             g = poly_gcd(n, g)
         return RatExpr._fast(n, den * self.power(k))
 
-    def add(self, u, v):
+    def add(self, u, v, sign: int = 1):
+        """u + sign*v, over the larger power of Q."""
         (n1, k1), (n2, k2) = u, v
-        if n1.is_zero():
-            return v
         if n2.is_zero():
             return u
+        if n1.is_zero():
+            return v if sign > 0 else (-n2, k2)
         if k1 < k2:
-            return n1 * self.power(k2 - k1) + n2, k2
-        if k2 < k1:
-            return n1 + n2 * self.power(k1 - k2), k1
-        return n1 + n2, k1
+            n1, k1 = n1 * self.power(k2 - k1), k2
+        elif k2 < k1:
+            n2 = n2 * self.power(k1 - k2)
+        return (n1 + n2 if sign > 0 else n1 - n2), k1
 
-    def neg(self, u):
-        return -u[0], u[1]
+    def sub(self, u, v):
+        return self.add(u, v, -1)
 
     def mul(self, u, v):
         if u[0].is_zero() or v[0].is_zero():
@@ -283,8 +284,8 @@ class LevelState(Lane):
 
     def __init__(self, op: LPDO, omega: RatExpr, p3: RatExpr | None):
         super().__init__([omega, *([] if p3 is None else [p3]), *op.coeffs.values()])
-        self._a = omega.num
-        self._b = None if omega.den.is_const() else omega.den
+        self._c = omega.rational_value() if omega.is_rational() else None
+        self._a, self._b = omega.num, (None if omega.den.is_const() else omega.den)
         self._b_inv = self._lift_den(omega.den)  # 1/b as (Q^j / b, j)
         self.omega = self.lift(omega)
         self.p3 = None if p3 is None else self.lift(p3)
@@ -299,10 +300,11 @@ class LevelState(Lane):
         self.at_root = rem[0].is_zero()
 
     def _d(self, n):
-        """D = b*Dx - a*Dy for omega = a/b, so that L = D/b."""
-        dx = n.diff("x")
-        if self._b is not None:
-            dx = self._b * dx
+        """D = b*Dx - a*Dy for omega = a/b, so that L = D/b; for a rational
+        constant omega = c, D = Dx - c*Dy in one pass over N's terms."""
+        if self._c is not None:
+            return n.diff_along(self._c)
+        dx = n.diff("x") if self._b is None else self._b * n.diff("x")
         return dx - self._a * n.diff("y")
 
     def L(self, u):
@@ -372,8 +374,7 @@ def solve_level(state: LevelState, op: LPDO, m: int) -> RatExpr:
     cs = []
     for k in range(m + 1):
         p = s.solved.get((m - k, k), _ZERO)
-        rhs = s.add(s.L(p), s.mul(s.p3, p))
-        cs.append(s.add(s.coeffs.get((m - k, k), _ZERO), s.neg(rhs)))
+        cs.append(s.sub(s.coeffs.get((m - k, k), _ZERO), s.add(s.L(p), s.mul(s.p3, p))))
     u_prev = _ZERO
     for k in range(m):
         u = s.add(cs[k], s.mul(s.omega, u_prev))

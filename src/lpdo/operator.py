@@ -104,26 +104,31 @@ class LPDO:
 
         Dx^j Dy^k moves through a coefficient b by the Leibniz rule:
         Dx^j Dy^k o b = sum C(j,i) C(k,s) (d^i x d^s y b) Dx^(j-i) Dy^(k-s).
-        Each derivative of a coefficient of other is taken once.
+        Each derivative of a coefficient of other is taken once, and a rational
+        constant coefficient c of self scales it by c*C(j,i)*C(k,s) or passes it through.
         """
         out: dict[tuple[int, int], RatExpr] = {}
+        mine = []  # each a of self, None for a rational constant c, and its terms' multipliers
+        for (j, k), a in self.coeffs.items():
+            a, c = (None, a.rational_value()) if a.is_rational() else (a, 1)
+            c = c.numerator if c.denominator == 1 else c  # an int is cheaper below
+            mine.append((a, [(i, s, j - i, k - s, comb(j, i) * comb(k, s) * c)
+                             for i in range(j + 1) for s in range(k + 1)]))
         for (l, m), b in other.coeffs.items():
             grid = {(0, 0): b}  # d^i/dx^i d^s/dy^s b by (i, s)
-            for (j, k), a in self.coeffs.items():
-                for i in range(j + 1):
-                    for s in range(k + 1):
-                        d = grid.get((i, s))
-                        if d is None:  # the loops have put its predecessor in grid
-                            d = grid[i, s] = (grid[i, s - 1].diff("y") if s
-                                              else grid[i - 1, 0].diff("x"))
-                        if d.is_zero():
-                            continue
-                        term = a * d
-                        factor = comb(j, i) * comb(k, s)
-                        if factor != 1:  # an int keeps the fraction reduced and monic
-                            term = RatExpr(term.num.scale_rational(factor), term.den)
-                        key = (j - i + l, k - s + m)
-                        out[key] = out[key] + term if key in out else term
+            for a, steps in mine:
+                for i, s, dj, dk, f in steps:
+                    d = grid.get((i, s))
+                    if d is None:  # the steps have put its predecessor in grid
+                        d = grid[i, s] = (grid[i, s - 1].diff("y") if s
+                                          else grid[i - 1, 0].diff("x"))
+                    if d.is_zero():
+                        continue
+                    term = d if a is None else a * d
+                    if f != 1:  # a rational keeps the fraction reduced and monic
+                        term = RatExpr(term.num.scale_rational(f), term.den)
+                    key = (dj + l, dk + m)
+                    out[key] = out[key] + term if key in out else term
         return LPDO(out)
 
     def apply(self, f: RatExpr) -> RatExpr:

@@ -204,15 +204,16 @@ def outcome_str(outcome: FactorizationOutcome, fmt: str = "plain") -> str:
         return json.dumps(outcome_structured(outcome), indent=2)
     render = operator_latex if fmt == "latex" else operator_str
     show = ratexpr_latex if fmt == "latex" else ratexpr_display
+    value = show if fmt == "latex" else str  # a root or a coefficient of P_n
     lines = [f"status: {outcome.status.value}", f"side: {outcome.side}"]
     if outcome.root is not None:
-        lines.append(f"root: {outcome.root}")
+        lines.append(f"root: {outcome.root.text(value)}")
     if outcome.normalization is not None:
         rows = [[str(e) for e in row] for row in outcome.normalization]
         lines.append(f"normalization: {rows}")
     if outcome.extensions:
-        lines.append("extensions adjoined: "
-                     + ", ".join(f"sqrt({d})" for d in outcome.extensions))
+        lines.append("extensions adjoined: " + ", ".join(
+            (r"\sqrt{%d}" if fmt == "latex" else "sqrt(%d)") % d for d in outcome.extensions))
     if outcome.factor is not None:
         lines.append(f"factor: {render(outcome.factor.as_operator())}")
         lines.append(f"cofactor: {render(outcome.cofactor)}")
@@ -226,7 +227,7 @@ def outcome_str(outcome: FactorizationOutcome, fmt: str = "plain") -> str:
                      f"{show(outcome.riccati.necessary_precondition)} = 0")
     if outcome.unresolved:
         lines.append("unresolved characteristic factor: "
-                     + ", ".join(str(c) for c in outcome.unresolved))
+                     + ", ".join(map(value, outcome.unresolved)))
     return "\n".join(lines)
 
 
@@ -257,7 +258,8 @@ def tree_str(tree: FactorizationTree, fmt: str = "plain", depth: int = 0) -> str
         lines.append(f"{pad}  (first-order leaf)")
         return "\n".join(lines)
     for outcome, subtree in tree.branches:
-        root = "?" if outcome.root is None else str(outcome.root)
+        root = "?" if outcome.root is None else outcome.root.text(
+            show if fmt == "latex" else str)
         lines.append(f"{pad}  root {root}: {outcome.status.value}")
         if outcome.factor is not None:
             lines.append(f"{pad}    factor: {render(outcome.factor.as_operator())}")

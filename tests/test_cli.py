@@ -188,6 +188,30 @@ class TestFactor:
         assert r"        residuals: \frac{x + 2}{x^2}" in out
         assert "*" not in out
 
+    def test_latex_roots_and_extensions_are_latex(self, capsys):
+        code, out, _ = run(capsys, ["factor", "--format", "latex", "Dx^2 - 2*Dy^2"])
+        assert code == 0
+        assert "root: -\\sqrt{2} (multiplicity 1)\nextensions adjoined: \\sqrt{2}\n" in out
+        assert "sqrt(" not in out
+
+    def test_recursive_latex_roots_are_latex(self, capsys):
+        code, out, _ = run(capsys, ["factor", "--format", "latex", "--recursive",
+                                    "Dx^2 - 2*Dy^2"])
+        assert code == 0
+        assert "  root -\\sqrt{2} (multiplicity 1): factored\n" in out
+        assert "  root \\sqrt{2} (multiplicity 1): factored\n" in out
+        assert "sqrt(" not in out
+
+    def test_latex_unresolved_factor_is_latex(self, capsys):
+        code, out, _ = run(capsys, ["factor", "--format", "latex", "Dx^3 - sqrt(2)*x*Dy^3"])
+        assert code == 4
+        assert out.endswith("unresolved characteristic factor: 1, 0, 0, -\\sqrt{2} x\n")
+
+    def test_charpoly_latex_roots_are_latex(self, capsys):
+        code, out, _ = run(capsys, ["charpoly", "--format", "latex", "Dx^2 - 2*Dy^2"])
+        assert code == 0
+        assert "root: -\\sqrt{2} (multiplicity 1)\nroot: \\sqrt{2} (multiplicity 1)\n" in out
+
     def test_a_radical_root_value_reports_its_extension(self, capsys):
         code, out, _ = run(capsys, ["factor", "--root", "sqrt(2)", "Dx^2 - 2*Dy^2"])
         assert code == 0

@@ -230,6 +230,25 @@ class TestDiff:
             for v in ("x", "y"):
                 assert (a * b).diff(v) == a.diff(v) * b + a * b.diff(v)
 
+    @pytest.mark.parametrize("c", [0, 1, -3, Fraction(3, 2), Fraction(-2, 3)])
+    def test_diff_along_is_dx_minus_c_times_dy(self, rng, c):
+        # over rationals, sqrt(2), a parameter and an unknown's jets, with and
+        # without a cancellation that drops a symbol or the radical
+        u = R.unknown("u")
+        factors = [X, Y, R.symbol("a"), u, u.diff("y"), X * Y]
+        scalars = [R.ONE, R.from_fraction(Fraction(-5, 6)), R.sqrt_int(2), R.from_int(4)]
+        for _ in range(150):
+            p = R.ZERO
+            for _ in range(rng.randint(0, 5)):
+                t = rng.choice(scalars)
+                for _ in range(rng.randint(0, 3)):
+                    t = t * rng.choice(factors)
+                p = p + t
+            n = p.num
+            want = n.diff("x") - Poly.rational(c) * n.diff("y")
+            got = n.diff_along(c)
+            assert got == want and str(got) == str(want)
+
     def test_differential_parameter_jets(self):
         psi = R.unknown("psi")
         assert psi.diff("x") == R.symbol("psi_x")

@@ -12,6 +12,9 @@ Dx*Dy + a*Dx + b*Dy + c the one residual is a Laplace invariant.  A gauge
 r^-1 o A o r keeps the first residual at a simple root, and moves a left
 factor by the log-derivative of r and its cofactor by the same gauge."""
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +91,28 @@ def test_the_swap_commutes_with_compose(a, b):
     assert a.compose(b).change_vars() == a.change_vars().compose(b.change_vars())
 
 
+# bare constants make compose pass a Leibniz term through (1), only negate
+# it (-1) or scale it (3/2), and keep sqrt(2) and a on the general product
+BARE_CONSTANTS = (R.ONE, -R.ONE, R.from_fraction(Fraction(3, 2)), S2, A)
+
+
+@st.composite
+def compose_operators(draw):
+    n = draw(st.integers(0, 3))
+    derivatives = [(j, k) for j in range(n + 1) for k in range(n + 1 - j)]
+    chosen = draw(st.lists(st.sampled_from(derivatives), min_size=1, max_size=3, unique=True))
+    value = st.one_of(st.sampled_from(BARE_CONSTANTS), coefficients())
+    return LPDO({jk: draw(value) for jk in chosen})
+
+
+@LAW
+@given(compose_operators(), compose_operators(), compose_operators())
+def test_compose_is_associative_and_distributes_over_the_sum(a, b, c):
+    assert a.compose(b.compose(c)) == a.compose(b).compose(c)
+    assert a.compose(b + c) == a.compose(b) + a.compose(c)
+    assert (a + b).compose(c) == a.compose(c) + b.compose(c)
+
+
 PLANTED_DENOMINATORS = (R.ONE, X, Y, X * Y)
 
 
@@ -147,6 +172,18 @@ def _assert_factors_back(w, p3, b):
     out = factor_left(factor.as_operator().compose(b), root_choice=w)
     assert out.status is OutcomeStatus.FACTORED and out.certified
     assert out.factor == factor and out.cofactor == b
+
+
+# the descent's general D = b*Dx - a*Dy for w = a/b, beside the one pass of a constant w
+NONCONSTANT_ROOTS = (X, -Y / (Y + R.ONE), A * X, S2 * X)
+
+
+@pytest.mark.parametrize("w", NONCONSTANT_ROOTS, ids=str)
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(planted_products())
+def test_a_planted_product_factors_back_at_a_nonconstant_simple_root(w, case):
+    _, p3, b = case
+    _assert_factors_back(w, p3, b)
 
 
 @LAW
