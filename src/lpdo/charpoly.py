@@ -75,7 +75,6 @@ class Root:
         return (0, str(self.value))
 
     def text(self, show=str) -> str:
-        """The root as text, its value printed by show."""
         body = "infinity" if self.at_infinity else show(self.value)
         return f"{body} (multiplicity {self.multiplicity})"
 

@@ -576,7 +576,7 @@ def _joint(a: "Poly", b: "Poly") -> tuple[tuple, dict, dict]:
 
 def _lead(p: "Poly") -> int:
     """The key of the leading term under the graded-lex order."""
-    return max(p.packed, key=_ranker(len(p.syms)))
+    return max(p.packed, key=_ranker(len(p.syms))) if len(p.packed) > 1 else next(iter(p.packed))
 
 
 def _lc(p: "Poly") -> ConstScalar:
@@ -1288,10 +1288,11 @@ class RatExpr:
         return self.num.const_value()
 
     def is_rational(self) -> bool:
-        return self.is_const() and self.num.const_value().is_rational()
+        return self.is_const() and self.num.den is not None  # the rational kind of Poly
 
     def rational_value(self) -> Fraction:
-        return self.const_value().rational_value()
+        return (Fraction(self.num.packed.get(0, 0), self.num.den) if self.is_rational()
+                else self.const_value().rational_value())  # which raises
 
     def symbols(self) -> set[str]:
         return self.num.symbols() | self.den.symbols()

@@ -108,27 +108,27 @@ class LPDO:
         constant coefficient c of self scales it by c*C(j,i)*C(k,s) or passes it through.
         """
         out: dict[tuple[int, int], RatExpr] = {}
-        mine = []  # each a of self, None for a rational constant c, and its terms' multipliers
-        for (j, k), a in self.coeffs.items():
-            a, c = (None, a.rational_value()) if a.is_rational() else (a, 1)
-            c = c.numerator if c.denominator == 1 else c  # an int is cheaper below
-            mine.append((a, [(i, s, j - i, k - s, comb(j, i) * comb(k, s) * c)
-                             for i in range(j + 1) for s in range(k + 1)]))
+        mine = []  # each a of self with c, its value if it is a rational constant, else None
+        for jk, a in self.coeffs.items():
+            c = a.rational_value() if a.is_rational() else None
+            mine.append((jk, a, c.numerator if c is not None and c.denominator == 1 else c))
         for (l, m), b in other.coeffs.items():
             grid = {(0, 0): b}  # d^i/dx^i d^s/dy^s b by (i, s)
-            for a, steps in mine:
-                for i, s, dj, dk, f in steps:
-                    d = grid.get((i, s))
-                    if d is None:  # the steps have put its predecessor in grid
-                        d = grid[i, s] = (grid[i, s - 1].diff("y") if s
-                                          else grid[i - 1, 0].diff("x"))
-                    if d.is_zero():
-                        continue
-                    term = d if a is None else a * d
-                    if f != 1:  # a rational keeps the fraction reduced and monic
-                        term = RatExpr(term.num.scale_rational(f), term.den)
-                    key = (dj + l, dk + m)
-                    out[key] = out[key] + term if key in out else term
+            for (j, k), a, c in mine:
+                for i in range(j + 1):
+                    for s in range(k + 1):
+                        d = grid.get((i, s))
+                        if d is None:  # the loops have put its predecessor in grid
+                            d = grid[i, s] = (grid[i, s - 1].diff("y") if s
+                                              else grid[i - 1, 0].diff("x"))
+                        if d.is_zero():
+                            continue
+                        factor = comb(j, i) * comb(k, s)
+                        term, factor = (a * d, factor) if c is None else (d, factor * c)
+                        if factor != 1:  # a rational keeps the fraction reduced and monic
+                            term = RatExpr(term.num.scale_rational(factor), term.den)
+                        key = (j - i + l, k - s + m)
+                        out[key] = out[key] + term if key in out else term
         return LPDO(out)
 
     def apply(self, f: RatExpr) -> RatExpr:
