@@ -1292,7 +1292,7 @@ class RatExpr:
 
     def rational_value(self) -> Fraction:
         return (Fraction(self.num.packed.get(0, 0), self.num.den) if self.is_rational()
-                else self.const_value().rational_value())  # which raises
+                else self.const_value().rational_value())  # raises: not a rational constant
 
     def symbols(self) -> set[str]:
         return self.num.symbols() | self.den.symbols()
