@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .charpoly import char_poly, find_roots
@@ -27,17 +26,7 @@ from .factorize import (
 )
 from .operator import FirstOrderFactor, LPDO
 from .parser import ParseError, parse, parse_function
-from .printer import (
-    _root_structured,
-    charpoly_str,
-    operator_latex,
-    operator_str,
-    operator_structured,
-    outcome_str,
-    outcome_structured,
-    ratexpr_latex,
-    tree_str,
-)
+from .printer import charpoly_report, operator_text, outcome_str, outcomes_str, tree_str
 
 _EXIT_BY_STATUS = {
     OutcomeStatus.FACTORED: 0,
@@ -107,15 +96,6 @@ def _params(args) -> set[str]:
     return {p.strip() for p in args.params.split(",") if p.strip()}
 
 
-def _print_operator(op: LPDO, fmt: str) -> None:
-    if fmt == "latex":
-        print(operator_latex(op))
-    elif fmt == "structured":
-        print(json.dumps(operator_structured(op), indent=2))
-    else:
-        print(operator_str(op))
-
-
 def _cmd_factor(args) -> int:
     if args.recursive:  # a tree of left factors over every root, as plain or latex text
         for flag, given in (("--side right", args.side == "right"),
@@ -149,10 +129,7 @@ def _cmd_factor(args) -> int:
     if root_choice is None and args.side == "left" and best.status not in (
             OutcomeStatus.FACTORED, OutcomeStatus.UNSUPPORTED_ROOT):
         # nothing factored outright: report every root branch walked
-        if args.format == "structured":
-            print(json.dumps([outcome_structured(o) for o in outcomes], indent=2))
-        else:
-            print("\n\n".join(outcome_str(o, args.format) for o in outcomes))
+        print(outcomes_str(outcomes, args.format))
     else:
         print(outcome_str(best, args.format))
     return _EXIT_BY_STATUS[best.status]
@@ -164,14 +141,14 @@ def _cmd_compose(args) -> int:
     out = ops[0]
     for nxt in ops[1:]:
         out = out.compose(nxt)
-    _print_operator(out, args.format)
+    print(operator_text(out, args.format))
     return 0
 
 
 def _cmd_transpose(args) -> int:
     params = _params(args)
     op = _read_operator(args.operator, params)
-    _print_operator(op.transpose(), args.format)
+    print(operator_text(op.transpose(), args.format))
     return 0
 
 
@@ -186,7 +163,7 @@ def _cmd_verify(args) -> int:
         print("ok: product equals the operator")
         return 0
     print("mismatch:")
-    _print_operator(diff, args.format)
+    print(operator_text(diff, args.format))
     return 2
 
 
@@ -194,23 +171,7 @@ def _cmd_charpoly(args) -> int:
     params = _params(args)
     op = _read_operator(args.operator, params)
     p = char_poly(op)
-    search = find_roots(p)
-    if args.format == "structured":
-        doc = {
-            "n": p.n,
-            "coeffs": [str(c) for c in p.coeffs],
-            "roots": [_root_structured(r) for r in search.roots],
-            "unresolved": [str(c) for c in search.unresolved],
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
-    var = r"\omega" if args.format == "latex" else "w"
-    print(f"P({var}) = {charpoly_str(p, args.format)}")
-    value = ratexpr_latex if args.format == "latex" else str
-    for r in search.roots:
-        print(f"root: {r.text(value)}")
-    if search.unresolved:
-        print("unresolved factor coefficients: " + ", ".join(map(value, search.unresolved)))
+    print(charpoly_report(p, find_roots(p), args.format))
     return 0
 
 

@@ -58,11 +58,13 @@ path carries its free p3.  Combining a name of both kinds raises ValueError.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 from operator import or_
+from typing import Callable, NamedTuple
 
 
 # --------------------------------------------------------------------------
@@ -390,13 +392,7 @@ class ConstScalar:
         return self._hash
 
     def __str__(self) -> str:
-        if not self._coords:
-            return "0"
-        parts = []
-        for d in sorted(self._coords, key=abs):
-            q = Fraction(self._coords[d], self._den)
-            parts.append(_scalar_term_str(q, d, leading=not parts))
-        return "".join(parts)
+        return signed_sum(scalar_pieces(self))
 
     __repr__ = __str__
 
@@ -416,23 +412,6 @@ def _scalar(coords: dict[int, int], den: int) -> ConstScalar:
 
 def _radical_term(d: int) -> ConstScalar:
     return _scalar({d: 1}, 1)
-
-
-def _scalar_term_str(q: Fraction, d: int, leading: bool) -> str:
-    sign = "-" if q < 0 else ("" if leading else "+")
-    if not leading:
-        sign = f" {sign or '+'} "
-    body = _radical_str(abs(q), d)
-    return sign + body
-
-
-def _radical_str(q: Fraction, d: int) -> str:
-    if d == 1:
-        return str(q)
-    rad = "i" if d == -1 else f"sqrt({d})"
-    if q == 1:
-        return rad
-    return f"{q}*{rad}"
 
 
 ConstScalar.ZERO = ConstScalar()
@@ -1530,52 +1509,103 @@ RatExpr.Y = RatExpr.symbol("y")
 
 
 # --------------------------------------------------------------------------
-# canonical plain-text forms (also used to order roots deterministically)
+# text forms: one joiner for every signed sum.  The plain forms are canonical
+# (roots are ordered by them) and parse back to the value.
 # --------------------------------------------------------------------------
 
-def _coeff_str(c: ConstScalar) -> tuple[str, bool]:
-    """Render a scalar; second value says whether it needs parentheses as a
-    multiplicative prefix."""
-    s = str(c)
-    return s, (" + " in s or " - " in s)
+class Spelling(NamedTuple):
+    """How one output format writes the parts of a value."""
 
-def _mono_str(e: int, syms) -> str:
-    return "*".join(s if k == 1 else f"{s}^{k}" for s, k in _fields(e, syms))
+    times: str  # between the number, the radical and the symbols of a term
+    radical: str  # sqrt(d) as a %-format of the square-free d (sqrt(-1) is i)
+    frac: str | None  # num over den as a %-format of the two; None: num/den
+    token: Callable[[str], str]  # a symbol or a symbol power, as written
+
+
+PLAIN = Spelling("*", "sqrt(%d)", None, str)
+# a subscript or exponent of two or more characters is braced: x^{10}, psi_{xx}
+LATEX = Spelling(" ", r"\sqrt{%d}", r"\frac{%s}{%s}",
+                 partial(re.sub, r"([_^])(\w{2,})", r"\1{\2}"))
+
+
+def signed_sum(pieces) -> str:
+    """The pieces (negated, body) joined with + and -; 0 when there are none."""
+    out = ""
+    for neg, body in pieces:
+        out += (" - " if neg else " + ") + body if out else ("-" if neg else "") + body
+    return out or "0"
+
+
+def term_pieces(pieces: list, word: str, times: str = "*", group: str = "(%s)") -> list:
+    """The pieces of coefficient*word, the coefficient given by its own
+    pieces.  A sum (two or more pieces) is grouped before a word and spliced
+    in as it is where there is none; a lone piece keeps its sign in front,
+    and a coefficient 1 is left out before a word."""
+    if not word:
+        return pieces
+    if len(pieces) > 1:
+        return [(False, group % signed_sum(pieces) + times + word)]
+    (neg, body), = pieces
+    return [(neg, word if body == "1" else body + times + word)]
+
+
+def scalar_pieces(c: ConstScalar, sp: Spelling = PLAIN) -> list:
+    """c term by term, each a rational times a radical, by ascending |d|."""
+    out = []
+    for d in sorted(c._coords, key=abs):
+        q = Fraction(c._coords[d], c._den)
+        rad = "" if d == 1 else "i" if d == -1 else sp.radical % d
+        out += term_pieces([(q < 0, str(abs(q)))], rad, sp.times)
+    return out
+
+
+def poly_pieces(p: Poly, sp: Spelling = PLAIN) -> list:
+    """p term by term in the term order, highest first.  A coefficient with
+    two or more radical terms is grouped, also where it stands alone."""
+    coeffs = _scalars(p)
+    out = []
+    for e in sorted(coeffs, key=_ranker(len(p.syms)), reverse=True):
+        c = scalar_pieces(coeffs[e], sp)
+        if len(c) > 1:
+            c = [(False, f"({signed_sum(c)})")]
+        mono = sp.times.join(sp.token(s if k == 1 else f"{s}^{k}") for s, k in _fields(e, p.syms))
+        out += term_pieces(c, mono, sp.times)
+    return out
+
+
+def fraction_pieces(num: Poly, den: Poly, sp: Spelling = PLAIN) -> list:
+    """num/den: the terms of num over 1, else one piece.  As num/den a
+    numerator sum is parenthesized, and so is a denominator that is a sum or
+    a product, so that the text parses back; the sign of a lone numerator
+    term stands in front."""
+    pieces = poly_pieces(num, sp)
+    if den == Poly.ONE:
+        return pieces
+    den_s = signed_sum(poly_pieces(den, sp))
+    if sp.frac:
+        return [(False, sp.frac % (signed_sum(pieces), den_s))]
+    if len(den.packed) > 1 or _is_product(den):
+        den_s = f"({den_s})"
+    if len(pieces) > 1:
+        return [(False, f"({signed_sum(pieces)})/{den_s}")]
+    (neg, body), = pieces
+    return [(neg, f"{body}/{den_s}")]
+
+
+def _is_product(p: Poly) -> bool:
+    """Whether the one term of p has two or more factors: its symbols, a
+    rational other than 1 and -1, a radical, or a group of radical terms."""
+    (e, c), = _scalars(p).items()
+    n = len(_fields(e, p.syms))
+    if len(c._coords) > 1:
+        return n > 0
+    (d, k), = c._coords.items()
+    return n + (d != 1) + (abs(k) != c._den) > 1
 
 
 def poly_str(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    chunks: list[str] = []
-    coeffs = _scalars(p)
-    for e in sorted(coeffs, key=_ranker(len(p.syms)), reverse=True):
-        txt, grouped = _coeff_str(coeffs[e])
-        neg = txt.startswith("-") and not grouped
-        if neg:
-            txt = txt[1:]
-        body = _mono_str(e, p.syms)
-        coeff = f"({txt})" if grouped else txt
-        if body:
-            piece = body if coeff == "1" else f"{coeff}*{body}"
-        else:
-            piece = coeff
-        if not chunks:
-            chunks.append(f"-{piece}" if neg else piece)
-        else:
-            chunks.append(f" - {piece}" if neg else f" + {piece}")
-    return "".join(chunks)
+    return signed_sum(poly_pieces(p))
 
 
 def fraction_str(num: Poly, den: Poly) -> str:
-    """num/den in plain form.  A sum is parenthesized, and so is a
-    denominator holding a product, so that the text parses back to num/den."""
-    num_s = poly_str(num)
-    if den == Poly.ONE:
-        return num_s
-    den_s = poly_str(den)
-    if len(num.packed) > 1:
-        num_s = f"({num_s})"
-    if len(den.packed) > 1 or "*" in den_s:
-        den_s = f"({den_s})"
-    return f"{num_s}/{den_s}"
-
+    return signed_sum(fraction_pieces(num, den))

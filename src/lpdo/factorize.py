@@ -60,11 +60,7 @@ from .expr import (
     jet_assignments,
     poly_gcd,
 )
-from .operator import (
-    LPDO,
-    FirstOrderFactor,
-    SWAP_XY,
-)
+from .operator import LPDO, FirstOrderFactor
 from .charpoly import (
     CharPoly,
     Root,
@@ -112,8 +108,6 @@ class FactorizationOutcome:
     cofactor: LPDO | None = None
     residuals: tuple[RatExpr, ...] = ()
     riccati: RiccatiProblem | None = None
-    normalization: tuple | None = None  # SWAP_XY at a root at infinity, else None
-    extensions: tuple[int, ...] = ()
     unresolved: tuple[RatExpr, ...] = ()
     certified: bool = False  # set once verify has found the product exact
 
@@ -508,9 +502,7 @@ def _attempt(op: LPDO, root: Root, p3: RatExpr | None) -> FactorizationOutcome:
         _certify(factor, cofactor, op, "left")
     return FactorizationOutcome(
         status=status, root=root, factor=factor, cofactor=cofactor,
-        residuals=tuple(residuals), riccati=riccati,
-        normalization=None if swap is None else SWAP_XY,
-        extensions=root.extensions, certified=factor is not None)
+        residuals=tuple(residuals), riccati=riccati, certified=factor is not None)
 
 
 def _outcomes(op: LPDO, root_choice, p3: RatExpr | None):
@@ -724,7 +716,7 @@ def factor_fully(op: LPDO) -> FactorizationTree:
     for outcome in factor_all_roots(op):
         if outcome.status is OutcomeStatus.DEGENERATE:
             for cand in riccati_candidates(outcome.riccati):
-                if outcome.normalization is not None:
+                if outcome.root.at_infinity:
                     # found in the swapped coordinates; p3 is given in op's
                     cand = cand.swap_xy()
                 done = factor_left(op, outcome.root, cand)

@@ -175,11 +175,6 @@ class LPDO:
     __repr__ = __str__
 
 
-# change_vars in the form (u, v) = M (x, y): the normalization of an outcome
-# at a root at infinity
-SWAP_XY = ((0, 1), (1, 0))
-
-
 @dataclass(frozen=True)
 class FirstOrderFactor:
     """A first-order operator p1 Dx + p2 Dy + p3 with (p1, p2) != (0, 0).

@@ -2,24 +2,26 @@
 
 Three formats: plain (re-parseable by the grammar), latex, and a
 structured JSON-able dict whose coefficient strings are the canonical
-num/den forms.  Plain output orders operator terms by total derivative
-order descending, then x-power descending; rational coefficient
-denominators are cleared so fractions print as (poly)/integer.
+num/den forms.  FORMATS holds what plain and latex text differ in; every
+sum of terms, in a value or in an operator or P(w), is joined by
+expr.signed_sum, and a coefficient that is a sum is grouped before its
+word and spliced in where it has none.  Plain output orders operator
+terms by total derivative order descending, then x-power descending;
+rational coefficient denominators are cleared so fractions print as
+(poly)/integer.
 """
 
 from __future__ import annotations
 
-import re
+import json
+from typing import Callable, NamedTuple
 
-from .expr import Poly, RatExpr, fraction_str, poly_str
+from .expr import (LATEX, PLAIN, Poly, RatExpr, Spelling, fraction_pieces, poly_str,
+                   signed_sum, term_pieces)
 from .operator import LPDO
-from .charpoly import CharPoly, Root
+from .charpoly import CharPoly, Root, RootSearch
 from .factorize import FactorizationOutcome, FactorizationTree, OutcomeStatus
 
-
-# --------------------------------------------------------------------------
-# plain text
-# --------------------------------------------------------------------------
 
 def _cleared(r: RatExpr) -> tuple[Poly, Poly]:
     """num and den scaled by the lcm of the numerator's coefficient
@@ -30,92 +32,65 @@ def _cleared(r: RatExpr) -> tuple[Poly, Poly]:
     return r.num.scale_rational(scale), r.den.scale_rational(scale)
 
 
+class Format(NamedTuple):
+    """What one text format writes its own way."""
+
+    spelling: Spelling  # radicals, products and names inside a value
+    value: Callable[[RatExpr], str]  # a root, a coefficient of P_n, a radical
+    derivatives: tuple[str, str]
+    var: str  # the variable of P
+    power: str  # a power in a word, a %-format of the token and the exponent
+    times: str  # between a coefficient and its word, and inside a word
+    group: str  # a sum before a word
+
+    def pieces(self, r: RatExpr) -> list:
+        return fraction_pieces(*_cleared(r), self.spelling)
+
+    def function(self, r: RatExpr) -> str:
+        """A coefficient, residual or constraint, its numerator cleared."""
+        return signed_sum(self.pieces(r))
+
+    def word(self, powers) -> str:
+        """The product of the powers (token, exponent), exponents 0 left out."""
+        return self.times.join(t if k == 1 else self.power % (t, k) for t, k in powers if k)
+
+    def join(self, terms) -> str:
+        """The sum of the terms (coefficient, powers of its word)."""
+        return signed_sum(p for c, powers in terms for p in term_pieces(
+            self.pieces(c), self.word(powers), self.times, self.group))
+
+    def operator(self, op: LPDO) -> str:
+        return self.join((c, zip(self.derivatives, jk)) for jk, c in op.sorted_coeffs())
+
+
 def ratexpr_display(r: RatExpr) -> str:
     """Plain form with integer-cleared numerator: (y^2 - x^2)/4 style."""
-    return fraction_str(*_cleared(r))
+    return FORMATS["plain"].function(r)
 
 
-def _is_plain_sum(s: str) -> bool:
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and i > 0 and ch in "+-" and s[i - 1] == " ":
-            return True
-    return False
+def ratexpr_latex(r: RatExpr) -> str:
+    return FORMATS["latex"].function(r)
 
 
-def _derivative_word(j: int, k: int, latex: bool = False) -> str:
-    parts = []
-    if j:
-        dx = r"\partial_x" if latex else "Dx"
-        parts.append(dx if j == 1 else (f"{dx}^{{{j}}}" if latex else f"{dx}^{j}"))
-    if k:
-        dy = r"\partial_y" if latex else "Dy"
-        parts.append(dy if k == 1 else (f"{dy}^{{{k}}}" if latex else f"{dy}^{k}"))
-    sep = "" if latex else "*"
-    return sep.join(parts)
-
-
-def _term(txt: str, word: str, latex: bool = False) -> tuple[bool, str]:
-    """(negated, body) of the term txt*word, the sign of a lone product
-    taken out and a sum put in parentheses."""
-    neg = txt.startswith("-") and not _is_plain_sum(txt)
-    if neg:
-        txt = txt[1:]
-    if not word or txt == "1":
-        return neg, word or txt
-    if _is_plain_sum(txt):
-        txt = r"\left(%s\right)" % txt if latex else f"({txt})"
-    return neg, f"{txt}{word}" if latex else f"{txt}*{word}"
-
-
-def _signed_sum(terms) -> str:
-    """Join (negated, body) terms with + and -."""
-    out = []
-    for neg, body in terms:
-        if not out:
-            out.append(f"-{body}" if neg else body)
-        else:
-            out.append(f" - {body}" if neg else f" + {body}")
-    return "".join(out)
+FORMATS = {
+    "plain": Format(PLAIN, str, ("Dx", "Dy"), "w", "%s^%d", "*", "(%s)"),
+    "latex": Format(LATEX, ratexpr_latex, (r"\partial_x", r"\partial_y"), r"\omega",
+                    "%s^{%d}", "", r"\left(%s\right)"),
+}
 
 
 def operator_str(op: LPDO) -> str:
     """Plain text normal form; parses back to the same operator."""
-    if op.is_zero():
-        return "0"
-    return _signed_sum(_term(ratexpr_display(c), _derivative_word(j, k))
-                       for (j, k), c in op.sorted_coeffs())
-
-
-# --------------------------------------------------------------------------
-# latex
-# --------------------------------------------------------------------------
-
-def ratexpr_latex(r: RatExpr) -> str:
-    num, den = _cleared(r)
-    num_s = _poly_latex(num)
-    if den == Poly.ONE:
-        return num_s
-    return r"\frac{%s}{%s}" % (num_s, _poly_latex(den))
-
-
-def _poly_latex(p: Poly) -> str:
-    """poly_str in LaTeX: products by a space, radicals under \\sqrt, and an
-    exponent or subscript of two or more characters braced (x^{10}, psi_{xx})."""
-    s = re.sub(r"sqrt\(([^)]*)\)", r"\\sqrt{\1}", poly_str(p).replace("*", " "))
-    return re.sub(r"([_^])(\w{2,})", r"\1{\2}", s)
+    return FORMATS["plain"].operator(op)
 
 
 def operator_latex(op: LPDO) -> str:
-    if op.is_zero():
-        return "0"
-    return _signed_sum(
-        _term(ratexpr_latex(c), _derivative_word(j, k, latex=True), latex=True)
-        for (j, k), c in op.sorted_coeffs())
+    return FORMATS["latex"].operator(op)
+
+
+def charpoly_str(p: CharPoly, fmt: str = "plain") -> str:
+    f = FORMATS[fmt]
+    return f.join((c, [(f.var, p.n - i)]) for i, c in enumerate(p.coeffs) if not c.is_zero())
 
 
 # --------------------------------------------------------------------------
@@ -159,20 +134,20 @@ def _root_structured(root: Root | None) -> dict | None:
     }
 
 
-def _matrix_structured(matrix) -> dict | None:
-    if matrix is None:
-        return None
-    return {"matrix": [[str(e) for e in row] for row in matrix]}
+# (u, v) = M (x, y): the change of variables of an outcome at a root at infinity
+_SWAP_ROWS = [["0", "1"], ["1", "0"]]
 
 
 def outcome_structured(outcome: FactorizationOutcome) -> dict:
+    root = outcome.root
+    swapped = root is not None and root.at_infinity
     doc: dict = {
         "status": outcome.status.value,
         "side": outcome.side,
-        "root": _root_structured(outcome.root),
-        "normalization": _matrix_structured(outcome.normalization),
+        "root": _root_structured(root),
+        "normalization": {"matrix": [row[:] for row in _SWAP_ROWS]} if swapped else None,
         "residuals": [_ratexpr_structured(r) for r in outcome.residuals],
-        "extensions": list(outcome.extensions),
+        "extensions": [] if root is None else list(root.extensions),
         "certified": outcome.certified,
     }
     if outcome.factor is not None:
@@ -197,78 +172,83 @@ def outcome_structured(outcome: FactorizationOutcome) -> dict:
 # reports
 # --------------------------------------------------------------------------
 
+def operator_text(op: LPDO, fmt: str = "plain") -> str:
+    if fmt == "structured":
+        return json.dumps(operator_structured(op), indent=2)
+    return FORMATS[fmt].operator(op)
+
+
 def outcome_str(outcome: FactorizationOutcome, fmt: str = "plain") -> str:
     if fmt == "structured":
-        import json
-
         return json.dumps(outcome_structured(outcome), indent=2)
-    render = operator_latex if fmt == "latex" else operator_str
-    show = ratexpr_latex if fmt == "latex" else ratexpr_display
-    value = show if fmt == "latex" else str  # a root or a coefficient of P_n
+    f, root = FORMATS[fmt], outcome.root
     lines = [f"status: {outcome.status.value}", f"side: {outcome.side}"]
-    if outcome.root is not None:
-        lines.append(f"root: {outcome.root.text(value)}")
-    if outcome.normalization is not None:
-        rows = [[str(e) for e in row] for row in outcome.normalization]
-        lines.append(f"normalization: {rows}")
-    if outcome.extensions:
-        lines.append("extensions adjoined: " + ", ".join(
-            (r"\sqrt{%d}" if fmt == "latex" else "sqrt(%d)") % d for d in outcome.extensions))
+    if root is not None:
+        lines.append(f"root: {root.text(f.value)}")
+        if root.at_infinity:
+            lines.append(f"normalization: {_SWAP_ROWS}")
+        if root.extensions:
+            lines.append("extensions adjoined: " + ", ".join(
+                f.value(RatExpr.sqrt_int(d)) for d in root.extensions))
     if outcome.factor is not None:
-        lines.append(f"factor: {render(outcome.factor.as_operator())}")
-        lines.append(f"cofactor: {render(outcome.cofactor)}")
+        lines.append(f"factor: {f.operator(outcome.factor.as_operator())}")
+        lines.append(f"cofactor: {f.operator(outcome.cofactor)}")
     if outcome.residuals:
-        lines.append("residuals: " + "; ".join(map(show, outcome.residuals)))
+        lines.append("residuals: " + "; ".join(map(f.function, outcome.residuals)))
     if outcome.riccati is not None:
         lines.append(f"riccati unknown: {outcome.riccati.unknown}")
         for c in outcome.riccati.constraints:
-            lines.append(f"  constraint: {show(c)} = 0")
+            lines.append(f"  constraint: {f.function(c)} = 0")
         lines.append("  necessary precondition: "
-                     f"{show(outcome.riccati.necessary_precondition)} = 0")
+                     f"{f.function(outcome.riccati.necessary_precondition)} = 0")
     if outcome.unresolved:
         lines.append("unresolved characteristic factor: "
-                     + ", ".join(map(value, outcome.unresolved)))
+                     + ", ".join(map(f.value, outcome.unresolved)))
     return "\n".join(lines)
 
 
-def charpoly_str(p: CharPoly, fmt: str = "plain") -> str:
-    var = r"\omega" if fmt == "latex" else "w"
-    terms = []
-    for i, c in enumerate(p.coeffs):
-        if c.is_zero():
-            continue
-        power = p.n - i
-        if power == 0:
-            word = ""
-        elif power == 1:
-            word = var
-        else:
-            word = f"{var}^{power}" if fmt != "latex" else f"{var}^{{{power}}}"
-        txt = ratexpr_display(c) if fmt != "latex" else ratexpr_latex(c)
-        terms.append(_term(txt, word, fmt == "latex"))
-    return _signed_sum(terms) or "0"
+def outcomes_str(outcomes, fmt: str = "plain") -> str:
+    """Several outcomes: a JSON list, or their reports a blank line apart."""
+    if fmt == "structured":
+        return json.dumps([outcome_structured(o) for o in outcomes], indent=2)
+    return "\n\n".join(outcome_str(o, fmt) for o in outcomes)
+
+
+def charpoly_report(p: CharPoly, search: RootSearch, fmt: str = "plain") -> str:
+    """P(w), its roots and any unresolved factor."""
+    if fmt == "structured":
+        return json.dumps({
+            "n": p.n,
+            "coeffs": [str(c) for c in p.coeffs],
+            "roots": [_root_structured(r) for r in search.roots],
+            "unresolved": [str(c) for c in search.unresolved],
+        }, indent=2)
+    f = FORMATS[fmt]
+    lines = [f"P({f.var}) = {charpoly_str(p, fmt)}"]
+    lines += [f"root: {r.text(f.value)}" for r in search.roots]
+    if search.unresolved:
+        lines.append("unresolved factor coefficients: "
+                     + ", ".join(map(f.value, search.unresolved)))
+    return "\n".join(lines)
 
 
 def tree_str(tree: FactorizationTree, fmt: str = "plain", depth: int = 0) -> str:
-    pad = "  " * depth
-    render = operator_latex if fmt == "latex" else operator_str
-    show = ratexpr_latex if fmt == "latex" else ratexpr_display
-    lines = [f"{pad}operator: {render(tree.operator)}"]
+    f, pad = FORMATS[fmt], "  " * depth
+    lines = [f"{pad}operator: {f.operator(tree.operator)}"]
     if tree.operator.order <= 1:
         lines.append(f"{pad}  (first-order leaf)")
         return "\n".join(lines)
     for outcome, subtree in tree.branches:
-        root = "?" if outcome.root is None else outcome.root.text(
-            show if fmt == "latex" else str)
+        root = "?" if outcome.root is None else outcome.root.text(f.value)
         lines.append(f"{pad}  root {root}: {outcome.status.value}")
         if outcome.factor is not None:
-            lines.append(f"{pad}    factor: {render(outcome.factor.as_operator())}")
+            lines.append(f"{pad}    factor: {f.operator(outcome.factor.as_operator())}")
         if outcome.status is OutcomeStatus.CONDITIONS_FAIL and outcome.residuals:
-            shown = "; ".join(map(show, outcome.nonzero_residuals()))
+            shown = "; ".join(map(f.function, outcome.nonzero_residuals()))
             lines.append(f"{pad}    residuals: {shown}")
         if outcome.riccati is not None:
             for c in outcome.riccati.constraints:
-                lines.append(f"{pad}    riccati constraint: {show(c)} = 0")
+                lines.append(f"{pad}    riccati constraint: {f.function(c)} = 0")
         if subtree is not None:
             lines.append(tree_str(subtree, fmt, depth + 2))
     return "\n".join(lines)

@@ -327,6 +327,6 @@ def test_criterion_9_elliptic_extension():
     i = R.sqrt_int(-1)
     assert out.factor.as_operator() == LPDO({(1, 0): ONE, (0, 1): i})
     assert out.cofactor == LPDO({(1, 0): ONE, (0, 1): -i})
-    assert -1 in out.extensions
+    assert -1 in out.root.extensions
     assert elapsed < 0.1
     report(9, "elliptic operator factors over Q(sqrt(-1))", elapsed)

@@ -217,6 +217,42 @@ class TestFactor:
         assert code == 0
         assert "root: sqrt(2) (multiplicity 1)\nextensions adjoined: sqrt(2)\n" in out
 
+    @pytest.mark.parametrize("fmt, line", [("plain", "factor: Dx + Dy - x^2 + y"),
+                                           ("latex", r"factor: \partial_x + \partial_y - x^2 + y")])
+    def test_an_order_zero_sum_with_a_leading_minus_is_spliced_in(self, capsys, fmt, line):
+        code, out, _ = run(capsys, ["factor", "--format", fmt, "(Dx + Dy - x^2 + y)*(Dx - Dy)"])
+        assert code == 0
+        assert line + "\n" in out
+        assert "+ -" not in out
+
+    def test_recursive_splices_an_order_zero_sum(self, capsys):
+        code, out, _ = run(capsys, ["factor", "--recursive", "(Dx + 1 - x)*(Dx+Dy)"])
+        assert code == 0
+        assert "    factor: Dx - x + 1\n" in out
+        assert "operator: Dx^2 + Dx*Dy + (-x + 1)*Dx + (-x + 1)*Dy\n" in out
+
+    @pytest.mark.parametrize("fmt", ["plain", "latex"])
+    def test_the_adjoined_i_prints_as_its_value(self, capsys, fmt):
+        code, out, _ = run(capsys, ["factor", "--format", fmt, "Dx^2 + Dy^2"])
+        assert code == 0
+        assert "root: -i (multiplicity 1)\nextensions adjoined: i\n" in out
+        assert "sqrt" not in out
+
+    def test_structured_extensions_stay_ints(self, capsys):
+        code, out, _ = run(capsys, ["factor", "--format", "structured", "Dx^2 + Dy^2"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["extensions"] == [-1] and doc["root"]["extensions"] == [-1]
+        assert doc["normalization"] is None
+
+    def test_structured_normalization_at_infinity(self, capsys):
+        code, out, _ = run(capsys, ["factor", "--format", "structured", "Dy^2 + y*Dy"])
+        assert code == 3
+        (doc,) = json.loads(out)
+        assert doc["normalization"] == {"matrix": [["0", "1"], ["1", "0"]]}
+        code, out, _ = run(capsys, ["factor", "Dy^2 + y*Dy"])
+        assert "normalization: [['0', '1'], ['1', '0']]\n" in out
+
     def test_structured_format(self, capsys):
         code, out, _ = run(capsys, ["factor", "--format", "structured", A1])
         assert code == 0
@@ -295,6 +331,18 @@ class TestOtherCommands:
         assert code == 0
         assert out.splitlines()[0] == \
             r"P(\omega) = x\omega^{2} + \left(x + y\right)\omega - 1"
+
+    @pytest.mark.parametrize("fmt, line", [("plain", "P(w) = w^2 - x + 1"),
+                                           ("latex", r"P(\omega) = \omega^{2} - x + 1")])
+    def test_charpoly_splices_an_order_zero_sum(self, capsys, fmt, line):
+        code, out, _ = run(capsys, ["charpoly", "--format", fmt, "Dx^2 + (1-x)*Dy^2"])
+        assert code == 0
+        assert out.splitlines()[0] == line
+
+    def test_a_lone_fraction_coefficient_is_not_grouped_in_latex(self, capsys):
+        code, out, _ = run(capsys, ["compose", "--format", "latex", "(y - x^2)/(x+1)*Dx + 1/y"])
+        assert code == 0
+        assert out.strip() == r"\frac{-x^2 + y}{x + 1}\partial_x + \frac{1}{y}"
 
     def test_charpoly_structured(self, capsys):
         code, out, _ = run(capsys, ["charpoly", "--format", "structured",

@@ -403,12 +403,12 @@ def test_a_normalized_attempt_and_a_right_factor_certify_on_a_fresh_lane(monkeyp
     # roots -1 and infinity; the root at infinity is worked with x and y swapped
     out = factor_left(parse("(Dy + x)*(Dx + Dy + y)"), root_choice=1)
     assert out.status is OutcomeStatus.FACTORED and out.root.at_infinity
-    assert out.normalization is not None and str(out.factor.as_operator()) == "Dy + x"
+    assert str(out.factor.as_operator()) == "Dy + x"
     assert out.certified and len(calls) == 1
     assert [type(lane) for lane in built] == [LevelState]
     built.clear(), calls.clear()
     out = factor_right(parse("(Dx + y)*(Dx - Dy + x)"))
-    assert out.status is OutcomeStatus.FACTORED and out.normalization is None
+    assert out.status is OutcomeStatus.FACTORED and not out.root.at_infinity
     assert str(out.factor.as_operator()) == "Dx - Dy + x"
     assert {type(lane) for lane in built} == {LevelState}  # one per root tried
     assert [args[3] for args in calls] == ["left", "right"]

@@ -10,7 +10,7 @@ import pytest
 import lpdo
 from lpdo import factorize
 from lpdo.expr import RatExpr
-from lpdo.operator import LPDO, FirstOrderFactor, SWAP_XY
+from lpdo.operator import LPDO, FirstOrderFactor
 from lpdo.charpoly import char_poly
 from lpdo.factorize import (
     CertificateError,
@@ -325,7 +325,7 @@ class TestDegeneratePath:
         # given, so its candidate is the p3 the caller passes
         op = parse("Dx^2*Dy + x*Dx*Dy")
         out = factor_left(op, root_choice=R.ZERO)
-        assert out.status is OutcomeStatus.DEGENERATE and out.normalization is None
+        assert out.status is OutcomeStatus.DEGENERATE and not out.root.at_infinity
         assert [str(c) for c in out.riccati.constraints] == ["-x*psi + psi^2 + psi_x - 1"]
         assert riccati_candidates(out.riccati) == [X]
         done = factor_left(op, R.ZERO, X)
@@ -441,8 +441,9 @@ class TestCertifiedFlag:
 
 
 def _normalizations(op: LPDO) -> list:
-    """(root, normalization) of each outcome of factor_all_roots."""
-    return [("infinity" if o.root.at_infinity else str(o.root.value), o.normalization)
+    """The root of each outcome of factor_all_roots; x and y are swapped
+    exactly for "infinity"."""
+    return ["infinity" if o.root.at_infinity else str(o.root.value)
             for o in factor_all_roots(op)]
 
 
@@ -451,15 +452,15 @@ class TestNormalization:
 
     def test_swap_preferred(self):
         op = LPDO({(0, 2): ONE, (2, 0): R.ZERO, (0, 0): X})
-        assert _normalizations(op) == [("infinity", SWAP_XY)]
+        assert _normalizations(op) == ["infinity"]
 
     def test_swap_when_neither_pure_term(self):
         # P(W) = W: the root 0 is worked as given, only infinity is swapped
         assert _normalizations(cross_lead(R.symbol("g"))) == \
-            [("0", None), ("infinity", SWAP_XY)]
+            ["0", "infinity"]
 
     def test_none_when_lead_present(self):
-        assert _normalizations(hyperbolic_family(ONE)) == [("-1", None), ("1", None)]
+        assert _normalizations(hyperbolic_family(ONE)) == ["-1", "1"]
 
     def test_outcome_invariant_under_forced_shear(self):
         # factor the same operator directly and through a pre-applied shear
@@ -486,7 +487,7 @@ class TestNonConstantRootNormalized:
         out = factor_left(op)
         assert out.status is OutcomeStatus.FACTORED
         assert out.certified
-        assert out.normalization is None
+        assert not out.root.at_infinity
         assert out.factor.as_operator() == parse(factor)
         assert out.cofactor == parse(cofactor)
 
@@ -521,8 +522,8 @@ class TestCharPolyReadOnce:
         calls = self._count(monkeypatch)
         out = factor_left(op, root_choice=s2)
         assert out.status is OutcomeStatus.FACTORED
-        assert out.root == searched.root and out.extensions == searched.extensions
-        assert out.extensions == ((2,) if text.startswith("Dx^2") else ())
+        assert out.root == searched.root
+        assert out.root.extensions == ((2,) if text.startswith("Dx^2") else ())
         assert len(calls) == 1
 
     def test_level_solves_do_not_read_it(self, monkeypatch):

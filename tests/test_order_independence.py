@@ -17,7 +17,7 @@ PSI = "(Dx - Dy)*(Dx + Dy + psi)"
 def _factor(text):
     out = factor_left(parse(text))
     return (out.status, str(out.factor), out.cofactor and operator_str(out.cofactor),
-            tuple(map(str, out.residuals)), out.extensions, out.certified)
+            tuple(map(str, out.residuals)), out.root.extensions if out.root else (), out.certified)
 
 
 def _with_psi(text):

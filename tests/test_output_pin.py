@@ -56,7 +56,7 @@ def render(seed: int = 0, rounds: int = 1) -> str:
                       f"  status: {out.status.value}",
                       f"  factor: {out.factor}",
                       f"  cofactor: {out.cofactor}",
-                      f"  extensions: {out.extensions}"]
+                      f"  extensions: {out.root.extensions if out.root else ()}"]
             lines += [f"  residual: {r}" for r in out.residuals]
             if out.riccati is not None:
                 lines += [f"  constraint: {c}" for c in out.riccati.constraints]

@@ -146,3 +146,28 @@ class TestPlainFractionsReparse:
         out = factor_left(op)
         assert parse(operator_str(out.factor.as_operator())) == out.factor.as_operator()
         assert parse(operator_str(out.cofactor)) == out.cofactor
+
+
+# operator coefficients: sums of either sign, so that an order-0 sum can lead
+# with a minus, fractions, and sums of radicals standing alone or before x
+_SIGNED = st.tuples(_POLY.map(_build), st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+_COEFFICIENT = st.one_of(
+    _SIGNED,
+    st.tuples(_SIGNED, _DENOMINATOR.map(_build)).filter(lambda t: not t[1].is_zero())
+    .map(lambda t: t[0] / t[1]),
+    st.sampled_from(["1 + sqrt(2)", "-1 - sqrt(3)", "-x + sqrt(2)*y - 1", "(sqrt(2) - 1)*x",
+                     "-(1 + sqrt(2))/(x + a)"]).map(lambda t: parse_function(t, {"a"})))
+_WORDS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+_OPERATOR = st.tuples(_COEFFICIENT, st.dictionaries(st.sampled_from(_WORDS), _COEFFICIENT,
+                                                   max_size=3)) \
+    .map(lambda t: LPDO({(0, 0): t[0], **t[1]}))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_OPERATOR)
+def test_plain_text_parses_back_and_latex_has_no_plain_spelling(op):
+    text = operator_str(op)
+    assert parse(text, {"a"}) == op
+    assert "+ -" not in text
+    latex = operator_latex(op)
+    assert not any(s in latex for s in ("sqrt(", "*", "+ -")), latex
