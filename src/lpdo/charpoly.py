@@ -69,11 +69,6 @@ class Root:
     at_infinity: bool = False
     extensions: tuple[int, ...] = ()
 
-    def sort_key(self) -> tuple[int, str]:
-        if self.at_infinity:
-            return (1, "")
-        return (0, str(self.value))
-
     def text(self, show=str) -> str:
         body = "infinity" if self.at_infinity else show(self.value)
         return f"{body} (multiplicity {self.multiplicity})"
@@ -119,6 +114,17 @@ def find_roots(p: CharPoly) -> RootSearch:
         work.pop(0)
     degree_drop = p.n - (len(work) - 1)
 
+    values, unresolved = split_roots(work)
+    roots = [Root(v, p.multiplicity_of(v), extensions=p.extensions_of(v)) for v in values]
+    if degree_drop > 0:
+        roots.append(Root(None, degree_drop, at_infinity=True))
+    return RootSearch(tuple(roots), unresolved)
+
+
+def split_roots(work: list[RatExpr]) -> tuple[list[RatExpr], tuple[RatExpr, ...]]:
+    """The distinct roots found in the descending coefficients work, the
+    first nonzero, sorted by their text, and the factor left unresolved
+    (empty if none); work is used up."""
     values: list[RatExpr] = []
     unresolved: tuple[RatExpr, ...] = ()
 
@@ -148,18 +154,7 @@ def find_roots(p: CharPoly) -> RootSearch:
             break
         values.append(found)
         work = _deflate(work, found)
-
-    roots = []
-    seen: set[RatExpr] = set()
-    for v in values:
-        if v in seen:
-            continue
-        seen.add(v)
-        roots.append(Root(v, p.multiplicity_of(v), extensions=p.extensions_of(v)))
-    roots.sort(key=Root.sort_key)
-    if degree_drop > 0:
-        roots.append(Root(None, degree_drop, at_infinity=True))
-    return RootSearch(tuple(roots), unresolved)
+    return sorted(set(values), key=str), unresolved
 
 
 def _eval_list(coeffs, omega: RatExpr) -> RatExpr:

@@ -772,6 +772,30 @@ class Poly:
         return _canon(self.syms, {e & ~low | (e & _MASK) << _W | e >> _W & _MASK: c
                                   for e, c in self.packed.items()}, self.den, False)
 
+    def at(self, v: str, c: ConstScalar) -> "Poly":
+        """self with the constant c put in for the symbol v, in one pass over
+        the terms: a rational c = n/d over den * d^top, top the degree in v."""
+        if not self.packed or v not in self.syms:
+            return self
+        shift = _W * self.syms.index(v)
+        if not c:
+            return _canon(self.syms, {e: t for e, t in self.packed.items()
+                                      if not e >> shift & _MASK}, self.den)
+        top = max(e >> shift & _MASK for e in self.packed)
+        if self.den is not None and c.is_rational():
+            q = c.rational_value()
+            pw = [q.numerator ** k * q.denominator ** (top - k) for k in range(top + 1)]
+            terms, den, zero = self.packed.items(), self.den * q.denominator ** top, 0
+        else:
+            pw = [c ** k for k in range(top + 1)]
+            terms, den, zero = _scalars(self).items(), None, ConstScalar.ZERO
+        rest, out = ~(_MASK << shift), {}
+        get = out.get
+        for e, t in terms:
+            k = e & rest
+            out[k] = get(k, zero) + t * pw[e >> shift & _MASK]
+        return _canon(self.syms, {e: t for e, t in out.items() if t}, den)
+
     # -- calculus
 
     def partial(self, v: str) -> "Poly":
@@ -1320,10 +1344,15 @@ class RatExpr:
         if self.num.is_zero() or other.num.is_zero():
             return RatExpr.ZERO
         d1, d2 = self.den, other.den
-        if d1.is_const() and d2.is_const():
-            return RatExpr(self.num * other.num, Poly.ONE)
-        # cross-reduce: each fraction is already reduced
         n1, n2 = self.num, other.num
+        if d1.is_const():
+            if d2.is_const():
+                return RatExpr(n1 * n2, Poly.ONE)
+            if n1.is_const():  # a constant keeps the fraction reduced and monic
+                return RatExpr(n1 * n2, d2)
+        elif d2.is_const() and n2.is_const():
+            return RatExpr(n1 * n2, d1)
+        # cross-reduce: each fraction is already reduced
         g1 = poly_gcd(n1, d2)
         if not g1.is_const():
             n1 = n1.exact_div(g1)
@@ -1577,18 +1606,18 @@ def fraction_pieces(num: Poly, den: Poly, sp: Spelling = PLAIN) -> list:
     """num/den: the terms of num over 1, else one piece.  As num/den a
     numerator sum is parenthesized, and so is a denominator that is a sum or
     a product, so that the text parses back; the sign of a lone numerator
-    term stands in front."""
+    term stands in front, also of a LaTeX fraction."""
     pieces = poly_pieces(num, sp)
     if den == Poly.ONE:
         return pieces
     den_s = signed_sum(poly_pieces(den, sp))
+    neg, body = pieces[0] if len(pieces) == 1 else (False, signed_sum(pieces))
     if sp.frac:
-        return [(False, sp.frac % (signed_sum(pieces), den_s))]
+        return [(neg, sp.frac % (body, den_s))]
+    if len(pieces) > 1:
+        body = f"({body})"
     if len(den.packed) > 1 or _is_product(den):
         den_s = f"({den_s})"
-    if len(pieces) > 1:
-        return [(False, f"({signed_sum(pieces)})/{den_s}")]
-    (neg, body), = pieces
     return [(neg, f"{body}/{den_s}")]
 
 

@@ -16,7 +16,8 @@ unknown function, and the leftover residuals are differential-polynomial
 constraints on p3 -- generalized Riccati equations.  This module emits that
 problem and can verify or complete a supplied candidate, but does not
 solve differential equations beyond a small candidate search (zero,
-constants, linear forms) used by the recursive factorizer.
+constants, linear forms) used by the recursive factorizer: it substitutes
+c1*x + c2*y + c3 once and puts constants in for the c's after that.
 
 Nothing in the levels needs the pure-Dx coefficient a_{n,0} to be nonzero,
 so every finite root is worked on the operator as given.  Only the root at
@@ -54,18 +55,22 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .expr import (
+    ConstScalar,
     Poly,
     RatExpr,
     Unknown,
+    _canon,
+    _groups,
+    _univar,
     jet_assignments,
     poly_gcd,
 )
 from .operator import LPDO, FirstOrderFactor
 from .charpoly import (
-    CharPoly,
     Root,
     char_poly,
     find_roots,
+    split_roots,
 )
 
 
@@ -608,17 +613,10 @@ def _certify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO, side: str) -> N
 # automatic candidate search for the degenerate path
 # --------------------------------------------------------------------------
 
-def _const_roots(values: list[RatExpr]) -> list[RatExpr]:
-    """Roots of a univariate constant-coefficient polynomial of degree >= 1
-    given by a descending coefficient list, the first nonzero."""
-    search = find_roots(CharPoly(tuple(values), len(values) - 1))
-    return [r.value for r in search.roots]
-
-
-def _solve_small_system(equations: list[RatExpr], unknowns: list[str],
-                        assignment: dict[str, RatExpr]) -> dict[str, RatExpr] | None:
+def _solve_small_system(equations: list[Poly], unknowns: tuple[str, ...],
+                        assignment: dict[str, ConstScalar]) -> dict[str, ConstScalar] | None:
     """Tiny backtracking solver: repeatedly pick an equation in a single
-    unknown, enumerate its constant roots, substitute, recurse."""
+    unknown, enumerate its constant roots, put each in, recurse."""
     eqs = [e for e in equations if not e.is_zero()]
     if not eqs:
         return assignment
@@ -630,49 +628,58 @@ def _solve_small_system(equations: list[RatExpr], unknowns: list[str],
         if len(present) != 1:
             continue
         u = present[0]
-        groups = eq.as_poly_in({u})
-        coeffs = [groups.get(Poly.symbol(u, d), RatExpr.ZERO)
-                  for d in range(max(m.degree() for m in groups), -1, -1)]
+        coeffs = _univar(eq, u)[::-1]
         if any(not c.is_const() for c in coeffs):
             continue
-        for value in _const_roots(coeffs):
-            reduced = [e.substitute({u: value}) for e in eqs]
-            got = _solve_small_system(reduced, unknowns, {**assignment, u: value})
+        roots, _ = split_roots([RatExpr.from_poly(c) for c in coeffs])
+        for value in roots:
+            c = value.const_value()
+            got = _solve_small_system([e.at(u, c) for e in eqs], unknowns,
+                                      {**assignment, u: c})
             if got is not None:
                 return got
         return None
     return None
 
 
+def _at(p: Poly, values: dict[str, ConstScalar]) -> Poly:
+    for u, c in values.items():
+        p = p.at(u, c)
+    return p
+
+
 def riccati_candidates(problem: RiccatiProblem) -> list[RatExpr]:
     """Search for p3 among 0, constants, and linear forms c1*x + c2*y + c3.
 
-    Undetermined constants are solved by matching coefficients of the x/y
-    monomials; anything beyond this family is left to the caller, as the
-    reduction stops at the Riccati problem by design.
+    The template c1*x + c2*y + c3 is substituted once; every other residual,
+    at 0, at the constant c3 and at a solution, is that one with constants
+    put in for the c's.  Its denominator holds no c, so a residual vanishes
+    iff its numerator does.  Undetermined constants are solved by matching
+    coefficients of the x/y monomials; anything beyond this family is left
+    to the caller, as the reduction stops at the Riccati problem by design.
     """
-    found: list[RatExpr] = []
-
-    def check(cand: RatExpr) -> bool:
-        return all(r.is_zero() for r in problem.check(cand))
-
-    if check(RatExpr.ZERO):
-        found.append(RatExpr.ZERO)
-    unknowns = ["_c1", "_c2", "_c3"]
+    unknowns = ("_c1", "_c2", "_c3")
     c1, c2, c3 = (RatExpr.symbol(u) for u in unknowns)
-    for template in (c3, c1 * RatExpr.X + c2 * RatExpr.Y + c3):
-        equations: list[RatExpr] = []
-        for residual in problem.check(template):
-            # the residual vanishes iff its numerator does; grouping the
-            # numerator by x/y monomials gives equations in the constants
-            groups = RatExpr.from_poly(residual.num).as_poly_in({"x", "y"})
-            equations.extend(groups.values())
+    template = c1 * RatExpr.X + c2 * RatExpr.Y + c3
+    general = problem.check(template)
+    zero = ConstScalar.ZERO
+
+    def solves(values: dict[str, ConstScalar]) -> bool:
+        return all(_at(r.num, values).is_zero() for r in general)
+
+    found = [RatExpr.ZERO] if solves(dict.fromkeys(unknowns, zero)) else []
+    constant = {"_c1": zero, "_c2": zero}
+    for nums in ([RatExpr._reduce(_at(r.num, constant), r.den).num for r in general],
+                 [r.num for r in general]):
+        # grouping a numerator by x/y monomials gives equations in the c's
+        equations = [_canon(n.syms, t, n.den) for n in nums
+                     for t in _groups(n, ("x", "y")).values()]
         solution = _solve_small_system(equations, unknowns, {})
         if solution is None:
             continue
-        cand = template.substitute(
-            {u: solution.get(u, RatExpr.ZERO) for u in unknowns})
-        if cand not in found and check(cand):
+        solution = {u: solution.get(u, zero) for u in unknowns}
+        cand = RatExpr.from_poly(_at(template.num, solution))
+        if cand not in found and solves(solution):
             found.append(cand)
     return found
 

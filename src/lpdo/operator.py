@@ -106,7 +106,10 @@ class LPDO:
         Dx^j Dy^k o b = sum C(j,i) C(k,s) (d^i x d^s y b) Dx^(j-i) Dy^(k-s).
         Each derivative of a coefficient of other is taken once, and a rational
         constant coefficient c of self scales it by c*C(j,i)*C(k,s) or passes it through.
+        A function self scales other.
         """
+        if len(self.coeffs) == 1 and (0, 0) in self.coeffs:
+            return other.scale(self.coeffs[0, 0])
         out: dict[tuple[int, int], RatExpr] = {}
         mine = []  # each a of self with c, its value if it is a rational constant, else None
         for jk, a in self.coeffs.items():

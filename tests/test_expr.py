@@ -363,6 +363,23 @@ def _termwise(p, values):
     return out
 
 
+PSI_X = R.unknown("psi").diff("x")  # a jet of an unknown function
+AT_TERMS = (R.ONE, X, Y, A, PSI_X, X * Y, X * X * A, A * A, A * PSI_X, S2 * PSI_X ** 3, S2 * X)
+AT_CONSTANTS = st.one_of(
+    st.just(ConstScalar.ZERO),
+    st.integers(-5, 5).map(ConstScalar.from_rational),
+    SMALL.map(ConstScalar.from_rational),
+    st.sampled_from(["sqrt(2)", "-sqrt(3)/2 + 1", "i", "1 + sqrt(2)"])
+    .map(lambda t: lpdo.parse_function(t).const_value()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(sub_polys(terms=AT_TERMS, max_size=5), st.sampled_from(["x", "y", "a", "psi_x"]),
+       AT_CONSTANTS)
+def test_at_is_the_substitution_of_a_constant(p, v, c):
+    assert R.from_poly(p.num.at(v, c)) == p.substitute({v: R.from_const(c)})
+
+
 class TestPerfectSquareRoot:
     def test_polynomial_square(self):
         f = (X + Y) ** 2 / R.from_int(4)

@@ -333,6 +333,53 @@ class TestDegeneratePath:
         assert (str(done.factor), str(done.cofactor)) == ("Dx + x", "Dx*Dy")
 
 
+# the candidate lists of riccati_candidates at the root 0, as printed
+_PINNED_SEARCHES = [
+    ("Dx^2 - 2", ["-sqrt(2)"]),
+    ("Dx^2 + 2*Dx - 2", ["(1 + sqrt(3))"]),
+    ("(Dx + 1)*(Dx + 1/(x+1))", ["1"]),  # a constraint over x + 1
+    ("(Dx - 1)*(Dx + a)", []),  # -1 solves it, but the equations hold a
+    ("(Dx - 1)*(Dx + a)*Dx", ["0"]),  # multiplicity 3
+    ("(Dx+1)*(Dx+1)*(Dx+x*Dy)", ["1"]),
+]
+
+
+class TestCandidateSearchPinned:
+    @staticmethod
+    def _problem(text):
+        out = factor_left(parse(text, {"a"}), root_choice=R.ZERO)
+        assert out.status is OutcomeStatus.DEGENERATE
+        return out.riccati
+
+    @pytest.mark.parametrize("text, want", _PINNED_SEARCHES)
+    def test_candidates(self, text, want):
+        assert [str(c) for c in riccati_candidates(self._problem(text))] == want
+
+    def test_constraint_over_x_plus_1(self):
+        (constraint,) = self._problem("(Dx + 1)*(Dx + 1/(x+1))").constraints
+        assert str(constraint.den) == "x + 1"
+
+    @pytest.mark.parametrize("text, want", _PINNED_SEARCHES)
+    def test_one_substitution_and_no_root_search(self, monkeypatch, text, want):
+        problem = self._problem(text)
+        calls = {"substitute": 0, "find_roots": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(R, "substitute", counted("substitute", R.substitute))
+        monkeypatch.setattr(factorize, "find_roots", counted("find_roots", factorize.find_roots))
+        monkeypatch.setattr(lpdo.charpoly, "find_roots",
+                            counted("find_roots", lpdo.charpoly.find_roots))
+        riccati_candidates(problem)
+        # the template is put into each constraint once, the one substitution
+        # of a one-constraint problem; the rest is evaluation
+        assert calls == {"substitute": len(problem.constraints), "find_roots": 0}
+
+
 class TestFactorRight:
     def test_right_factor_of_plus_family(self):
         out = factor_right(hyperbolic_family(ONE))

@@ -1,6 +1,7 @@
 """Rendering: plain, latex, structured; determinism and re-parseability."""
 
 import json
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +19,7 @@ from lpdo.printer import (
     outcome_str,
     outcome_structured,
     ratexpr_display,
+    ratexpr_latex,
 )
 
 from conftest import rand_operator
@@ -171,3 +173,23 @@ def test_plain_text_parses_back_and_latex_has_no_plain_spelling(op):
     assert "+ -" not in text
     latex = operator_latex(op)
     assert not any(s in latex for s in ("sqrt(", "*", "+ -")), latex
+    assert not [n for n in _numerators(latex)
+                if n.startswith("-") and " + " not in n and " - " not in n], latex
+
+
+def _numerators(latex: str) -> list[str]:
+    """The numerator of each \\frac in latex, read to its closing brace."""
+    out = []
+    for m in re.finditer(r"\\frac\{", latex):
+        depth, i = 1, m.end()
+        while depth:
+            depth += {"{": 1, "}": -1}.get(latex[i], 0)
+            i += 1
+        out.append(latex[m.end():i - 1])
+    return out
+
+
+def test_latex_puts_the_sign_of_a_lone_numerator_term_before_the_fraction():
+    assert operator_latex(parse("Dx - x/2")) == r"\partial_x - \frac{x}{2}"
+    assert ratexpr_latex(parse_function("-x/(y+1)")) == r"-\frac{x}{y + 1}"
+    assert ratexpr_latex(parse_function("(y - x)/(y+1)")) == r"\frac{-x + y}{y + 1}"
