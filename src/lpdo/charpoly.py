@@ -6,12 +6,15 @@ a candidate first-order factor Dx - w*Dy + p3; a degree drop of P below n
 corresponds to a root at infinity (a factor led by Dy).  Root finding is
 exact over the supported field: linear solves, the quadratic formula when
 the discriminant has a square root (which may adjoin a radical), and
-candidate rational-function roots for higher degrees.  Roots that cannot
-be expressed are returned as an unresolved residual factor, never dropped.
+candidate rational-function roots for higher degrees.  One Horner pass
+divides P by w - root; each root found is divided out as often as it
+divides, which counts its multiplicity.  Roots that cannot be expressed
+are returned as an unresolved residual factor, never dropped.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -32,21 +35,15 @@ class CharPoly:
             raise ValueError("characteristic polynomial needs n+1 coefficients")
 
     def eval_at(self, omega: RatExpr) -> RatExpr:
-        return _eval_list(self.coeffs, omega)
+        return _divide(self.coeffs, omega)[1]
 
     def derivative_at(self, omega: RatExpr) -> RatExpr:
-        return _eval_list(_derivative_list(self.coeffs), omega)
+        """P'(omega), the quotient of P by (w - omega) at omega."""
+        return _divide(_divide(self.coeffs, omega)[0], omega)[1]
 
     def multiplicity_of(self, omega: RatExpr) -> int:
-        """Largest m with P(omega) = P'(omega) = ... = P^(m-1)(omega) = 0."""
-        coeffs = list(self.coeffs)
-        m = 0
-        while len(coeffs) > 1 or (coeffs and not coeffs[0].is_zero()):
-            if not _eval_list(coeffs, omega).is_zero():
-                break
-            m += 1
-            coeffs = _derivative_list(coeffs)
-        return m
+        """How many times w - omega divides P."""
+        return _strip(self.coeffs, omega)[0]
 
     def extensions_of(self, omega: RatExpr) -> tuple[int, ...]:
         """The radicals of omega that no coefficient has, sorted by |d|."""
@@ -104,8 +101,9 @@ def find_roots(p: CharPoly) -> RootSearch:
     quadratic formula, whose square root may adjoin radicals that P's
     coefficients lack (a root's extensions); higher degrees try
     candidate rational-function roots built from the trailing/leading
-    coefficients.  Multiplicities are certified by derivative tests on the
-    full polynomial.  Whatever does not split is reported unresolved.
+    coefficients.  A root's multiplicity is the number of times w - root
+    divides P, counted by exact division on canonical forms as the root is
+    found.  Whatever does not split is reported unresolved.
     """
     if all(c.is_zero() for c in p.coeffs):
         raise ValueError("zero characteristic polynomial")
@@ -114,69 +112,65 @@ def find_roots(p: CharPoly) -> RootSearch:
         work.pop(0)
     degree_drop = p.n - (len(work) - 1)
 
-    values, unresolved = split_roots(work)
-    roots = [Root(v, p.multiplicity_of(v), extensions=p.extensions_of(v)) for v in values]
+    found, unresolved = split_roots(work)
+    roots = [Root(v, m, extensions=p.extensions_of(v)) for v, m in found.items()]
     if degree_drop > 0:
         roots.append(Root(None, degree_drop, at_infinity=True))
     return RootSearch(tuple(roots), unresolved)
 
 
-def split_roots(work: list[RatExpr]) -> tuple[list[RatExpr], tuple[RatExpr, ...]]:
-    """The distinct roots found in the descending coefficients work, the
-    first nonzero, sorted by their text, and the factor left unresolved
-    (empty if none); work is used up."""
-    values: list[RatExpr] = []
-    unresolved: tuple[RatExpr, ...] = ()
-
+def split_roots(work: list[RatExpr]) -> tuple[dict[RatExpr, int], tuple[RatExpr, ...]]:
+    """The roots found in the descending coefficients work, the first
+    nonzero, each with its multiplicity and sorted by their text, and the
+    factor left unresolved (empty if none); work is used up.  Each root is
+    divided out as often as it divides, so none divides the unresolved
+    factor."""
+    found: Counter = Counter()
     while len(work) > 1 and work[-1].is_zero():
         work.pop()
-        values.append(RatExpr.ZERO)
-
+        found[RatExpr.ZERO] += 1
+    unresolved: tuple[RatExpr, ...] = ()
     while len(work) > 1:
-        deg = len(work) - 1
-        if deg == 1:
-            values.append(-(work[1] / work[0]))
+        if len(work) == 2:
+            found[-(work[1] / work[0])] = 1
             break
-        if deg == 2:
-            roots = _quadratic_roots(work[0], work[1], work[2])
-            if roots is None:
+        if len(work) == 3:
+            pair = _quadratic_roots(*work)
+            if pair is None:
                 unresolved = tuple(work)
-                break
-            values.extend(roots)
+            else:
+                found.update(pair)
             break
-        found = None
         for cand in _root_candidates(work):
-            if _eval_list(work, cand).is_zero():
-                found = cand
+            m, rest = _strip(work, cand)
+            if m:
+                found[cand], work = m, rest
                 break
-        if found is None:
+        else:
             unresolved = tuple(work)
             break
-        values.append(found)
-        work = _deflate(work, found)
-    return sorted(set(values), key=str), unresolved
+    return dict(sorted(found.items(), key=lambda vm: str(vm[0]))), unresolved
 
 
-def _eval_list(coeffs, omega: RatExpr) -> RatExpr:
-    """Horner evaluation of descending coefficients at omega."""
-    out = RatExpr.ZERO
-    for c in coeffs:
-        out = out * omega + c
-    return out
+def _divide(coeffs, omega: RatExpr) -> tuple[list[RatExpr], RatExpr]:
+    """P = (w - omega)*Q + r for the descending coefficients of P: those of
+    Q and the remainder r = P(omega), in one Horner pass."""
+    acc = list(coeffs[:1])
+    for c in coeffs[1:]:
+        acc.append(acc[-1] * omega + c)
+    return acc[:-1], (acc[-1] if acc else RatExpr.ZERO)
 
 
-def _derivative_list(coeffs) -> list[RatExpr]:
-    """Descending coefficients of the derivative."""
-    deg = len(coeffs) - 1
-    return [c * RatExpr.from_int(deg - i) for i, c in enumerate(coeffs[:-1])]
-
-
-def _deflate(coeffs: list[RatExpr], root: RatExpr) -> list[RatExpr]:
-    """Synthetic division by (w - root); the remainder must be zero."""
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(out[-1] * root + c)
-    return out
+def _strip(coeffs, omega: RatExpr) -> tuple[int, list[RatExpr]]:
+    """How many times w - omega divides P, and the quotient left once it is
+    divided out that often."""
+    m = 0
+    while len(coeffs) > 1:
+        q, r = _divide(coeffs, omega)
+        if not r.is_zero():
+            break
+        coeffs, m = q, m + 1
+    return m, coeffs
 
 
 def _quadratic_roots(a, b, c):

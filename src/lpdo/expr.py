@@ -663,10 +663,6 @@ class Poly:
         o = reduce(or_, self.packed, 0)
         return {s for i, s in enumerate(self.syms) if o >> _W * i & _MASK}
 
-    def degree(self) -> int:
-        """The total degree; 0 for a constant."""
-        return max((sum(k for _, k in _fields(e, self.syms)) for e in self.packed), default=0)
-
     def leading_term(self) -> tuple["Poly", ConstScalar]:
         """The leading monomial under the graded-lex order, and its coefficient."""
         if not self.packed:
@@ -1327,8 +1323,6 @@ class RatExpr:
             return RatExpr._fast(self.num * d2 + other.num * d1, d1 * d2)
         d2r = d2.exact_div(g)
         t = self.num * d2r + other.num * d1.exact_div(g)
-        if t.is_zero():
-            return RatExpr.ZERO
         g2 = poly_gcd(t, g)
         if g2.is_const():
             return RatExpr._fast(t, d1 * d2r)
@@ -1549,12 +1543,13 @@ class Spelling(NamedTuple):
     radical: str  # sqrt(d) as a %-format of the square-free d (sqrt(-1) is i)
     frac: str | None  # num over den as a %-format of the two; None: num/den
     token: Callable[[str], str]  # a symbol or a symbol power, as written
+    group: str  # a sum as a %-format: before a word, or of radical terms
 
 
-PLAIN = Spelling("*", "sqrt(%d)", None, str)
+PLAIN = Spelling("*", "sqrt(%d)", None, str, "(%s)")
 # a subscript or exponent of two or more characters is braced: x^{10}, psi_{xx}
 LATEX = Spelling(" ", r"\sqrt{%d}", r"\frac{%s}{%s}",
-                 partial(re.sub, r"([_^])(\w{2,})", r"\1{\2}"))
+                 partial(re.sub, r"([_^])(\w{2,})", r"\1{\2}"), r"\left(%s\right)")
 
 
 def signed_sum(pieces) -> str:
@@ -1596,7 +1591,7 @@ def poly_pieces(p: Poly, sp: Spelling = PLAIN) -> list:
     for e in sorted(coeffs, key=_ranker(len(p.syms)), reverse=True):
         c = scalar_pieces(coeffs[e], sp)
         if len(c) > 1:
-            c = [(False, f"({signed_sum(c)})")]
+            c = [(False, sp.group % signed_sum(c))]
         mono = sp.times.join(sp.token(s if k == 1 else f"{s}^{k}") for s, k in _fields(e, p.syms))
         out += term_pieces(c, mono, sp.times)
     return out
@@ -1606,11 +1601,14 @@ def fraction_pieces(num: Poly, den: Poly, sp: Spelling = PLAIN) -> list:
     """num/den: the terms of num over 1, else one piece.  As num/den a
     numerator sum is parenthesized, and so is a denominator that is a sum or
     a product, so that the text parses back; the sign of a lone numerator
-    term stands in front, also of a LaTeX fraction."""
+    term stands in front, also of a LaTeX fraction, whose numerator is
+    never a lone group."""
     pieces = poly_pieces(num, sp)
     if den == Poly.ONE:
         return pieces
     den_s = signed_sum(poly_pieces(den, sp))
+    if sp.frac and num.is_const():
+        pieces = scalar_pieces(num.const_value(), sp)
     neg, body = pieces[0] if len(pieces) == 1 else (False, signed_sum(pieces))
     if sp.frac:
         return [(neg, sp.frac % (body, den_s))]

@@ -616,7 +616,8 @@ def _certify(factor: FirstOrderFactor, cofactor: LPDO, op: LPDO, side: str) -> N
 def _solve_small_system(equations: list[Poly], unknowns: tuple[str, ...],
                         assignment: dict[str, ConstScalar]) -> dict[str, ConstScalar] | None:
     """Tiny backtracking solver: repeatedly pick an equation in a single
-    unknown, enumerate its constant roots, put each in, recurse."""
+    unknown, split it (its coefficients may hold parameters), put each
+    constant root in, recurse."""
     eqs = [e for e in equations if not e.is_zero()]
     if not eqs:
         return assignment
@@ -628,12 +629,8 @@ def _solve_small_system(equations: list[Poly], unknowns: tuple[str, ...],
         if len(present) != 1:
             continue
         u = present[0]
-        coeffs = _univar(eq, u)[::-1]
-        if any(not c.is_const() for c in coeffs):
-            continue
-        roots, _ = split_roots([RatExpr.from_poly(c) for c in coeffs])
-        for value in roots:
-            c = value.const_value()
+        roots, _ = split_roots([RatExpr.from_poly(c) for c in _univar(eq, u)[::-1]])
+        for c in (v.const_value() for v in roots if v.is_const()):
             got = _solve_small_system([e.at(u, c) for e in eqs], unknowns,
                                       {**assignment, u: c})
             if got is not None:

@@ -41,7 +41,6 @@ class Format(NamedTuple):
     var: str  # the variable of P
     power: str  # a power in a word, a %-format of the token and the exponent
     times: str  # between a coefficient and its word, and inside a word
-    group: str  # a sum before a word
 
     def pieces(self, r: RatExpr) -> list:
         return fraction_pieces(*_cleared(r), self.spelling)
@@ -57,7 +56,7 @@ class Format(NamedTuple):
     def join(self, terms) -> str:
         """The sum of the terms (coefficient, powers of its word)."""
         return signed_sum(p for c, powers in terms for p in term_pieces(
-            self.pieces(c), self.word(powers), self.times, self.group))
+            self.pieces(c), self.word(powers), self.times, self.spelling.group))
 
     def operator(self, op: LPDO) -> str:
         return self.join((c, zip(self.derivatives, jk)) for jk, c in op.sorted_coeffs())
@@ -73,9 +72,9 @@ def ratexpr_latex(r: RatExpr) -> str:
 
 
 FORMATS = {
-    "plain": Format(PLAIN, str, ("Dx", "Dy"), "w", "%s^%d", "*", "(%s)"),
+    "plain": Format(PLAIN, str, ("Dx", "Dy"), "w", "%s^%d", "*"),
     "latex": Format(LATEX, ratexpr_latex, (r"\partial_x", r"\partial_y"), r"\omega",
-                    "%s^{%d}", "", r"\left(%s\right)"),
+                    "%s^{%d}", ""),
 }
 
 

@@ -3,6 +3,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpdo.expr import RatExpr
 from lpdo.operator import LPDO, FirstOrderFactor
@@ -115,6 +118,74 @@ class TestFindRoots:
             op = rand_operator(rng, rng.randint(2, 3))
             search = find_roots(char_poly(op))
             assert search.total_multiplicity() <= op.order
+
+
+class TestOneDivisionPass:
+    @pytest.mark.parametrize("p, want", [
+        (char_poly(parse("Dx^2 - Dy^2")), {"-1": 1, "1": 1}),
+        # (w - 1)^2 (w + 2)
+        (CharPoly((ONE, R.ZERO, -R.from_int(3), R.from_int(2)), 3), {"-2": 1, "1": 2})])
+    def test_multiplicities_come_from_the_split(self, monkeypatch, p, want):
+        calls = []
+
+        def counted(self, omega):
+            calls.append(omega)
+            return multiplicity_of(self, omega)
+
+        multiplicity_of = CharPoly.multiplicity_of
+        monkeypatch.setattr(CharPoly, "multiplicity_of", counted)
+        search = find_roots(p)
+        assert {str(r.value): r.multiplicity for r in search.roots} == want
+        assert calls == []
+
+
+# planted P = prod (w - r_i)^{m_i} that the search splits: any rational
+# roots, or at most two roots from the whole pool next to roots 0, 1, -1
+# (candidates that P's coefficients give whatever else they hold)
+_RATIONAL_ROOT = st.fractions(-3, 3, max_denominator=3).map(R.from_fraction)
+_ANY_ROOT = st.one_of(_RATIONAL_ROOT, st.sampled_from(
+    ["sqrt(2)", "a", "x", "-y/(y + 1)"]).map(lambda t: parse_function(t, {"a"})))
+_PLANTED = st.one_of(
+    st.lists(_RATIONAL_ROOT, min_size=2, max_size=5),
+    st.lists(_ANY_ROOT, max_size=2).flatmap(lambda rs: st.lists(
+        st.sampled_from([R.ZERO, ONE, -ONE]), min_size=2 - len(rs), max_size=5 - len(rs))
+        .map(lambda easy: rs + easy)))
+_W = sympy.Symbol("w")
+_NAMES = {s: sympy.Symbol(s) for s in ("x", "y", "a")}
+
+
+def _sympy(r: RatExpr):
+    return sympy.sympify(str(r).replace("^", "**"), locals=_NAMES)
+
+
+def _sympy_zero(e) -> bool:
+    return sympy.expand(sympy.fraction(sympy.together(e))[0]) == 0
+
+
+def _planted(roots: list) -> CharPoly:
+    coeffs = [ONE]
+    for r in roots:  # times (w - r)
+        coeffs = [c - r * d for c, d in zip(coeffs + [R.ZERO], [R.ZERO] + coeffs)]
+    return CharPoly(tuple(coeffs), len(roots))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_PLANTED, _ANY_ROOT)
+def test_planted_roots_and_their_multiplicities_against_sympy(roots, omega):
+    p = _planted(roots)
+    search = find_roots(p)
+    assert {r.value: r.multiplicity for r in search.roots} == \
+        {r: roots.count(r) for r in roots}
+    assert not search.unresolved
+    big_p = sympy.expand(sympy.prod(_W - _sympy(r) for r in roots))
+    for w in (roots[0], omega):
+        at, dp = big_p.subs(_W, _sympy(w)), sympy.diff(big_p, _W).subs(_W, _sympy(w))
+        assert _sympy_zero(_sympy(p.eval_at(w)) - at)
+        assert _sympy_zero(_sympy(p.derivative_at(w)) - dp)
+        m = 0
+        while m <= p.n and _sympy_zero(sympy.diff(big_p, _W, m).subs(_W, _sympy(w))):
+            m += 1
+        assert p.multiplicity_of(w) == m
 
 
 class TestSymbolMultiplicativity:

@@ -150,6 +150,19 @@ class TestFactor:
         assert code == 0
         assert "first-order leaf" in out
 
+    @pytest.mark.parametrize("fmt, tree", [
+        ("plain", "operator: Dx^2 + y*Dx + 1\n"
+                  "  root 0 (multiplicity 2): degenerate\n"
+                  "    riccati constraint: -y*psi + psi^2 + psi_x + 1 = 0\n"),
+        ("latex", "operator: \\partial_x^{2} + y\\partial_x + 1\n"
+                  "  root 0 (multiplicity 2): degenerate\n"
+                  "    riccati constraint: -y psi + psi^2 + psi_x + 1 = 0\n")])
+    def test_recursive_prints_the_riccati_constraint_of_a_degenerate_branch(
+            self, capsys, fmt, tree):
+        code, out, _ = run(capsys, ["factor", "--recursive", "--format", fmt,
+                                    "Dx^2 + y*Dx + 1"])
+        assert (code, out) == (3, tree)
+
     @pytest.mark.parametrize("flags, named", [
         (["--side", "right"], "--side right"), (["--root", "0"], "--root"),
         (["--root", "-1"], "--root"), (["--p3", "x"], "--p3"),

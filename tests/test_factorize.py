@@ -338,8 +338,8 @@ _PINNED_SEARCHES = [
     ("Dx^2 - 2", ["-sqrt(2)"]),
     ("Dx^2 + 2*Dx - 2", ["(1 + sqrt(3))"]),
     ("(Dx + 1)*(Dx + 1/(x+1))", ["1"]),  # a constraint over x + 1
-    ("(Dx - 1)*(Dx + a)", []),  # -1 solves it, but the equations hold a
-    ("(Dx - 1)*(Dx + a)*Dx", ["0"]),  # multiplicity 3
+    ("(Dx - 1)*(Dx + a)", ["-1"]),  # an equation over a: (c3 + 1)*(c3 - a)
+    ("(Dx - 1)*(Dx + a)*Dx", ["0", "-1"]),  # multiplicity 3
     ("(Dx+1)*(Dx+1)*(Dx+x*Dy)", ["1"]),
 ]
 

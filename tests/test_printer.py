@@ -173,6 +173,7 @@ def test_plain_text_parses_back_and_latex_has_no_plain_spelling(op):
     assert "+ -" not in text
     latex = operator_latex(op)
     assert not any(s in latex for s in ("sqrt(", "*", "+ -")), latex
+    assert not re.search(r"(?<!\\left)\(", latex), latex  # groups are \left(...\right)
     assert not [n for n in _numerators(latex)
                 if n.startswith("-") and " + " not in n and " - " not in n], latex
 
@@ -193,3 +194,15 @@ def test_latex_puts_the_sign_of_a_lone_numerator_term_before_the_fraction():
     assert operator_latex(parse("Dx - x/2")) == r"\partial_x - \frac{x}{2}"
     assert ratexpr_latex(parse_function("-x/(y+1)")) == r"-\frac{x}{y + 1}"
     assert ratexpr_latex(parse_function("(y - x)/(y+1)")) == r"\frac{-x + y}{y + 1}"
+
+
+def test_latex_groups_radical_terms_with_left_right_and_never_a_lone_numerator():
+    assert operator_latex(parse("(sqrt(2) - 1)/(x+1)*Dx^2 + Dx")) == \
+        r"\frac{-1 + \sqrt{2}}{x + 1}\partial_x^{2} + \partial_x"
+    assert operator_latex(parse("(sqrt(2) - 1)*x/(x+1)*Dx^2 + Dx")) == \
+        r"\frac{\left(-1 + \sqrt{2}\right) x}{x + 1}\partial_x^{2} + \partial_x"
+    assert ratexpr_latex(parse_function("1 + sqrt(3)")) == r"\left(1 + \sqrt{3}\right)"
+    # plain output keeps its parentheses
+    assert operator_str(parse("(sqrt(2) - 1)/(x+1)*Dx^2 + Dx")) == \
+        "(-1 + sqrt(2))/(x + 1)*Dx^2 + Dx"
+    assert ratexpr_display(parse_function("1 + sqrt(3)")) == "(1 + sqrt(3))"
