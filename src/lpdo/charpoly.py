@@ -15,11 +15,11 @@ are returned as an unresolved residual factor, never dropped.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
-from .expr import _TRIAL_BOUND, RatExpr, _factor, _is_prime
+from .expr import _TRIAL_BOUND, ConstScalar, Poly, RatExpr, _factor, _is_prime
 from .operator import LPDO
 
 
@@ -82,6 +82,18 @@ class RootSearch:
 
     def total_multiplicity(self) -> int:
         return sum(r.multiplicity for r in self.roots)
+
+    def after(self, root: Root, p: CharPoly) -> RootSearch:
+        """The search of the cofactor once a left factor is split off at
+        root, p its characteristic polynomial.  Symbols multiply, so p is
+        P / (W - w) (at infinity, P less its leading zero): root's
+        multiplicity drops by one, the other roots keep their order and the
+        unresolved factor stays.  p's coefficients may gain radicals, so
+        extensions are read again."""
+        roots = (replace(r, multiplicity=r.multiplicity - (r == root),
+                         extensions=r.extensions if r.at_infinity else p.extensions_of(r.value))
+                 for r in self.roots)
+        return RootSearch(tuple(r for r in roots if r.multiplicity), self.unresolved)
 
 
 def char_poly(op: LPDO) -> CharPoly:
@@ -190,7 +202,10 @@ def _root_candidates(coeffs: list[RatExpr]):
 
     Covers constant rational roots (divisor pairs of the integer trailing
     and leading terms) and simple rational-function roots built from the
-    trailing/leading coefficients themselves.
+    trailing/leading coefficients themselves.  When a coefficient is not
+    rational, a constant root is a root of every monomial's slice of the
+    numerators over a common denominator; the divisor pairs are then read
+    off one slice, when it is rational.
     """
     lead, trail = coeffs[0], coeffs[-1]
     seen: set[RatExpr] = set()
@@ -202,19 +217,23 @@ def _root_candidates(coeffs: list[RatExpr]):
 
     for s in (1, -1):
         yield from emit(RatExpr.from_int(s))
-    if all(c.is_rational() for c in coeffs):
-        nums = [c.rational_value() for c in coeffs]
+    values = coeffs
+    if not all(c.is_rational() for c in coeffs):
+        ratio = trail / lead  # nonzero: the roots at 0 are stripped first
+        for v in (ratio, -ratio, ratio.inverse()):
+            yield from emit(v)
+        den = prod(dict.fromkeys(c.den for c in coeffs), start=Poly.ONE)
+        scaled = [c.num * den.exact_div(c.den) for c in coeffs]
+        mono = next(iter(scaled[0].leading_term()[0].terms))
+        values = [n.terms.get(mono, ConstScalar.ZERO) for n in scaled]
+    if all(c.is_rational() for c in values):
+        nums = [c.rational_value() for c in values]
         common = lcm(*(q.denominator for q in nums))
-        ints = [int(q * common) for q in nums]
+        ints = [int(q * common) for q in nums if q]
         for pdiv in _int_divisors(ints[-1]):
             for qdiv in _int_divisors(ints[0]):
                 for s in (1, -1):
                     yield from emit(RatExpr.from_fraction(Fraction(s * pdiv, qdiv)))
-    else:
-        ratio = trail / lead
-        for v in (ratio, -ratio, ratio.inverse() if not ratio.is_zero() else None):
-            if v is not None:
-                yield from emit(v)
 
 
 def _int_divisors(n: int) -> list[int]:

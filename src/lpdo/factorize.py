@@ -26,8 +26,9 @@ operator with x and y exchanged, and the swap is its own inverse, so one
 renaming moves p3 there and the results back.  Each root goes through one
 pipeline on one lane, `_attempt`: solve the top level, take p3 as given,
 from the division by P'(w), or leave it free on the Riccati path, run the
-descent and certify the result.  `factor_left`, `factor_all_roots` and the
-command line share one walk over the roots.  The top level's Horner sums
+descent and certify the result.  `factor_left`, `factor_all_roots`,
+`factor_fully` and the command line share one walk over the roots, which
+`factor_fully` searches once and hands down.  The top level's Horner sums
 are the coefficients of P(W) / (W - w), one more step is the remainder
 P(w) and the sums at w give P'(w), so P_n is read only by the root search
 and for a caller's root that is multiple.
@@ -68,6 +69,7 @@ from .expr import (
 from .operator import LPDO, FirstOrderFactor
 from .charpoly import (
     Root,
+    RootSearch,
     char_poly,
     find_roots,
     split_roots,
@@ -439,10 +441,8 @@ def _normalize_constraint(residual: RatExpr, unknown: str) -> RatExpr:
     jets = {s for s in residual.symbols() if isinstance(s, Unknown) and s.base == unknown}
     if not jets:
         return residual
-    groups = residual.as_poly_in(jets)
+    groups = residual.as_poly_in(jets)  # no jet in the denominator, so some monomial has one
     monos = [m for m in groups if not m.is_const()]
-    if not monos:
-        return residual
     return residual / groups[sum(monos, Poly.ZERO).leading_term()[0]]
 
 
@@ -512,16 +512,16 @@ def _attempt(op: LPDO, root: Root, p3: RatExpr | None) -> FactorizationOutcome:
 
 def _outcomes(op: LPDO, root_choice, p3: RatExpr | None):
     """One outcome per root tried: every root of P_n in the search's order,
-    or the one chosen by index, Root or value; a lone UNSUPPORTED_ROOT
-    outcome when the search finds none."""
+    or in the order of a RootSearch given, or the one chosen by index, Root
+    or value; a lone UNSUPPORTED_ROOT outcome when the search finds none."""
     if op.order < 2:
         raise ValueError("factorization needs an operator of order >= 2")
     if isinstance(root_choice, Root):
         roots = [root_choice]
-    elif root_choice is None or isinstance(root_choice, int):
-        search = find_roots(char_poly(op))
+    elif root_choice is None or isinstance(root_choice, (int, RootSearch)):
+        search = root_choice if isinstance(root_choice, RootSearch) else find_roots(char_poly(op))
         roots = list(search.roots)
-        if root_choice is not None:
+        if isinstance(root_choice, int):
             if not 0 <= root_choice < len(roots):
                 raise ValueError(f"root index {root_choice} out of range")
             roots = [roots[root_choice]]
@@ -711,24 +711,34 @@ class FactorizationTree:
 def factor_fully(op: LPDO) -> FactorizationTree:
     """Recursively split off first-order left factors along every root.
 
+    The roots are searched once, for op; a cofactor's are its parent's,
+    RootSearch.after the root split off.  A cofactor reached along two
+    paths is factored once, and both branches hold the same subtree.
     Degenerate roots are completed through the automatic candidate search
     when it succeeds; otherwise the branch carries the emitted Riccati
     problem and stops."""
-    if op.order <= 1:
-        return FactorizationTree(op, ())
-    branches = []
-    for outcome in factor_all_roots(op):
-        if outcome.status is OutcomeStatus.DEGENERATE:
-            for cand in riccati_candidates(outcome.riccati):
-                if outcome.root.at_infinity:
-                    # found in the swapped coordinates; p3 is given in op's
-                    cand = cand.swap_xy()
-                done = factor_left(op, outcome.root, cand)
-                if done.status is OutcomeStatus.FACTORED:
-                    outcome = done
-                    break
-        subtree = None
-        if outcome.status is OutcomeStatus.FACTORED:
-            subtree = factor_fully(outcome.cofactor)
-        branches.append((outcome, subtree))
-    return FactorizationTree(op, tuple(branches))
+    seen: dict[LPDO, FactorizationTree] = {}  # this call's subtrees, by cofactor
+
+    def grow(node: LPDO, search: RootSearch | None) -> FactorizationTree:
+        branches = []
+        for outcome in (_outcomes(node, search, None) if node.order > 1 else ()):
+            if outcome.status is OutcomeStatus.DEGENERATE:
+                for cand in riccati_candidates(outcome.riccati):
+                    if outcome.root.at_infinity:
+                        # found in the swapped coordinates; p3 is given in node's
+                        cand = cand.swap_xy()
+                    done = _attempt(node, outcome.root, cand)
+                    if done.status is OutcomeStatus.FACTORED:
+                        outcome = done
+                        break
+            subtree = None
+            if outcome.status is OutcomeStatus.FACTORED:
+                cof = outcome.cofactor
+                if cof not in seen:  # a first-order leaf needs no search
+                    below = search.after(outcome.root, char_poly(cof)) if cof.order > 1 else None
+                    seen[cof] = grow(cof, below)
+                subtree = seen[cof]
+            branches.append((outcome, subtree))
+        return FactorizationTree(node, tuple(branches))
+
+    return grow(op, find_roots(char_poly(op)) if op.order > 1 else None)

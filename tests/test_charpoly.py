@@ -98,6 +98,16 @@ class TestFindRoots:
         assert {r.value: r.extensions for r in search.roots} == want
         assert search.total_multiplicity() == 3 and not search.unresolved
 
+    @pytest.mark.parametrize("text, want", [
+        ("(Dx + 2*Dy)*(Dx - x*Dy)*(Dx - 3*Dy)", ["-2", "3", "x"]),
+        ("(Dx + 2*Dy - 1)*(Dx + 2*Dy + 1)*(Dx - x*Dy)", ["-2", "-2", "x"])])
+    def test_a_constant_root_beside_a_nonconstant_one(self, text, want):
+        # the divisor pairs of one monomial's slice of the coefficients: here
+        # the constant terms 1, -1, -6, 0 and 1, 4, 4, 0
+        search = find_roots(char_poly(parse(text)))
+        assert [str(r.value) for r in search.roots for _ in range(r.multiplicity)] == want
+        assert not search.unresolved
+
     def test_unresolved_reported(self):
         # w^2 - x has no square root in the supported field
         p = CharPoly((ONE, R.ZERO, -X), 2)
@@ -118,6 +128,36 @@ class TestFindRoots:
             op = rand_operator(rng, rng.randint(2, 3))
             search = find_roots(char_poly(op))
             assert search.total_multiplicity() <= op.order
+
+
+class TestAfter:
+    """A cofactor's roots from its parent's: P_B = P / (W - w)."""
+
+    def test_the_split_root_loses_one_and_the_others_keep_their_order(self):
+        a = parse("(Dx - Dy)*(Dx - Dy)*(Dx + 2*Dy)*Dy")
+        search = find_roots(char_poly(a))
+        minus_two, one, infinity = search.roots  # in the order of their text
+        assert one.multiplicity == 2
+        cofactor = parse("(Dx - Dy)*(Dx + 2*Dy)*Dy")
+        assert search.after(one, char_poly(cofactor)) == find_roots(char_poly(cofactor))
+        last = search.after(infinity, char_poly(parse("(Dx - Dy)^2*(Dx + 2*Dy)")))
+        assert last.roots == (minus_two, one)
+        assert search.after(minus_two, char_poly(parse("(Dx - Dy)^2*Dy"))).roots == (
+            one, infinity)
+
+    def test_extensions_are_read_against_the_cofactor(self):
+        # P = w^2 - 2 lacks sqrt(2); the cofactor's w + sqrt(2) has it
+        search = find_roots(char_poly(parse("Dx^2 - 2*Dy^2")))
+        root = next(r for r in search.roots if r.value == RatExpr.sqrt_int(2))
+        assert all(r.extensions == (2,) for r in search.roots)
+        (left,) = search.after(root, char_poly(parse("Dx + sqrt(2)*Dy"))).roots
+        assert left == Root(-RatExpr.sqrt_int(2), 1)
+
+    def test_the_unresolved_factor_stays(self):
+        search = find_roots(char_poly(parse("(Dx - Dy)*(Dx^2 - x*Dy^2)")))
+        (root,) = search.roots
+        after = search.after(root, char_poly(parse("Dx^2 - x*Dy^2")))
+        assert after.roots == () and after.unresolved == search.unresolved
 
 
 class TestOneDivisionPass:

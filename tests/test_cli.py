@@ -266,6 +266,31 @@ class TestFactor:
         code, out, _ = run(capsys, ["factor", "Dy^2 + y*Dy"])
         assert "normalization: [['0', '1'], ['1', '0']]\n" in out
 
+    def test_structured_unsupported_root(self, capsys):
+        code, out, _ = run(capsys, ["factor", "--format", "structured", "Dx^3 - 2*Dy^3"])
+        assert code == 4
+        doc = json.loads(out)
+        assert doc["root"] is None and doc["unresolved"] == ["1", "0", "0", "-2"]
+
+    def test_a_constant_root_beside_a_nonconstant_one(self, capsys):
+        # P = (w + 2)^2 (w - x): -2 is degenerate, x fails its conditions
+        text = "(Dx + 2*Dy - 1)*(Dx + 2*Dy + 1)*(Dx - x*Dy)"
+        code, out, _ = run(capsys, ["factor", text])
+        assert code == 3
+        assert "root: -2 (multiplicity 2)" in out and "root: x (multiplicity 1)" in out
+        code, out, _ = run(capsys, ["factor", "--recursive", text])
+        assert code == 0
+        assert [line.strip() for line in out.splitlines() if "factor:" in line] == [
+            "factor: Dx + 2*Dy - 1", "factor: Dx + 2*Dy + 1"]
+        assert "operator: Dx - x*Dy\n" in out
+
+    def test_recursive_keeps_the_roots_the_parent_split(self, capsys):
+        text = "(Dx - sqrt(2)*Dy)*(Dx + sqrt(2)*Dy)*(Dx - a*Dy)*(Dx - 1/2*Dy)"
+        code, out, _ = run(capsys, ["factor", "--recursive", "--params", "a", text])
+        assert code == 0
+        assert "unsupported_root" not in out
+        assert out.count("(first-order leaf)") == 24
+
     def test_structured_format(self, capsys):
         code, out, _ = run(capsys, ["factor", "--format", "structured", A1])
         assert code == 0
@@ -315,6 +340,12 @@ class TestOtherCommands:
         assert code == 0
         assert out.strip() == "-Dx + 1"
 
+    def test_transpose_structured(self, capsys):
+        code, out, _ = run(capsys, ["transpose", "--format", "structured", "x*Dx + 1"])
+        assert code == 0
+        assert json.loads(out) == {
+            "order": 1, "coeffs": [{"j": 1, "k": 0, "num": "-x", "den": "1"}]}
+
     def test_verify_ok(self, capsys):
         code, out, _ = run(capsys, [
             "verify", "Dx+Dy+(y-x)/2", "Dx-Dy+(y+x)/2", A1])
@@ -356,6 +387,12 @@ class TestOtherCommands:
         code, out, _ = run(capsys, ["compose", "--format", "latex", "(y - x^2)/(x+1)*Dx + 1/y"])
         assert code == 0
         assert out.strip() == r"\frac{-x^2 + y}{x + 1}\partial_x + \frac{1}{y}"
+
+    def test_charpoly_a_constant_root_beside_a_nonconstant_one(self, capsys):
+        code, out, _ = run(capsys, ["charpoly", "(Dx + 2*Dy)*(Dx - x*Dy)*(Dx - 3*Dy)"])
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "root: -2 (multiplicity 1)", "root: 3 (multiplicity 1)", "root: x (multiplicity 1)"]
 
     def test_charpoly_structured(self, capsys):
         code, out, _ = run(capsys, ["charpoly", "--format", "structured",

@@ -635,6 +635,57 @@ class TestFactorFully:
         assert any(len(ch) == 2 for ch in tree.chains())
 
 
+FOUR_ROOTS = "(Dx+1)*(Dx+2)*(Dx+3)*(Dx+Dy)"
+FIVE_ROOTS = "(Dx+Dy)*(Dx-Dy)*(Dx+2*Dy)*(Dx-2*Dy)*(Dx+3*Dy)"
+
+
+def _nodes(tree):
+    """Every node of a factorization tree, each time it is reached."""
+    yield tree
+    for _, subtree in tree.branches:
+        if subtree is not None:
+            yield from _nodes(subtree)
+
+
+class TestOneRootSearch:
+    """factor_fully searches the roots once; a cofactor's are its parent's."""
+
+    def _count(self, monkeypatch, name):
+        calls = []
+        real = getattr(factorize, name)
+        monkeypatch.setattr(factorize, name, lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("text", [FOUR_ROOTS, FIVE_ROOTS])
+    def test_one_search_per_call(self, monkeypatch, text):
+        # a search at every node would take 6 and 86
+        searches = self._count(monkeypatch, "find_roots")
+        op = parse(text)
+        first = factor_fully(op)
+        assert len(searches) == 1
+        assert factor_fully(op) == first and len(searches) == 2
+
+    def test_each_distinct_cofactor_is_walked_once(self, monkeypatch):
+        attempts = self._count(monkeypatch, "_attempt")
+        tree = factor_fully(parse(FIVE_ROOTS))
+        assert len(attempts) <= 75  # 205 if every node reached were walked
+        assert len(tree.chains()) == 120
+        by_operator = {}
+        for node in _nodes(tree):
+            by_operator.setdefault(node.operator, set()).add(id(node))
+        assert all(len(ids) == 1 for ids in by_operator.values())
+        assert len(by_operator) == 31  # of 206 nodes reached
+
+    def test_a_cofactor_keeps_the_roots_its_parent_split(self):
+        # a fresh search of each cofactor leaves 3 branches unresolved
+        # and finds 6 of the 24 chains
+        text = "(Dx - sqrt(2)*Dy)*(Dx + sqrt(2)*Dy)*(Dx - a*Dy)*(Dx - 1/2*Dy)"
+        tree = factor_fully(parse(text, {"a"}))
+        assert all(out.status is not OutcomeStatus.UNSUPPORTED_ROOT
+                   for node in _nodes(tree) for out, _ in node.branches)
+        assert len(tree.chains()) == 24
+
+
 class TestRoundTrip:
     def test_exact_recovery(self, rng):
         done = 0

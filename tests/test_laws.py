@@ -10,7 +10,9 @@ one attempt computes with rational and radical coefficients together, and
 so does (Dy + p3) o B at the root at infinity.  At the two roots of
 Dx*Dy + a*Dx + b*Dy + c the one residual is a Laplace invariant.  A gauge
 r^-1 o A o r keeps the first residual at a simple root, and moves a left
-factor by the log-derivative of r and its cofactor by the same gauge."""
+factor by the log-derivative of r and its cofactor by the same gauge.  At
+every node of a full factorization the roots are those of the node's own
+characteristic polynomial, with their multiplicities and extensions."""
 
 from fractions import Fraction
 
@@ -18,9 +20,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lpdo.charpoly import Root
+from lpdo.charpoly import Root, char_poly, find_roots
 from lpdo.expr import RatExpr as R
-from lpdo.factorize import OutcomeStatus, factor_all_roots, factor_left
+from lpdo.factorize import OutcomeStatus, factor_all_roots, factor_fully, factor_left
 from lpdo.operator import LPDO, FirstOrderFactor
 from lpdo.parser import parse
 from lpdo.printer import operator_str
@@ -269,3 +271,51 @@ def test_a_gauge_keeps_the_first_residual_and_moves_the_factor_by_its_log_deriva
         log_derivative = (r.diff("x") - w * r.diff("y")) / r
         assert gauged.factor == FirstOrderFactor.from_root(w, out.factor.p3 + log_derivative)
         assert gauged.cofactor == conjugate(out.cofactor).compose(LPDO.function(r))
+
+
+CHAIN_ROOTS = (R.ZERO, R.ONE, -R.ONE, R.from_int(2), R.from_fraction(Fraction(1, 2)),
+               A, X, S2, -S2, None)  # None: the root at infinity, a factor Dy + p3
+CHAIN_P3 = (R.ZERO, R.ONE, X, Y, A, S2)
+
+
+@st.composite
+def planted_chains(draw):
+    """A product of 2-4 first-order factors Dx - w*Dy + p3 or Dy + p3."""
+    op = LPDO.function(R.ONE)
+    for w, p3 in draw(st.lists(st.tuples(st.sampled_from(CHAIN_ROOTS), st.sampled_from(CHAIN_P3)),
+                               min_size=2, max_size=4)):
+        factor = (FirstOrderFactor(R.ZERO, R.ONE, p3) if w is None
+                  else FirstOrderFactor.from_root(w, p3))
+        op = op.compose(factor.as_operator())
+    return op
+
+
+def _distinct_nodes(tree, seen):
+    if id(tree) not in seen:
+        seen[id(tree)] = tree
+        for _, subtree in tree.branches:
+            if subtree is not None:
+                _distinct_nodes(subtree, seen)
+    return seen.values()
+
+
+@LAW
+@given(planted_chains())
+def test_every_node_of_a_full_factorization_has_the_roots_of_its_own_symbol(op):
+    # the cofactor's roots are handed down from its parent's search
+    for node in _distinct_nodes(factor_fully(op), {}):
+        if node.operator.order < 2:
+            continue
+        p = char_poly(node.operator)
+        roots = tuple(out.root for out, _ in node.branches if out.root is not None)
+        for root in roots:
+            if root.at_infinity:
+                # the degree drop: P's leading zeros
+                drop = next(i for i, c in enumerate(p.coeffs) if not c.is_zero())
+                assert root.multiplicity == drop
+            else:
+                assert root.multiplicity == p.multiplicity_of(root.value)
+                assert root.extensions == p.extensions_of(root.value)
+        fresh = find_roots(p)
+        if not fresh.unresolved:
+            assert fresh.roots == roots
