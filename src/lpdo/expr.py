@@ -953,10 +953,10 @@ def _content_pp(p: Poly, v: str) -> tuple[Poly, list[Poly]]:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd.  An input of total degree 1 is irreducible: the gcd is
-    that input when it divides the other, else 1.  Otherwise, after the
-    common monomial part is split off, rational inputs go through the
-    integer heuristic gcd and the rest (or a case it gives up on) through
-    the subresultant PRS."""
+    that input when it divides the other, else 1.  A symbol one input lacks
+    leaves the gcd of that input and the other's coefficients in it.  Then,
+    past the common monomial part, rational inputs take the integer heuristic
+    gcd and the rest (or a case it gives up on) the subresultant PRS."""
     if a.is_zero():
         return b.monic()
     if b.is_zero():
@@ -974,6 +974,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             except ValueError:
                 return Poly.ONE
             return lin.monic()
+    if a.syms != b.syms:  # beyond x and y, syms holds exactly the symbols in use
+        for p, q in ((a, b), (b, a)):
+            only = set(p.syms).difference(q.syms)
+            if only:  # a common factor is free of them, so it divides each coefficient
+                for t in _groups(p, only).values():
+                    q = poly_gcd(q, _canon(p.syms, t, p.den))
+                    if q.is_const():
+                        return Poly.ONE
+                return q
     # strip the common monomial part first; it is the whole answer when
     # either argument is a single term
     n = len(syms)
@@ -1390,13 +1399,16 @@ class RatExpr:
     # -- calculus
 
     def diff(self, var: str) -> "RatExpr":
-        """Partial derivative by the quotient rule (parameters are constant,
-        unknowns differentiate into their jets)."""
-        dn = self.num.diff(var)
+        """Partial derivative: parameters are constant, unknowns give their jets."""
+        return self.derive(lambda p: p.diff(var))
+
+    def derive(self, d) -> "RatExpr":
+        """The image under d, a derivation of Polys, by the quotient rule."""
+        dn = d(self.num)
         if self.den is Poly.ONE or self.den.is_const():
             return RatExpr(dn, Poly.ONE) if self.den is Poly.ONE \
                 else RatExpr._reduce(dn, self.den)
-        dd = self.den.diff(var)
+        dd = d(self.den)
         if dd.is_zero():
             return RatExpr._reduce(dn, self.den)
         # for den = g*e with g = gcd(den, den'), the derivative reduces to

@@ -38,15 +38,18 @@ as in Bareiss's fraction-free elimination, with Q the squarefree part of the
 lcm of the denominators of w, p3 and op's coefficients: sums, products and
 derivatives need no gcd, and a value is zero exactly when N is.  N is a
 Poly, whose rational coefficients are ints over one integer denominator.
-solve_p3 divides the b-sum by P'(w) exactly when the numerators allow, else
-reduces p3 and widens Q to cover its denominator.  A value is read out
-once per output; Q is squarefree, so N / Q^k is reduced when gcd(N, Q) is
-a unit, and then only its denominator is made monic; else the common
-factor is divided out one gcd with a factor of Q at a time.  When Q has
-total degree 1, as P'(w) has on linear coefficients and a constant w, each
-of these gcds is one trial division.  The certificate, verify, is
-independent of the lane: LPDO.compose builds factor o cofactor from the
-printed values, and canonical forms make its comparison with op exact.
+The b's, a - L(p) over the top level's p, are taken once, for solve_p3 and
+level n-1.  solve_p3 divides their sum weighed by w by P'(w) exactly when
+the numerators allow, else reduces p3 and widens Q to cover its
+denominator.  A value is read out once per output; Q is squarefree, so
+N / Q^k is reduced when gcd(N, Q) is a unit, and then only its denominator
+is made monic; else the common factor is divided out one gcd with a factor of
+Q at a time.  When Q has total degree 1, as P'(w) has on linear
+coefficients and a constant w, each of these gcds is one trial division.
+The certificate, verify, is independent of the lane: LPDO.compose builds
+factor o cofactor from the printed values, in one pass per cofactor
+coefficient at a rational constant root or at infinity, and canonical forms
+make its comparison with op exact.
 """
 
 from __future__ import annotations
@@ -157,10 +160,8 @@ def solve_p3(op: LPDO, omega: RatExpr, state: "LevelState | None" = None) -> Rat
     if s.dp[0].is_zero():
         raise DegenerateRoot(
             "multiple root: p3 is not determined, switch to the Riccati path")
-    n, acc = op.order, _ZERO
-    for k in range(n):
-        jk = (n - 1 - k, k)
-        b = s.sub(s.coeffs.get(jk, _ZERO), s.L(s.solved.get(jk, _ZERO)))
+    acc = _ZERO
+    for b in s.top_sums():
         acc = s.add(s.mul(acc, s.omega), b)
     return s.divide_p3(acc, s.dp)
 
@@ -291,7 +292,8 @@ class LevelState(Lane):
         self.omega = self.lift(omega)
         self.p3 = None if p3 is None else self.lift(p3)
         self.coeffs = {jk: self.lift(c) for jk, c in op.coeffs.items()}
-        n, self.solved, acc, self.dp = op.order, {}, _ZERO, _ZERO
+        n = self.n = op.order
+        self.solved, acc, self.dp, self._sums = {}, _ZERO, _ZERO, None
         for k in range(n):
             acc = self.add(self.mul(acc, self.omega), self.coeffs.get((n - k, k), _ZERO))
             if not acc[0].is_zero():
@@ -299,6 +301,13 @@ class LevelState(Lane):
             self.dp = self.add(self.mul(self.dp, self.omega), acc)
         rem = self.add(self.mul(acc, self.omega), self.coeffs.get((0, n), _ZERO))
         self.at_root = rem[0].is_zero()
+
+    def top_sums(self) -> list:
+        """b_k = a_{n-1-k,k} - L(p_{n-1-k,k}) for k < n, taken once."""
+        if self._sums is None:
+            self._sums = [self.sub(self.coeffs.get(jk, _ZERO), self.L(self.solved.get(jk, _ZERO)))
+                          for jk in ((self.n - 1 - k, k) for k in range(self.n))]
+        return self._sums
 
     def _d(self, n):
         """D = b*Dx - a*Dy for omega = a/b, so that L = D/b; for a rational
@@ -360,6 +369,7 @@ class LevelState(Lane):
         self.omega, self.dp, self._b_inv = map(move, (self.omega, self.dp, self._b_inv))
         self.coeffs = {jk: move(w) for jk, w in self.coeffs.items()}
         self.solved = {jk: move(w) for jk, w in self.solved.items()}
+        self._sums = self._sums and [move(w) for w in self._sums]
         self.p3 = self.lift(p3)
         return p3
 
@@ -372,10 +382,11 @@ def solve_level(state: LevelState, op: LPDO, m: int) -> RatExpr:
     reduced; the residual of the lowest level (m = 0) is the whole equation.
     """
     s = state
-    cs = []
+    cs, sums = [], s.top_sums() if m == s.n - 1 else None  # there a - L(p) is b_k
     for k in range(m + 1):
         p = s.solved.get((m - k, k), _ZERO)
-        cs.append(s.sub(s.coeffs.get((m - k, k), _ZERO), s.add(s.L(p), s.mul(s.p3, p))))
+        b = sums[k] if sums else s.sub(s.coeffs.get((m - k, k), _ZERO), s.L(p))
+        cs.append(s.sub(b, s.mul(s.p3, p)))
     u_prev = _ZERO
     for k in range(m):
         u = s.add(cs[k], s.mul(s.omega, u_prev))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .expr import RatExpr
+from .expr import Poly, RatExpr
 
 
 class LPDO:
@@ -106,10 +106,15 @@ class LPDO:
         Dx^j Dy^k o b = sum C(j,i) C(k,s) (d^i x d^s y b) Dx^(j-i) Dy^(k-s).
         Each derivative of a coefficient of other is taken once, and a rational
         constant coefficient c of self scales it by c*C(j,i)*C(k,s) or passes it through.
-        A function self scales other.
+        A function self scales other.  A first-order self c1*Dx + c2*Dy + p3, c1
+        and c2 rational, writes each b of other in one pass: c1*b and c2*b one
+        derivative up, c1*b_x + c2*b_y + p3*b (one Poly.diff_along) in place.
         """
         if len(self.coeffs) == 1 and (0, 0) in self.coeffs:
             return other.scale(self.coeffs[0, 0])
+        c1, c2 = self.coeff(1, 0), self.coeff(0, 1)
+        if self.order == 1 and c1.is_rational() and c2.is_rational():
+            return _first_order(c1.rational_value(), c2.rational_value(), self.coeff(0, 0), other)
         out: dict[tuple[int, int], RatExpr] = {}
         mine = []  # each a of self with c, its value if it is a rational constant, else None
         for jk, a in self.coeffs.items():
@@ -127,9 +132,7 @@ class LPDO:
                         if d.is_zero():
                             continue
                         factor = comb(j, i) * comb(k, s)
-                        term, factor = (a * d, factor) if c is None else (d, factor * c)
-                        if factor != 1:  # a rational keeps the fraction reduced and monic
-                            term = RatExpr(term.num.scale_rational(factor), term.den)
+                        term = _times(factor, a * d) if c is None else _times(factor * c, d)
                         key = (j - i + l, k - s + m)
                         out[key] = out[key] + term if key in out else term
         return LPDO(out)
@@ -176,6 +179,30 @@ class LPDO:
         return operator_str(self)
 
     __repr__ = __str__
+
+
+def _times(c, b: RatExpr) -> RatExpr:
+    """c*b for an int or Fraction c, which keeps b reduced and its den monic."""
+    if not c:
+        return RatExpr.ZERO
+    return b if c == 1 else RatExpr(b.num.scale_rational(c), b.den)
+
+
+def _first_order(c1, c2, p3: RatExpr, other: LPDO) -> LPDO:
+    """(c1*Dx + c2*Dy + p3) o other for rational constants c1, c2."""
+    c = -c2 / c1 if c1 else None  # c1*Dx + c2*Dy = c1*(Dx - c*Dy)
+
+    def along(p: Poly) -> Poly:  # c1*p_x + c2*p_y
+        d, k = (p.diff_along(c), c1) if c1 else (p.diff("y"), c2)
+        return d if k == 1 else d.scale_rational(k)
+
+    out: dict[tuple[int, int], RatExpr] = {}
+    for (l, m), b in other.coeffs.items():
+        for key, term in (((l + 1, m), _times(c1, b)), ((l, m + 1), _times(c2, b)),
+                          ((l, m), b.derive(along)), ((l, m), p3 * b)):
+            if not term.is_zero():
+                out[key] = out[key] + term if key in out else term
+    return LPDO(out)
 
 
 @dataclass(frozen=True)

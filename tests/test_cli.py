@@ -1,7 +1,11 @@
 """Command-line behavior: subcommands, exit codes, stdin, formats."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -415,3 +419,30 @@ class TestOtherCommands:
         ]:
             code, _, _ = run(capsys, ["factor", op])
             assert code == expected
+
+
+# a numerator that holds symbols the denominator lacks (an unknown's jets,
+# a parameter and the Riccati template's constants) against a denominator
+# in x and y: the gcd takes the content in those symbols first
+UNKNOWN_PRODUCT = ("Dx + x/(y+1)*Dy + sqrt(2)*u", "Dx^2 + sqrt(2)/(x+y)*Dx*Dy + x*u")
+FORMER_HANGS = [
+    (["factor", "--params", "u,u_x", "(%s)*(%s)" % UNKNOWN_PRODUCT],
+     ["factor: Dx + x/(y + 1)*Dy + sqrt(2)*u"]),
+    (["factor", "--side", "right", "--params", "u,u_x", "(%s)*(%s)" % UNKNOWN_PRODUCT[::-1]],
+     ["side: right", "factor: Dx + x/(y + 1)*Dy + sqrt(2)*u"]),
+    (["factor", "--recursive", "--params", "a",
+      "(Dy + 1)*(Dx - sqrt(2)*Dy + 1/(x+1))*(Dx - (x+1)*Dy + a)*(Dy - 1)"],
+     ["(first-order leaf)"] * 6),
+]
+
+
+@pytest.mark.parametrize("argv, lines", FORMER_HANGS, ids=["left", "right", "riccati"])
+def test_a_foreign_symbol_in_a_gcd_is_not_a_hang(argv, lines):
+    # each run took more than 10 s before; a fresh process, so a hang fails
+    src = str(Path(lpdo.__file__).resolve().parents[1])
+    code = "import sys; from lpdo.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=10)
+    assert done.returncode == 0, done.stderr
+    got = [line.strip() for line in done.stdout.splitlines()]
+    assert all(got.count(line) >= lines.count(line) for line in lines)

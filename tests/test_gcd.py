@@ -1,6 +1,7 @@
 """Properties of poly_gcd on random rational polynomials in x, y and a
-parameter with a planted common factor, and on a polynomial of total
-degree 1 against another, with sympy as the oracle."""
+parameter with a planted common factor, on a polynomial of total degree 1
+against another, and on a pair of which only one holds the parameter, with
+sympy as the oracle."""
 
 from fractions import Fraction
 
@@ -165,3 +166,36 @@ def test_proportional_degree_one_operands():
     for other in (lin.scale_rational(Fraction(-3, 2)), lin * Poly.const(ConstScalar.radical(2))):
         assert poly_gcd(lin, other) == want
         assert poly_gcd(other, lin) == want
+
+
+# -- an input that holds a symbol the other lacks -----------------------------
+
+def polys_in(fields: tuple[str, ...], radical: bool):
+    """Polys of 1-4 terms in the symbols fields, some coefficients carrying
+    sqrt(2) when radical."""
+    exponents = st.tuples(*[st.integers(0, 2) if s in fields else st.just(0) for s in SYMS])
+    coeffs = st.tuples(small, small if radical else st.just(Fraction(0))).filter(any)
+    return st.dictionaries(exponents, coeffs, min_size=1, max_size=4).map(
+        lambda terms: Poly(SYMS, {sum(k << _W * i for i, k in enumerate(e)): ConstScalar({1: q, 2: r})
+                                  for e, (q, r) in terms.items()}))
+
+
+@st.composite
+def one_sided(draw):
+    """f in x, y and a, g in x and y alone, with a common factor free of a
+    planted or not."""
+    radical = draw(st.booleans())
+    p = draw(polys_in(SYMS, radical).filter(lambda p: "a" in p.symbols()))
+    q, c = draw(polys_in(("x", "y"), radical)), draw(polys_in(("x", "y"), radical))
+    planted = draw(st.booleans())
+    return (p * c, q * c) if planted else (p, q), radical
+
+
+@PROPERTY
+@given(one_sided())
+def test_gcd_with_a_symbol_one_input_lacks_matches_sympy(case):
+    (f, g), radical = case
+    domain = QQ_SQRT2 if radical else "QQ"
+    want = sympy.gcd(_sympy(f, domain), _sympy(g, domain)).monic()
+    assert _sympy(poly_gcd(f, g), domain) == want
+    assert _sympy(poly_gcd(g, f), domain) == want

@@ -3,7 +3,9 @@ operators whose coefficients mix rationals, sqrt(2), a parameter a and
 monomial denominators: the plain form parses back to the operator;
 change_vars, the swap, is its own inverse, equals the substitution
 x <-> y with the derivatives exchanged, equals the change composed from
-powers of the new derivatives and commutes with compose; a planted
+powers of the new derivatives and commutes with compose; a first-order
+product with constant Dx and Dy coefficients applies as its two factors do,
+on monomials and, against sympy, on an undefined function; a planted
 product (Dx - w*Dy + p3) o B factors back into its two parts at a simple
 root w, also when its coefficients mix sqrt(2) and a parameter, so that
 one attempt computes with rational and radical coefficients together, and
@@ -14,7 +16,9 @@ factor by the log-derivative of r and its cofactor by the same gauge.  At
 every node of a full factorization the roots are those of the node's own
 characteristic polynomial, with their multiplicities and extensions."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -114,6 +118,47 @@ def test_compose_is_associative_and_distributes_over_the_sum(a, b, c):
     assert a.compose(b.compose(c)) == a.compose(b).compose(c)
     assert a.compose(b + c) == a.compose(b) + a.compose(c)
     assert (a + b).compose(c) == a.compose(c) + b.compose(c)
+
+
+# compose's first-order product: c1 passes b through (1), scales it or is
+# absent (0), and p3 is absent, rational, a parameter, a radical, a rational
+# function or an unknown function
+FIRST_ORDER_P3 = (R.ZERO, R.ONE, X, A, R.ONE / (X + R.ONE), S2, R.unknown("u"))
+
+
+@st.composite
+def first_order_constant_factors(draw):
+    c1 = draw(st.sampled_from((0, 1, 2, Fraction(-1, 2))))
+    c2 = draw(st.sampled_from((0, 1, Fraction(-3, 2))))
+    assume(c1 or c2)
+    return LPDO({(1, 0): R.from_fraction(c1), (0, 1): R.from_fraction(c2),
+                 (0, 0): draw(st.sampled_from(FIRST_ORDER_P3))})
+
+
+@LAW
+@given(first_order_constant_factors(), compose_operators())
+def test_a_first_order_product_applies_as_its_factors(f, b):
+    # an operator of order N is fixed by its values on the monomials of degree <= N
+    product = f.compose(b)
+    for i in range(b.order + 2):
+        for j in range(b.order + 2 - i):
+            m = X ** i * Y ** j
+            assert product.apply(m) == f.apply(b.apply(m))
+
+
+def _oracle():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@settings(LAW, max_examples=8)
+@given(first_order_constant_factors(), compose_operators())
+def test_a_first_order_product_against_sympy(f, b):
+    # both sides applied to an undefined function; the unknown u is g(x, y) there
+    assert _oracle().composes_to(f.compose(b), [f, b], {"u": "g"})
 
 
 PLANTED_DENOMINATORS = (R.ONE, X, Y, X * Y)
