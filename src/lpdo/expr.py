@@ -669,6 +669,11 @@ class Poly:
             raise ValueError("leading term of zero polynomial")
         return _canon(self.syms, {_lead(self): 1}, 1), _lc(self)
 
+    def is_linear(self) -> bool:
+        """Total degree 1 (irreducible): every key 0 or one field at 1."""
+        return not self.is_const() and all(
+            not e or not e & e - 1 and (e.bit_length() - 1) % _W == 0 for e in self.packed)
+
     def radicals(self) -> set[int]:
         out: set[int] = set()
         for c in _scalars(self).values():
@@ -739,6 +744,31 @@ class Poly:
         if out and _carries(reduce(or_, out)):
             raise OverflowError(f"an exponent of a product passes {_EXP_MAX}")
         return _canon(syms, out, den, False)
+
+    def fma(self, b: "Poly", c: "Poly", sign: int = 1, flip: bool = False) -> "Poly":
+        """self + sign*b*c for an int sign, -self for self when flip: in one
+        pass over the products, with __mul__'s exponent guard, when all three
+        are rational in x and y alone; else the product, then the sum."""
+        if (self.den is None or b.den is None or c.den is None
+                or not len(self.syms) == len(b.syms) == len(c.syms) == 2):
+            p = b * c
+            if flip:
+                return (p if sign == 1 else p.scale_rational(sign)) - self
+            return self._plus(p, sign) if sign in (1, -1) else self + p.scale_rational(sign)
+        d1, d2 = self.den, b.den * c.den
+        d = d1 if d1 == d2 else lcm(d1, d2)
+        f1, f2 = (-1 if flip else 1) * (d // d1), sign * (d // d2)
+        out = dict(self.packed) if f1 == 1 else {e: v * f1 for e, v in self.packed.items()}
+        get, terms = out.get, c.packed.items()
+        for e1, v1 in b.packed.items():
+            v1 *= f2
+            for e2, v2 in terms:
+                e = e1 + e2
+                out[e] = get(e, 0) + v1 * v2
+        out = {e: v for e, v in out.items() if v} if 0 in out.values() else out
+        if out and _carries(reduce(or_, out)):  # self's keys hold no guard bit
+            raise OverflowError(f"an exponent of a product passes {_EXP_MAX}")
+        return _canon(_XY, out, d, False)
 
     def scale(self, c: ConstScalar) -> "Poly":
         if c.is_zero():
@@ -966,9 +996,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     syms, fa, fb = _joint(a, b)
     if fa == fb:
         return a.monic()
-    for f, lin, other in ((fb, b, a), (fa, a, b)):
-        # total degree 1: every key is 0 or one field at exponent 1
-        if all(not e or not e & e - 1 and (e.bit_length() - 1) % _W == 0 for e in f):
+    for lin, other in ((b, a), (a, b)):
+        if lin.is_linear():
             try:
                 other.exact_div(lin)
             except ValueError:

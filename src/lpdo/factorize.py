@@ -37,15 +37,18 @@ The lane, a LevelState, holds values N / Q^k over one common denominator,
 as in Bareiss's fraction-free elimination, with Q the squarefree part of the
 lcm of the denominators of w, p3 and op's coefficients: sums, products and
 derivatives need no gcd, and a value is zero exactly when N is.  N is a
-Poly, whose rational coefficients are ints over one integer denominator.
+Poly, whose rational coefficients are ints over one integer denominator;
+each value is one Poly.fma pass, its alignment by Q^d included, and below
+level n-1 (L + p3)(p) in a - (L + p3)(p) is one product and one more pass.
 The b's, a - L(p) over the top level's p, are taken once, for solve_p3 and
 level n-1.  solve_p3 divides their sum weighed by w by P'(w) exactly when
-the numerators allow, else reduces p3 and widens Q to cover its
-denominator.  A value is read out once per output; Q is squarefree, so
-N / Q^k is reduced when gcd(N, Q) is a unit, and then only its denominator
-is made monic; else the common factor is divided out one gcd with a factor of
-Q at a time.  When Q has total degree 1, as P'(w) has on linear
-coefficients and a constant w, each of these gcds is one trial division.
+the numerators allow, else reduces p3 (with no gcd when a numerator of
+total degree 1 failed to divide) and widens Q to cover its denominator.
+A value is read out once per output; Q is squarefree, so N / Q^k is reduced
+when gcd(N, Q) is a unit, and then only its denominator is made monic; else
+the common factor is divided out one gcd with a factor of Q at a time, one
+trial division each when Q has total degree 1, as P'(w) at a constant w has
+on linear coefficients.
 The certificate, verify, is independent of the lane: LPDO.compose builds
 factor o cofactor from the printed values, in one pass per cofactor
 coefficient at a rational constant root or at infinity, and canonical forms
@@ -162,7 +165,7 @@ def solve_p3(op: LPDO, omega: RatExpr, state: "LevelState | None" = None) -> Rat
             "multiple root: p3 is not determined, switch to the Riccati path")
     acc = _ZERO
     for b in s.top_sums():
-        acc = s.add(s.mul(acc, s.omega), b)
+        acc = s.addmul(b, s.omega, acc)
     return s.divide_p3(acc, s.dp)
 
 
@@ -192,8 +195,8 @@ class Lane:
     Q.  So a value is zero exactly when its numerator is, and only values
     read out are reduced, against Q rather than Q^k.  The numerators are
     Polys, with int numerators for rational values and the jets of an
-    unknown function as symbols; add and sub align the powers of Q and then
-    take one Poly sum or difference."""
+    unknown function as symbols; a sum aligns the powers of Q inside its one
+    Poly.fma pass."""
 
     def __init__(self, values: list[RatExpr]):
         self._set_q(_squarefree_lcm(
@@ -202,7 +205,7 @@ class Lane:
     def _set_q(self, q: Poly) -> None:
         self.q = q
         self._powers = [Poly.ONE, q]
-        self._dq = None  # D(Q) for LevelState.L, computed once per Q
+        self._qb = None  # (Q*B, D(Q)*B) for LevelState.L, computed once per Q
 
     def power(self, k: int) -> Poly:
         """Q^k."""
@@ -261,19 +264,20 @@ class Lane:
             return u
         if n1.is_zero():
             return v if sign > 0 else (-n2, k2)
-        if k1 < k2:
-            n1, k1 = n1 * self.power(k2 - k1), k2
-        elif k2 < k1:
-            n2 = n2 * self.power(k1 - k2)
+        if k1 < k2:  # n1*Q^d + sign*n2
+            return n2.fma(n1, self.power(k2 - k1), 1, sign < 0), k2
+        if k2 < k1:
+            return n1.fma(n2, self.power(k1 - k2), sign), k1
         return (n1 + n2 if sign > 0 else n1 - n2), k1
 
-    def sub(self, u, v):
-        return self.add(u, v, -1)
-
-    def mul(self, u, v):
-        if u[0].is_zero() or v[0].is_zero():
-            return _ZERO
-        return u[0] * v[0], u[1] + v[1]
+    def addmul(self, u, v, w, sign: int = 1):
+        """u + sign*v*w, in one pass when u and v*w sit over one power of Q."""
+        (n, k), (nv, kv), (nw, kw) = u, v, w
+        if nv.is_zero() or nw.is_zero():
+            return u
+        if k != kv + kw:
+            return self.add(u, (nv * nw, kv + kw), sign)
+        return n.fma(nv, nw, sign), k
 
 
 class LevelState(Lane):
@@ -295,18 +299,18 @@ class LevelState(Lane):
         n = self.n = op.order
         self.solved, acc, self.dp, self._sums = {}, _ZERO, _ZERO, None
         for k in range(n):
-            acc = self.add(self.mul(acc, self.omega), self.coeffs.get((n - k, k), _ZERO))
+            acc = self.addmul(self.coeffs.get((n - k, k), _ZERO), self.omega, acc)
             if not acc[0].is_zero():
                 self.solved[(n - 1 - k, k)] = acc
-            self.dp = self.add(self.mul(self.dp, self.omega), acc)
-        rem = self.add(self.mul(acc, self.omega), self.coeffs.get((0, n), _ZERO))
+            self.dp = self.addmul(acc, self.omega, self.dp)
+        rem = self.addmul(self.coeffs.get((0, n), _ZERO), self.omega, acc)
         self.at_root = rem[0].is_zero()
 
     def top_sums(self) -> list:
         """b_k = a_{n-1-k,k} - L(p_{n-1-k,k}) for k < n, taken once."""
         if self._sums is None:
-            self._sums = [self.sub(self.coeffs.get(jk, _ZERO), self.L(self.solved.get(jk, _ZERO)))
-                          for jk in ((self.n - 1 - k, k) for k in range(self.n))]
+            self._sums = [self.add(self.coeffs.get(jk, _ZERO), self.L(self.solved.get(jk, _ZERO)),
+                                   -1) for jk in ((self.n - 1 - k, k) for k in range(self.n))]
         return self._sums
 
     def _d(self, n):
@@ -315,23 +319,30 @@ class LevelState(Lane):
         if self._c is not None:
             return n.diff_along(self._c)
         dx = n.diff("x") if self._b is None else self._b * n.diff("x")
-        return dx - self._a * n.diff("y")
+        return dx.fma(self._a, n.diff("y"), -1)
 
-    def L(self, u):
-        """The derivation f -> f_x - omega*f_y:
-        L(N/Q^k) = (D(N)*Q - k*N*D(Q)) / (b * Q^(k+1)), and D(N)/b for k = 0."""
+    def L(self, u, n3: Poly | None = None):
+        """The derivation f -> f_x - omega*f_y, or L + p3 for p3 = N3/Q^(1+j):
+        with 1/b = B/Q^j, L(N) = D(N)*B / Q^j and (L + p3)(N/Q^k) =
+        (D(N)*Q*B + N*(N3 - k*D(Q)*B)) / Q^(k+1+j), N3 = 0 for L."""
         n, k = u
         if n.is_zero():
             return _ZERO
-        num = self._d(n)
-        if k:
-            if self._dq is None:
-                self._dq = self._d(self.q)
-            num, k = num * self.q - n.scale_rational(k) * self._dq, k + 1
-        b_inv, j = self._b_inv
-        if b_inv is not None:
-            num = num * b_inv
-        return num, k + j
+        b, j = self._b_inv
+        dn = self._d(n)
+        if not k and n3 is None:
+            return (dn if b is None else dn * b), j
+        if self._qb is None:
+            self._qb = tuple(f if b is None else f * b for f in (self.q, self._d(self.q)))
+        qb, dqb = self._qb
+        x, c = (dqb, -k) if n3 is None else (n3.fma(dqb, Poly.ONE, -k) if k else n3, 1)
+        return (dn * qb).fma(n, x, c), k + 1 + j
+
+    def step(self, u):
+        """(L + p3)(u), in L's pass when p3 sits over Q^(1+j)."""
+        if self.p3[1] == 1 + self._b_inv[1]:
+            return self.L(u, self.p3[0])
+        return self.addmul(self.L(u), self.p3, u)
 
     def divide_p3(self, u, v) -> RatExpr:
         """Take p3 = u / v and return it reduced.  When the numerator of v
@@ -349,11 +360,12 @@ class LevelState(Lane):
         else:
             self.p3 = (q, ku - kv) if ku >= kv else (q * self.power(kv - ku), 0)
             return self.reduce(self.p3)
-        if kv >= ku:
+        if kv > ku:
             n = n * self.power(kv - ku)
-        else:
+        elif ku > kv:
             d = d * self.power(ku - kv)
-        p3 = RatExpr._reduce(n, d)
+        # a d of total degree 1 is irreducible, and did not divide n
+        p3 = RatExpr._fast(n, d) if ku == kv and d.is_linear() else RatExpr._reduce(n, d)
         q = _squarefree_lcm([self.q, p3.den])
         powers = [self.power(0), q.exact_div(self.q)]
         self._set_q(q)
@@ -382,18 +394,17 @@ def solve_level(state: LevelState, op: LPDO, m: int) -> RatExpr:
     reduced; the residual of the lowest level (m = 0) is the whole equation.
     """
     s = state
-    cs, sums = [], s.top_sums() if m == s.n - 1 else None  # there a - L(p) is b_k
-    for k in range(m + 1):
-        p = s.solved.get((m - k, k), _ZERO)
-        b = sums[k] if sums else s.sub(s.coeffs.get((m - k, k), _ZERO), s.L(p))
-        cs.append(s.sub(b, s.mul(s.p3, p)))
-    u_prev = _ZERO
+    ps = [s.solved.get((m - k, k), _ZERO) for k in range(m + 1)]
+    if m == s.n - 1:  # there a - L(p) is b_k
+        cs = [s.addmul(b, s.p3, p, -1) for b, p in zip(s.top_sums(), ps)]
+    else:
+        cs = [s.add(s.coeffs.get((m - k, k), _ZERO), s.step(p), -1) for k, p in enumerate(ps)]
+    u = _ZERO
     for k in range(m):
-        u = s.add(cs[k], s.mul(s.omega, u_prev))
+        u = s.addmul(cs[k], s.omega, u)
         if not u[0].is_zero():
             s.solved[(m - 1 - k, k)] = u
-        u_prev = u
-    return s.reduce(s.add(cs[m], s.mul(s.omega, u_prev)))
+    return s.reduce(s.addmul(cs[m], s.omega, u))
 
 
 def _run_descent(op: LPDO, state: LevelState) -> tuple[dict | None, list[RatExpr]]:

@@ -290,6 +290,18 @@ def test_solve_p3_inexact_division_widens_q(scale, kind):
     assert _assert_p3_same(op, R.from_int(2), kind) is True
 
 
+def test_solve_p3_divides_a_raised_sum_by_a_linear_p_prime_in_q():
+    # at w = 1, L(1/(x + y)) = 0, so the b-sum x*y + x sits over Q^0 while
+    # P'(1) = 1/(x + y) reads (x - y)/Q on Q = x^2 - y^2: the failed trial
+    # division by x - y settles nothing about (x*y + x)*Q, which x - y divides
+    a11 = R.ONE / (X + Y)
+    op = LPDO({(1, 1): a11, (0, 2): -a11, (1, 0): X * Y, (0, 1): X, (0, 0): R.ONE / (X - Y)})
+    state = LevelState(op, R.ONE, None)
+    assert state.dp == ((X - Y).num, 1) and state.q == (X * X - Y * Y).num
+    assert _assert_p3_same(op, R.ONE, "rational") is False
+    assert str(solve_p3(op, R.ONE)) == "x^2*y + x*y^2 + x^2 + x*y"
+
+
 def test_solve_p3_multiple_root_raises():
     op = LPDO({(2, 0): R.ONE, (1, 1): -R.from_int(2) * X, (0, 2): X * X, (0, 0): Y})
     top = _oracle_top(op, X)
@@ -297,6 +309,92 @@ def test_solve_p3_multiple_root_raises():
         solve_p3(op, X)
     with pytest.raises(DegenerateRoot):
         _oracle_p3(op, X, top)
+
+
+# --------------------------------------------------------------------------
+# the (L + p3) step of the levels below n-1
+# --------------------------------------------------------------------------
+
+W_OVER_B = (X + R.ONE) / (X + Y)  # b = x + y: 1/b = B/Q^j with j = 1
+
+
+def _widened():
+    """The state of test_solve_p3_inexact_division_widens_q at w = 2 after
+    solve_p3, which widens Q = 1 to P'(2) and leaves p3 over Q."""
+    op = PLANTED_B.compose(LPDO({(1, 0): R.ONE, (0, 1): R.ONE, (0, 0): Y}))
+    state = LevelState(op, R.from_int(2), None)
+    solve_p3(op, R.from_int(2), state)
+    return state
+
+
+def _riccati():
+    state = LevelState(parse("Dx^2 + x*Dx"), R.ZERO, None)
+    state.p3 = state.lift(R.unknown("psi"))
+    return state
+
+
+STEP_CASES = {  # name: (the state's maker, whether the step takes L's one pass)
+    "q is 1": (lambda: LevelState(parse("Dx^2 + x*Dx*Dy + y"), R.from_int(2), X * Y), False),
+    "q widened": (_widened, True),
+    "w = a/b, p3 over Q^(1+j)": (
+        lambda: LevelState(LPDO({(2, 0): R.ONE, (0, 0): R.ONE / (X + Y)}),
+                           W_OVER_B, Y / (X + Y) ** 2), True),
+    "w = a/b, p3 over Q^j": (
+        lambda: LevelState(LPDO({(2, 0): R.ONE, (0, 0): R.ONE / (X + Y)}),
+                           W_OVER_B, Y / (X + Y)), False),
+    "riccati unknown": (_riccati, False),
+    "p3 = 0": (lambda: LevelState(LPDO({(2, 0): R.ONE, (1, 1): X / (X + Y)}),
+                                  W_OVER_B, R.ZERO), False),
+}
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_the_l_plus_p3_step_is_l_plus_p3_times_u(case):
+    make, fused = STEP_CASES[case]
+    s = make()
+    assert (s.p3[1] == 1 + s._b_inv[1]) == fused
+    omega, p3 = s.reduce(s.omega), s.reduce(s.p3)
+    values = [*s.coeffs.values(), *s.solved.values(), s.p3, s.omega,
+              s.lift(X * Y + R.ONE), (s.power(2), 3), (Poly.ZERO, 2)]
+    assert s.q.is_const() == (case in ("q is 1", "riccati unknown"))
+    for u in values:
+        f = s.reduce(u)
+        want = f.diff("x") - omega * f.diff("y") + p3 * f
+        got = s.reduce(s.step(u))
+        assert got == want and str(got) == str(want)
+        assert s.reduce(s.add(s.L(u), s.addmul((Poly.ZERO, 0), s.p3, u))) == want
+
+
+def _linear_order_five():
+    """An order-5 operator with linear coefficients and the simple root 2,
+    which does not factor: solve_p3 widens Q, the generic workload's case."""
+    n, coeffs = 5, {}
+    for j in range(n + 1):
+        for k in range(n + 1 - j):
+            coeffs[(j, k)] = (R.from_int((j + 2 * k) % 5 - 2) * X
+                              + R.from_int((3 * j + k) % 4 - 1) * Y + R.from_int(j - k + 1))
+    acc = R.ZERO
+    for k in range(n):
+        acc = (acc + coeffs[(n - k, k)]) * R.from_int(2)
+    coeffs[(0, n)] = -acc
+    return LPDO(coeffs)
+
+
+def test_an_order_five_attempt_takes_at_most_103_poly_results(monkeypatch):
+    # one _canon per Poly result: with a product, an alignment and a sum
+    # for each lane value instead of one fused pass, this attempt takes 171
+    canon, count = expr._canon, []
+
+    def counting(*args):
+        count.append(1)
+        return canon(*args)
+
+    op = _linear_order_five()
+    monkeypatch.setattr(expr, "_canon", counting)
+    out = factor_left(op, root_choice=R.from_int(2))
+    monkeypatch.undo()
+    assert out.status is OutcomeStatus.CONDITIONS_FAIL and len(out.residuals) == 4
+    assert len(count) <= 103
 
 
 # --------------------------------------------------------------------------

@@ -7,9 +7,9 @@ derivatives agree with sympy, and the same operations through radical
 coefficients (ConstScalars) give the same canonical Polys; exact division
 agrees with sympy, an inexact division raises (also when the divisor's
 leading monomial does not divide, which shows as a borrow into a guard
-bit), the GCDHEU gcd agrees with the subresultant PRS, and exponents at the
-field bound work while one past it raises OverflowError.  Only expr.py
-reads the format."""
+bit), the GCDHEU gcd agrees with the subresultant PRS, Poly.fma is the
+product and the sum it fuses, and exponents at the field bound work while
+one past it raises OverflowError.  Only expr.py reads the format."""
 
 import re
 import time
@@ -101,6 +101,50 @@ def test_ring_operations_and_derivatives_match_poly(case, k):
         _same(f.partial(var) * S2, p.partial(var).scale_rational(2))
     for var in ("x", "y"):
         _same(f.diff(var) - p.diff(var) * S2, Poly.ZERO)
+
+
+U, U_X = expr.Unknown("u"), expr.Unknown("u", 1, 0)
+# the symbol tuples an fma operand may sit on beyond its x, y terms
+FACTORS = (Poly.ONE, Poly.symbol("a"), Poly.symbol(U), Poly.symbol(U_X) + Poly.symbol(U))
+
+
+@st.composite
+def fma_cases(draw):
+    """Three operands in x and y, of one kind: rational (the one-pass
+    path), sqrt(2) coefficients on some, or some times a parameter or an
+    unknown's jets, which gives them symbol tuples of their own."""
+    kind = draw(st.sampled_from(("rational", "radical", "symbols")))
+    out = []
+    for _ in range(3):
+        p = draw(polys(("x", "y")))
+        if kind == "radical" and draw(st.booleans()):
+            p = p * S2
+        elif kind == "symbols":
+            p = p * draw(st.sampled_from(FACTORS))
+        out.append(p)
+    return out
+
+
+@settings(PROPERTY, max_examples=80)
+@given(fma_cases(), st.integers(-3, 3), st.booleans())
+def test_fma_is_the_product_and_the_sum(case, sign, flip):
+    a, b, c = case
+    got = a.fma(b, c, sign, flip)
+    want = (-a if flip else a) + (b * c).scale_rational(sign)
+    _same(got, want)
+    assert got.syms == want.syms and str(got) == str(want)
+    for x, y, z in ((Poly.ZERO, b, c), (a, Poly.ZERO, c), (a, b, Poly.ZERO)):
+        _same(x.fma(y, z, sign), x + (y * z).scale_rational(sign))
+
+
+def test_fma_past_the_exponent_bound_raises():
+    top, x = Poly.symbol("x", _EXP_MAX), Poly.symbol("x")
+    assert Poly.ONE.fma(top, Poly.ONE) == top + Poly.ONE
+    for a in (Poly.ONE, top, S2):  # the one-pass path, then through sqrt(2)
+        with pytest.raises(OverflowError):
+            a.fma(top, x)
+        with pytest.raises(OverflowError):
+            a.fma(x, top + Poly.ONE, -1, True)
 
 
 def test_keys_stand_when_a_symbol_joins_after_y():
