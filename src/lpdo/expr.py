@@ -446,11 +446,6 @@ def _guard(n: int) -> int:
     return ((1 << _W * n) - 1) // _MASK << _W - 1
 
 
-def _carries(o: int) -> int:
-    """The guard bits set in o (the OR of some keys)."""
-    return o & _guard((o.bit_length() + _W - 1) // _W)
-
-
 def _fields(e: int, syms) -> list[tuple[str, int]]:
     """The (symbol, exponent) pairs of key e on syms, exponents above 0."""
     out = []
@@ -526,7 +521,7 @@ def _canon(syms: tuple, packed: dict, den: int | None, scan: bool = True) -> "Po
         o = reduce(or_, packed, 0)
         used = tuple(s for i, s in enumerate(syms) if i < 2 or o >> _W * i & _MASK)
         if len(used) < len(syms):
-            packed, syms = _rekey(packed, syms, used), used
+            packed, syms = _rekey(packed, syms, used), (_XY if len(used) == 2 else used)
     p = Poly.__new__(Poly)
     p.syms, p.packed, p.den = syms, packed, den
     return p
@@ -610,7 +605,7 @@ class Poly:
         symbols in alphabetical order); zero terms and unused symbols are
         dropped, and an exponent past _EXP_MAX raises OverflowError."""
         packed = {e: c for e, c in (packed or {}).items() if not c.is_zero()}
-        if packed and (_carries(reduce(or_, packed)) or max(packed) >> _W * len(syms)):
+        if packed and (reduce(or_, packed) & _guard(len(syms)) or max(packed) >> _W * len(syms)):
             raise OverflowError(f"an exponent passes {_EXP_MAX} or a key has fields past {syms}")
         p = _canon(tuple(syms), packed, None)
         self.syms, self.packed, self.den = p.syms, p.packed, p.den
@@ -741,34 +736,57 @@ class Poly:
                 e = e1 + e2
                 out[e] = get(e, zero) + c1 * c2
         out = {e: c for e, c in out.items() if c}
-        if out and _carries(reduce(or_, out)):
+        if out and reduce(or_, out) & _guard(len(syms)):
             raise OverflowError(f"an exponent of a product passes {_EXP_MAX}")
         return _canon(syms, out, den, False)
 
-    def fma(self, b: "Poly", c: "Poly", sign: int = 1, flip: bool = False) -> "Poly":
-        """self + sign*b*c for an int sign, -self for self when flip: in one
-        pass over the products, with __mul__'s exponent guard, when all three
-        are rational in x and y alone; else the product, then the sum."""
-        if (self.den is None or b.den is None or c.den is None
-                or not len(self.syms) == len(b.syms) == len(c.syms) == 2):
-            p = b * c
-            if flip:
-                return (p if sign == 1 else p.scale_rational(sign)) - self
-            return self._plus(p, sign) if sign in (1, -1) else self + p.scale_rational(sign)
-        d1, d2 = self.den, b.den * c.den
-        d = d1 if d1 == d2 else lcm(d1, d2)
-        f1, f2 = (-1 if flip else 1) * (d // d1), sign * (d // d2)
-        out = dict(self.packed) if f1 == 1 else {e: v * f1 for e, v in self.packed.items()}
-        get, terms = out.get, c.packed.items()
-        for e1, v1 in b.packed.items():
-            v1 *= f2
-            for e2, v2 in terms:
-                e = e1 + e2
-                out[e] = get(e, 0) + v1 * v2
-        out = {e: v for e, v in out.items() if v} if 0 in out.values() else out
-        if out and _carries(reduce(or_, out)):  # self's keys hold no guard bit
+    @staticmethod
+    def dot(terms) -> "Poly":
+        """The sum of s*b*c over the triples (b, c, s), s an int, in one pass
+        over the products, with an exponent guard and one canonical form: on
+        the joint symbol tuple, over the lcm of the denominators, or on
+        ConstScalars once a radical enters.  A constant c scales b, with no
+        inner loop."""
+        syms, d = _XY, 1  # d None once a radical enters
+        for b, c, _ in terms:
+            if b.syms is not _XY or c.syms is not _XY:
+                syms = _merge(_merge(syms, b.syms), c.syms)
+            if b.den != 1 or c.den != 1:
+                d = None if d is None or b.den is None or c.den is None else lcm(d, b.den * c.den)
+        out, zero, grown = {}, 0 if d is not None else ConstScalar.ZERO, False
+        get = out.get
+        for b, c, s in terms:
+            bp, cp = b.packed, c.packed
+            const = len(cp) == 1 and 0 in cp
+            if d != 1:
+                if d is not None:
+                    s *= d // (b.den * c.den)
+                else:  # ConstScalars, but an int constant c stays an int
+                    bp = _scalars(b)
+                    if not const or c.den != 1:
+                        cp = _scalars(c)
+            if syms is not _XY:  # keys on x and y alone stand on any tuple
+                bp, cp = _rekey(bp, b.syms, syms), _rekey(cp, c.syms, syms)
+            if const:
+                k = s * cp[0]
+                if out:
+                    for e, v in bp.items():
+                        out[e] = get(e, zero) + k * v
+                else:
+                    out = dict(bp) if k == 1 else {e: k * v for e, v in bp.items()}
+                    get = out.get
+                continue
+            grown, items = True, cp.items()
+            for e1, v1 in bp.items():
+                v1 = s * v1
+                for e2, v2 in items:
+                    e = e1 + e2
+                    out[e] = get(e, zero) + v1 * v2
+        if d is None or 0 in out.values():
+            out = {e: v for e, v in out.items() if v}
+        if grown and out and reduce(or_, out) & _guard(len(syms)):  # no operand's key has one
             raise OverflowError(f"an exponent of a product passes {_EXP_MAX}")
-        return _canon(_XY, out, d, False)
+        return _canon(syms, out, d, syms is not _XY)
 
     def scale(self, c: ConstScalar) -> "Poly":
         if c.is_zero():
@@ -930,12 +948,7 @@ def _univar(p: Poly, v: str) -> list[Poly]:
 
 
 def _from_univar(coeffs: list[Poly], v: str) -> Poly:
-    out = Poly.ZERO
-    for e, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        out = out + (c * Poly.symbol(v, e) if e else c)
-    return out
+    return Poly.dot([(c, Poly.symbol(v, e), 1) for e, c in enumerate(coeffs)])
 
 
 def _trim(coeffs: list[Poly]) -> list[Poly]:

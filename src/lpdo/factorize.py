@@ -38,14 +38,14 @@ as in Bareiss's fraction-free elimination, with Q the squarefree part of the
 lcm of the denominators of w, p3 and op's coefficients: sums, products and
 derivatives need no gcd, and a value is zero exactly when N is.  N is a
 Poly, whose rational coefficients are ints over one integer denominator;
-each value is one Poly.fma pass, its alignment by Q^d included, and below
-level n-1 (L + p3)(p) in a - (L + p3)(p) is one product and one more pass.
+each value is one Poly.dot pass, its alignment by Q^d included, and so is
+a - (L + p3)(p) below level n-1 when p3 sits over Q^(1+j), 1/b = B/Q^j.
 The b's, a - L(p) over the top level's p, are taken once, for solve_p3 and
 level n-1.  solve_p3 divides their sum weighed by w by P'(w) exactly when
 the numerators allow, else reduces p3 (with no gcd when a numerator of
 total degree 1 failed to divide) and widens Q to cover its denominator.
 A value is read out once per output; Q is squarefree, so N / Q^k is reduced
-when gcd(N, Q) is a unit, and then only its denominator is made monic; else
+when gcd(N, Q) is a unit, and then Q^k is made monic by lc(Q)^k; else
 the common factor is divided out one gcd with a factor of Q at a time, one
 trial division each when Q has total degree 1, as P'(w) at a constant w has
 on linear coefficients.
@@ -68,6 +68,7 @@ from .expr import (
     Unknown,
     _canon,
     _groups,
+    _lc,
     _univar,
     jet_assignments,
     poly_gcd,
@@ -195,8 +196,8 @@ class Lane:
     Q.  So a value is zero exactly when its numerator is, and only values
     read out are reduced, against Q rather than Q^k.  The numerators are
     Polys, with int numerators for rational values and the jets of an
-    unknown function as symbols; a sum aligns the powers of Q inside its one
-    Poly.fma pass."""
+    unknown function as symbols; each value is one Poly.dot pass, which
+    aligns the powers of Q too, or one plain sum."""
 
     def __init__(self, values: list[RatExpr]):
         self._set_q(_squarefree_lcm(
@@ -205,7 +206,8 @@ class Lane:
     def _set_q(self, q: Poly) -> None:
         self.q = q
         self._powers = [Poly.ONE, q]
-        self._qb = None  # (Q*B, D(Q)*B) for LevelState.L, computed once per Q
+        self._lc_inv = None if (lc := _lc(q)) == ConstScalar.ONE else lc.inverse()
+        self._qb, self._xs = None, {}  # (Q*B, D(Q)*B) and N3 - k*D(Q)*B for LevelState.L
 
     def power(self, k: int) -> Poly:
         """Q^k."""
@@ -242,42 +244,35 @@ class Lane:
         gcd(N, Q) is a unit, and then only its denominator is made monic.
         Else the common factor is g1*...*gm, m <= k, with g1 = gcd(N, Q)
         and g(i+1) = gcd(N / (g1*...*gi), gi), each a gcd with a factor of
-        Q, and the denominator is Q^(k-m) times the Q / gi.  When Q has
-        total degree 1, poly_gcd settles each gcd by one trial division."""
+        Q; the denominator, Q^(k-m) times the Q / gi, leads with lc(Q)^k.
+        When Q has total degree 1, poly_gcd settles each gcd by one trial division."""
         n, k = u
         if n.is_zero():
             return RatExpr.ZERO
-        if not k:
+        if not k or self.q == Poly.ONE:
             return RatExpr(n, Poly.ONE)
-        g, den = poly_gcd(n, self.q), Poly.ONE
-        if g.is_const():
-            return RatExpr._fast(n, self.power(k))
-        while k and not g.is_const():
+        g, den, inv = poly_gcd(n, self.q), Poly.ONE, self._lc_inv and self._lc_inv ** k
+        while k and not g.is_const():  # each g is monic: den leads with lc(Q)^k
             n, den, k = n.exact_div(g), den * self.q.exact_div(g), k - 1
             g = poly_gcd(n, g)
-        return RatExpr._fast(n, den * self.power(k))
+        den = self.power(k) if den is Poly.ONE else den * self.power(k)
+        return RatExpr(n, den) if inv is None else RatExpr(n.scale(inv), den.scale(inv))
 
     def add(self, u, v, sign: int = 1):
         """u + sign*v, over the larger power of Q."""
         (n1, k1), (n2, k2) = u, v
-        if n2.is_zero():
-            return u
-        if n1.is_zero():
-            return v if sign > 0 else (-n2, k2)
-        if k1 < k2:  # n1*Q^d + sign*n2
-            return n2.fma(n1, self.power(k2 - k1), 1, sign < 0), k2
-        if k2 < k1:
-            return n1.fma(n2, self.power(k1 - k2), sign), k1
-        return (n1 + n2 if sign > 0 else n1 - n2), k1
+        k = max(k1, k2)
+        return Poly.dot([(n1, self.power(k - k1), 1), (n2, self.power(k - k2), sign)]), k
 
     def addmul(self, u, v, w, sign: int = 1):
-        """u + sign*v*w, in one pass when u and v*w sit over one power of Q."""
+        """u + sign*v*w, in one pass unless u sits above v*w."""
         (n, k), (nv, kv), (nw, kw) = u, v, w
         if nv.is_zero() or nw.is_zero():
             return u
-        if k != kv + kw:
-            return self.add(u, (nv * nw, kv + kw), sign)
-        return n.fma(nv, nw, sign), k
+        kp = kv + kw
+        if k > kp and not n.is_zero():
+            return Poly.dot([(n, Poly.ONE, 1), (nw * nv, self.power(k - kp), sign)]), k
+        return Poly.dot([(n, self.power(kp - k) if k < kp else Poly.ONE, 1), (nw, nv, sign)]), kp
 
 
 class LevelState(Lane):
@@ -291,7 +286,7 @@ class LevelState(Lane):
     def __init__(self, op: LPDO, omega: RatExpr, p3: RatExpr | None):
         super().__init__([omega, *([] if p3 is None else [p3]), *op.coeffs.values()])
         self._c = omega.rational_value() if omega.is_rational() else None
-        self._a, self._b = omega.num, (None if omega.den.is_const() else omega.den)
+        self._a, self._b = omega.num, omega.den
         self._b_inv = self._lift_den(omega.den)  # 1/b as (Q^j / b, j)
         self.omega = self.lift(omega)
         self.p3 = None if p3 is None else self.lift(p3)
@@ -309,8 +304,8 @@ class LevelState(Lane):
     def top_sums(self) -> list:
         """b_k = a_{n-1-k,k} - L(p_{n-1-k,k}) for k < n, taken once."""
         if self._sums is None:
-            self._sums = [self.add(self.coeffs.get(jk, _ZERO), self.L(self.solved.get(jk, _ZERO)),
-                                   -1) for jk in ((self.n - 1 - k, k) for k in range(self.n))]
+            self._sums = [self.L(self.solved.get(jk, _ZERO), _ZERO, self.coeffs.get(jk, _ZERO), -1)
+                          for jk in ((self.n - 1 - k, k) for k in range(self.n))]
         return self._sums
 
     def _d(self, n):
@@ -318,31 +313,36 @@ class LevelState(Lane):
         constant omega = c, D = Dx - c*Dy in one pass over N's terms."""
         if self._c is not None:
             return n.diff_along(self._c)
-        dx = n.diff("x") if self._b is None else self._b * n.diff("x")
-        return dx.fma(self._a, n.diff("y"), -1)
+        return Poly.dot([(n.diff("x"), self._b, 1), (n.diff("y"), self._a, -1)])
 
-    def L(self, u, n3: Poly | None = None):
-        """The derivation f -> f_x - omega*f_y, or L + p3 for p3 = N3/Q^(1+j):
-        with 1/b = B/Q^j, L(N) = D(N)*B / Q^j and (L + p3)(N/Q^k) =
-        (D(N)*Q*B + N*(N3 - k*D(Q)*B)) / Q^(k+1+j), N3 = 0 for L."""
-        n, k = u
+    def L(self, u, p3=_ZERO, a=_ZERO, sign: int = 1):
+        """a + sign*(L + p3)(u), L: f -> f_x - omega*f_y, 1/b = B/Q^j (L(u) by default).  With p3 =
+        N3/Q^(1+j) or 0, (L + p3)(N/Q^k) = (D(N)*Q*B + N*(N3 - k*D(Q)*B)) / Q^K, K = k+1+j, and
+        L(N) = D(N)*B / Q^j: one Poly.dot pass with a*Q^(K - k_a) unless k_a > K."""
+        (n, k), (b, j), (n3, kp) = u, self._b_inv, p3
+        if kp != 1 + j and not n3.is_zero():  # L's pass, then p3*u
+            return self.addmul(self.L(u, _ZERO, a, sign), p3, u, sign)
         if n.is_zero():
-            return _ZERO
-        b, j = self._b_inv
-        dn = self._d(n)
-        if not k and n3 is None:
-            return (dn if b is None else dn * b), j
-        if self._qb is None:
-            self._qb = tuple(f if b is None else f * b for f in (self.q, self._d(self.q)))
-        qb, dqb = self._qb
-        x, c = (dqb, -k) if n3 is None else (n3.fma(dqb, Poly.ONE, -k) if k else n3, 1)
-        return (dn * qb).fma(n, x, c), k + 1 + j
+            return a
+        if not k and n3.is_zero():
+            dn = self._d(n)
+            if dn.is_zero() or not (j or a[1]):  # L(u) = 0, or 1/b = 1 and a plain sum
+                return a if dn.is_zero() else (a[0]._plus(dn, sign), 0)
+            terms, top = [(dn, Poly.ONE if b is None else b, sign)], j
+        else:
+            if self._qb is None:
+                self._qb = tuple(f if b is None else f * b for f in (self.q, self._d(self.q)))
+            (qb, dqb), top, x = self._qb, k + 1 + j, self._xs.get(k)
+            if x is None or x[0] is not n3:  # N3 - k*D(Q)*B, once per k and N3
+                x = self._xs[k] = n3, Poly.dot([(n3, Poly.ONE, 1), (dqb, Poly.ONE, -k)])
+            terms = [(self._d(n), qb, sign), (n, x[1], sign)]
+        if a[1] > top:
+            return self.add(a, (Poly.dot(terms), top))
+        return Poly.dot([(a[0], self.power(top - a[1]), 1), *terms]), top
 
-    def step(self, u):
-        """(L + p3)(u), in L's pass when p3 sits over Q^(1+j)."""
-        if self.p3[1] == 1 + self._b_inv[1]:
-            return self.L(u, self.p3[0])
-        return self.addmul(self.L(u), self.p3, u)
+    def step(self, u, a=_ZERO, sign: int = 1):
+        """a + sign*(L + p3)(u)."""
+        return self.L(u, self.p3, a, sign)
 
     def divide_p3(self, u, v) -> RatExpr:
         """Take p3 = u / v and return it reduced.  When the numerator of v
@@ -398,7 +398,7 @@ def solve_level(state: LevelState, op: LPDO, m: int) -> RatExpr:
     if m == s.n - 1:  # there a - L(p) is b_k
         cs = [s.addmul(b, s.p3, p, -1) for b, p in zip(s.top_sums(), ps)]
     else:
-        cs = [s.add(s.coeffs.get((m - k, k), _ZERO), s.step(p), -1) for k, p in enumerate(ps)]
+        cs = [s.step(p, s.coeffs.get((m - k, k), _ZERO), -1) for k, p in enumerate(ps)]
     u = _ZERO
     for k in range(m):
         u = s.addmul(cs[k], s.omega, u)

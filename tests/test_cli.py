@@ -446,3 +446,13 @@ def test_a_foreign_symbol_in_a_gcd_is_not_a_hang(argv, lines):
     assert done.returncode == 0, done.stderr
     got = [line.strip() for line in done.stdout.splitlines()]
     assert all(got.count(line) >= lines.count(line) for line in lines)
+
+
+def test_python_m_lpdo_runs_the_command_line():
+    # from a plain checkout: src on PYTHONPATH, no install
+    src = str(Path(lpdo.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "lpdo", "factor", "Dx^2 - Dy^2"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert "status: factored" in done.stdout

@@ -365,6 +365,27 @@ def test_the_l_plus_p3_step_is_l_plus_p3_times_u(case):
         assert s.reduce(s.add(s.L(u), s.addmul((Poly.ZERO, 0), s.p3, u))) == want
 
 
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_a_minus_the_step_matches_the_ratexpr_derivation(case):
+    # the levels below n-1 take a - (L + p3)(u) in one pass when a sits
+    # over at most Q^K, K = k+1+j; a over Q^8 sits above every K here, so
+    # the aligned sum runs after the pass
+    s = STEP_CASES[case][0]()
+    omega, p3 = s.reduce(s.omega), s.reduce(s.p3)
+    values = [*s.coeffs.values(), *s.solved.values(), s.p3, s.omega,
+              s.lift(X * Y + R.ONE), (s.power(2), 3), (Poly.ZERO, 2)]
+    subtrahends = [(Poly.ZERO, 0), s.lift(X + R.from_int(3) * Y), *s.coeffs.values(),
+                   (s.power(8) * (X - Y).num, 8)]
+    for u in values:
+        f = s.reduce(u)
+        lf = f.diff("x") - omega * f.diff("y")
+        for a in subtrahends:
+            want = s.reduce(a) - (lf + p3 * f)
+            got = s.reduce(s.step(u, a, -1))
+            assert got == want and str(got) == str(want)
+            assert s.reduce(s.L(u, (Poly.ZERO, 0), a, -1)) == s.reduce(a) - lf  # top_sums' b
+
+
 def _linear_order_five():
     """An order-5 operator with linear coefficients and the simple root 2,
     which does not factor: solve_p3 widens Q, the generic workload's case."""
@@ -380,9 +401,10 @@ def _linear_order_five():
     return LPDO(coeffs)
 
 
-def test_an_order_five_attempt_takes_at_most_103_poly_results(monkeypatch):
+def test_an_order_five_attempt_takes_at_most_72_poly_results(monkeypatch):
     # one _canon per Poly result: with a product, an alignment and a sum
-    # for each lane value instead of one fused pass, this attempt takes 171
+    # for each lane value instead of one fused pass, this attempt takes 171;
+    # with a - (L + p3)(p) as a step and a second pass, 103
     canon, count = expr._canon, []
 
     def counting(*args):
@@ -394,7 +416,7 @@ def test_an_order_five_attempt_takes_at_most_103_poly_results(monkeypatch):
     out = factor_left(op, root_choice=R.from_int(2))
     monkeypatch.undo()
     assert out.status is OutcomeStatus.CONDITIONS_FAIL and len(out.residuals) == 4
-    assert len(count) <= 103
+    assert len(count) <= 72
 
 
 # --------------------------------------------------------------------------
@@ -691,6 +713,22 @@ def test_lane_reduce_cases(kind, coefficients, q):
         got = _assert_reduces(lane, shared, k)
         if q is TWO_FACTORS:
             assert got.den == ((X + Y) ** (k - 1) * (X - R.ONE) ** k).num.monic()
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["unit gcd", "gcd with q"])
+def test_lane_reduce_makes_q_cubed_monic_without_a_leading_term_search(shared, monkeypatch):
+    # lc(Q)^3 = (-1/2)^3 for Q = -x/2 - y/3 + 1: reduce takes it from lc(Q),
+    # which the lane finds once, and never searches Q^3 for its leading term
+    lane = _lane(NEGATIVE, R.ONE)
+    n = (X * Y + R.from_int(3)).num * (NEGATIVE if shared else Poly.ONE)
+    monkeypatch.setattr(R, "_fast", None)
+    monkeypatch.setattr(factorize, "_lc", None)
+    got = lane.reduce((n, 3))
+    monkeypatch.undo()
+    want = R._reduce(n, NEGATIVE ** 3)
+    assert got == want and str(got) == str(want)
+    assert got.den == (NEGATIVE ** (2 if shared else 3)).monic()
+    assert str(got.den).startswith("x^") and lane._lc_inv ** 3 == ConstScalar.from_rational(-8)
 
 
 @pytest.mark.parametrize("case", ["gcdheu gives up", "gcd with q not a unit"])

@@ -7,9 +7,9 @@ derivatives agree with sympy, and the same operations through radical
 coefficients (ConstScalars) give the same canonical Polys; exact division
 agrees with sympy, an inexact division raises (also when the divisor's
 leading monomial does not divide, which shows as a borrow into a guard
-bit), the GCDHEU gcd agrees with the subresultant PRS, Poly.fma is the
-product and the sum it fuses, and exponents at the field bound work while
-one past it raises OverflowError.  Only expr.py reads the format."""
+bit), the GCDHEU gcd agrees with the subresultant PRS, Poly.dot is the sum
+of the products it fuses, and exponents at the field bound work while one
+past it raises OverflowError.  Only expr.py reads the format."""
 
 import re
 import time
@@ -104,47 +104,69 @@ def test_ring_operations_and_derivatives_match_poly(case, k):
 
 
 U, U_X = expr.Unknown("u"), expr.Unknown("u", 1, 0)
-# the symbol tuples an fma operand may sit on beyond its x, y terms
-FACTORS = (Poly.ONE, Poly.symbol("a"), Poly.symbol(U), Poly.symbol(U_X) + Poly.symbol(U))
+# the factors a dot operand in x and y may carry, by kind: sqrt(2)
+# coefficients, or a parameter or an unknown's jets, which give it a symbol
+# tuple of its own
+MODIFIERS = {
+    "rational": (Poly.ONE,),
+    "radical": (Poly.ONE, S2),
+    "symbols": (Poly.ONE, Poly.symbol("a"), Poly.symbol(U), Poly.symbol(U_X) + Poly.symbol(U)),
+}
+MODIFIERS["mixed"] = MODIFIERS["symbols"] + (S2,)
 
 
 @st.composite
-def fma_cases(draw):
-    """Three operands in x and y, of one kind: rational (the one-pass
-    path), sqrt(2) coefficients on some, or some times a parameter or an
-    unknown's jets, which gives them symbol tuples of their own."""
-    kind = draw(st.sampled_from(("rational", "radical", "symbols")))
-    out = []
-    for _ in range(3):
-        p = draw(polys(("x", "y")))
-        if kind == "radical" and draw(st.booleans()):
-            p = p * S2
-        elif kind == "symbols":
-            p = p * draw(st.sampled_from(FACTORS))
-        out.append(p)
-    return out
+def dot_terms(draw):
+    """One to four triples (b, c, s) of one kind, s in -3..3; an operand
+    may be zero (rationals with denominators, drawn term by term) and c a
+    constant, zero included."""
+    kind = MODIFIERS[draw(st.sampled_from(tuple(MODIFIERS)))]
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        b = draw(polys(("x", "y"))) * draw(st.sampled_from(kind))
+        if draw(st.integers(0, 2)):
+            c = draw(polys(("x", "y"))) * draw(st.sampled_from(kind))
+        else:  # a constant c scales b
+            c = Poly.rational(draw(rationals)) * draw(st.sampled_from(kind[:2]))
+        terms.append((b, c, draw(st.integers(-3, 3))))
+    return terms
 
 
-@settings(PROPERTY, max_examples=80)
-@given(fma_cases(), st.integers(-3, 3), st.booleans())
-def test_fma_is_the_product_and_the_sum(case, sign, flip):
-    a, b, c = case
-    got = a.fma(b, c, sign, flip)
-    want = (-a if flip else a) + (b * c).scale_rational(sign)
+def _assert_dot_is_the_sum(terms):
+    got = Poly.dot(terms)
+    want = sum(((b * c).scale_rational(s) for b, c, s in terms), Poly.ZERO)
     _same(got, want)
     assert got.syms == want.syms and str(got) == str(want)
-    for x, y, z in ((Poly.ZERO, b, c), (a, Poly.ZERO, c), (a, b, Poly.ZERO)):
-        _same(x.fma(y, z, sign), x + (y * z).scale_rational(sign))
 
 
-def test_fma_past_the_exponent_bound_raises():
+@settings(PROPERTY, max_examples=120)
+@given(dot_terms())
+def test_dot_is_the_sum_of_its_products(terms):
+    _assert_dot_is_the_sum(terms)
+
+
+X, Y, HALF = Poly.symbol("x"), Poly.symbol("y"), Poly.rational(Fraction(1, 2))
+DOT_CASES = {  # the kinds one draw of the law meets only now and then
+    "radical, a fractional constant c": [(S2 * X + Y, HALF, 3), (X * Y, Poly.rational(-2), -1)],
+    "a first constant c other than 1": [(X + HALF, Poly.rational(-3), 1), (Y, X, 2)],
+    "tuples merged": [(X * Poly.symbol("a"), Y, 1), (Poly.symbol(U), HALF, -2), (Y, X, 1)],
+    "cancelled to zero": [(X * Poly.symbol("a"), Y, 2), (Poly.symbol("a") * Y, X, -2)],
+}
+
+
+@pytest.mark.parametrize("case", DOT_CASES)
+def test_dot_cases(case):
+    _assert_dot_is_the_sum(DOT_CASES[case])
+
+
+def test_dot_past_the_exponent_bound_raises():
     top, x = Poly.symbol("x", _EXP_MAX), Poly.symbol("x")
-    assert Poly.ONE.fma(top, Poly.ONE) == top + Poly.ONE
-    for a in (Poly.ONE, top, S2):  # the one-pass path, then through sqrt(2)
+    assert Poly.dot([(top, Poly.ONE, 1), (Poly.ONE, Poly.ONE, 1)]) == top + Poly.ONE
+    for a in (Poly.ONE, top, S2):  # on ints, then through sqrt(2)
         with pytest.raises(OverflowError):
-            a.fma(top, x)
+            Poly.dot([(a, Poly.ONE, 1), (top, x, 1)])
         with pytest.raises(OverflowError):
-            a.fma(x, top + Poly.ONE, -1, True)
+            Poly.dot([(a, Poly.ONE, -1), (x, top + Poly.ONE, -1)])
 
 
 def test_keys_stand_when_a_symbol_joins_after_y():
